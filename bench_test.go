@@ -1,6 +1,6 @@
 package gapsched
 
-// Benchmarks regenerating every experiment of DESIGN.md §4 (E1–E23),
+// Benchmarks regenerating every experiment of DESIGN.md §4 (E1–E24),
 // one benchmark per table/figure. Run with:
 //
 //	go test -bench=. -benchmem
@@ -28,8 +28,8 @@ import (
 	"repro/internal/multiinterval"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/poly"
 	"repro/internal/powerdown"
+	"repro/internal/prep"
 	"repro/internal/reduction"
 	"repro/internal/restart"
 	"repro/internal/sched"
@@ -475,9 +475,9 @@ func BenchmarkE19_IncrementalSession(b *testing.B) {
 
 // BenchmarkE20_HeuristicTier: the heuristic tier on instances the
 // exact DP cannot serve — 100k-job stress profiles through the full
-// ModeHeuristic pipeline, the ModeAuto mixed-instance path under the
-// default budget, and the exact tier on the largest dense fragment it
-// can still afford, for contrast. Heuristic lanes report the certified
+// ModeHeuristic pipeline, the ModeAuto mixed-instance path, and the
+// exact tier on the largest dense fragment it can still afford, for
+// contrast. Heuristic lanes report the certified
 // cost/lower-bound ratio as ratio/op.
 func BenchmarkE20_HeuristicTier(b *testing.B) {
 	heurSolver := Solver{Mode: ModeHeuristic}
@@ -499,7 +499,7 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 			b.ReportMetric(ratio/float64(b.N), "ratio/op")
 		})
 	}
-	b.Run("auto-mixed/default-budget", func(b *testing.B) {
+	b.Run("auto-mixed/derived-budget", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(20))
 		var jobs []sched.Job
 		for c := 0; c < 12; c++ {
@@ -508,19 +508,21 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 				jobs = append(jobs, sched.Job{Release: r, Deadline: r + 2 + rng.Intn(4)})
 			}
 		}
-		// The big fragment must stay above the pruning-discounted default
-		// budget so the mix is genuinely mixed; n=400 dense is admitted
-		// to the exact tier nowadays (BenchmarkE21_BoundedExact covers
-		// that class), so the wall here is n=800. The polynomial backend
-		// is ablated (PolyBudget −1) because it would otherwise solve the
-		// n=800 single-processor fragment exactly — this lane benches the
-		// dp+heuristic mix; BenchmarkE23_PolyBackend benches the poly
-		// route.
+		// The default budget solves the n=800 single-processor fragment
+		// exactly (BenchmarkE21_BoundedExact covers that route), so the
+		// budget is the largest estimate among the small clusters: they
+		// stay exact while the big fragment goes to the heuristic.
 		for _, j := range workload.StressDense(rng, 800, 1).Jobs {
 			jobs = append(jobs, sched.Job{Release: j.Release + 2400, Deadline: j.Deadline + 2400})
 		}
 		in := NewInstance(jobs)
-		auto := Solver{Mode: ModeAuto, PolyBudget: -1}
+		budget := 0
+		for _, sub := range prep.ForGaps(in).Subs {
+			if len(sub.Instance.Jobs) < 100 {
+				budget = max(budget, prep.StateEstimate(sub.Instance))
+			}
+		}
+		auto := Solver{Mode: ModeAuto, StateBudget: budget}
 		for i := 0; i < b.N; i++ {
 			sol, err := auto.Solve(in)
 			if err != nil {
@@ -550,11 +552,13 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 // E20 exact-wall dense class. The bounded lanes are the production
 // default (greedy incumbent + admissible node bounds); the unpruned
 // lanes ablate pruning via Options.NoPrune and must report the same
-// cost. The auto-admitted lane is the workload the pruning-aware
-// admission discount newly sends to the exact tier under the default
-// StateBudget — it asserts the certificate (zero heuristic fragments)
-// so a regression in admission fails loudly rather than silently
-// benching the heuristic.
+// cost. The auto-admitted lanes are workloads the default StateBudget
+// sends to the exact tier: a dense n=400 fragment admitted by the
+// pruning-discounted index-space estimate, and a mixed instance whose
+// dense single-processor n=2000 fragment is admitted by the
+// single-processor estimate G·(n+1). Both assert the certificate (zero
+// heuristic fragments) so a regression in admission fails loudly
+// rather than silently benching the heuristic.
 func BenchmarkE21_BoundedExact(b *testing.B) {
 	for _, n := range []int{400, 800} {
 		rng := rand.New(rand.NewSource(21))
@@ -594,6 +598,30 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 			}
 			if sol.HeuristicFragments != 0 {
 				b.Fatal("discounted admission no longer keeps n=400 dense exact")
+			}
+		}
+	})
+	b.Run("auto-admitted/mixed/n=2000", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(23))
+		var jobs []sched.Job
+		for c := 0; c < 8; c++ {
+			for k := 0; k < 6; k++ {
+				r := c*200 + k + rng.Intn(3)
+				jobs = append(jobs, sched.Job{Release: r, Deadline: r + 2 + rng.Intn(4)})
+			}
+		}
+		for _, j := range workload.StressDense(rng, 2000, 1).Jobs {
+			jobs = append(jobs, sched.Job{Release: j.Release + 1600, Deadline: j.Deadline + 1600})
+		}
+		in := NewInstance(jobs)
+		auto := Solver{Mode: ModeAuto}
+		for i := 0; i < b.N; i++ {
+			sol, err := auto.Solve(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sol.HeuristicFragments != 0 {
+				b.Fatal("single-processor admission no longer keeps n=2000 dense exact")
 			}
 		}
 	})
@@ -670,68 +698,6 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 			ratio += sol.CompetitiveRatio
 		}
 		b.ReportMetric(ratio/float64(b.N), "ratio/op")
-	})
-}
-
-// BenchmarkE23_PolyBackend: the polynomial single-machine exact
-// backend head to head with the index-space DP engine on the dense
-// single-processor class — the two are the same dynamic program at
-// p = 1, so the expanded/op metrics must agree — plus the ModeAuto
-// lane the backend unlocks: a mixed instance whose n=2000 dense
-// fragment sits far beyond the DP tier's discounted admission bound
-// and used to fall to the heuristic, now solved exactly by poly under
-// the default budgets. The lane asserts the certificate (the big
-// fragment on poly, nothing heuristic) so an admission regression
-// fails loudly rather than silently benching the heuristic.
-func BenchmarkE23_PolyBackend(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	dense := workload.StressDense(rng, 400, 1)
-	b.Run("dp/dense/n=400", func(b *testing.B) {
-		expanded := 0
-		for i := 0; i < b.N; i++ {
-			res, err := core.SolveGaps(dense)
-			if err != nil {
-				b.Fatal(err)
-			}
-			expanded += res.ExpandedStates
-		}
-		b.ReportMetric(float64(expanded)/float64(b.N), "expanded/op")
-	})
-	b.Run("poly/dense/n=400", func(b *testing.B) {
-		expanded := 0
-		for i := 0; i < b.N; i++ {
-			res, err := poly.SolveGaps(dense)
-			if err != nil {
-				b.Fatal(err)
-			}
-			expanded += res.ExpandedStates
-		}
-		b.ReportMetric(float64(expanded)/float64(b.N), "expanded/op")
-	})
-	b.Run("auto-poly/dense/n=2000", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(23))
-		var jobs []sched.Job
-		for c := 0; c < 8; c++ {
-			for k := 0; k < 6; k++ {
-				r := c*200 + k + rng.Intn(3)
-				jobs = append(jobs, sched.Job{Release: r, Deadline: r + 2 + rng.Intn(4)})
-			}
-		}
-		for _, j := range workload.StressDense(rng, 2000, 1).Jobs {
-			jobs = append(jobs, sched.Job{Release: j.Release + 1600, Deadline: j.Deadline + 1600})
-		}
-		in := NewInstance(jobs)
-		auto := Solver{Mode: ModeAuto}
-		for i := 0; i < b.N; i++ {
-			sol, err := auto.Solve(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sol.PolyFragments != 1 || sol.HeuristicFragments != 0 {
-				b.Fatalf("auto tiers poly=%d heur=%d, want the dense fragment on poly",
-					sol.PolyFragments, sol.HeuristicFragments)
-			}
-		}
 	})
 }
 

@@ -15,16 +15,16 @@ package main
 //     costs a few percent — the row is there for the correctness
 //     certificate and to keep that trade-off measured.
 //
-//  2. Admission — ModeAuto under the default budgets on mixed
-//     instances whose oversized fragment sits on either side of the
-//     pruning-discounted DP admission bound. The n=400 dense class,
+//  2. Admission — ModeAuto under the default budget on mixed instances
+//     whose oversized fragment sits on either side of the
+//     pruning-discounted index-space bound. The n=400 dense class,
 //     which the raw estimate used to send to the heuristic, is admitted
 //     to the (bounded) exact tier and comes back certified optimal:
-//     cost/LB = 1.00 with zero heuristic fragments. The n=800 class
-//     still exceeds the discounted DP bound, but its big fragment is
-//     single-processor, so the polynomial backend picks it up and the
-//     solution is certified exact anyway — E23 measures that tier's
-//     reach at n in the thousands.
+//     cost/LB = 1.00 with zero heuristic fragments. The n=800 and
+//     n=2000 classes exceed the discounted bound, but their big
+//     fragment is single-processor and its single-processor estimate
+//     G·(n+1) fits the same budget, so the engine solves them exactly
+//     too. The n=2000 row runs outside -quick only.
 
 import (
 	"math/rand"
@@ -33,7 +33,6 @@ import (
 
 	gapsched "repro"
 	"repro/internal/core"
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -128,13 +127,16 @@ func e21Mixed(seed int64, bigN int) (gapsched.Instance, sched.Instance) {
 }
 
 func e21Admission(cfg config) *stats.Table {
-	// Both sizes run even in quick mode: the table needs one fragment on
-	// each side of the discounted DP admission bound, the n=800 polynomial
-	// solve is fast, and the n=400 exact solve is quick precisely because
-	// of the pruning this experiment certifies.
+	// n=400 and n=800 run even in quick mode: the table needs one
+	// fragment on each side of the discounted index-space bound, and
+	// both solves are quick precisely because of the pruning this
+	// experiment certifies. n=2000 takes seconds.
 	bigNs := []int{400, 800}
-	tb := stats.NewTable("big fragment", "state estimate", "discounted", "ms",
-		"heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
+	if !cfg.quick {
+		bigNs = append(bigNs, 2000)
+	}
+	tb := stats.NewTable("big fragment", "state estimate", "discounted", "single-proc est",
+		"ms", "heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
 	for _, bigN := range bigNs {
 		in, big := e21Mixed(cfg.seed, bigN)
 		est := prep.StateEstimate(big)
@@ -147,15 +149,14 @@ func e21Admission(cfg config) *stats.Table {
 		}
 		cost := float64(sol.Spans)
 		certified := sol.HeuristicFragments == 0 && cost == sol.LowerBound
-		// "Certified exact" says yes when the solve's verdict matches what
-		// the admission estimates predict: the DP tier takes the fragment
-		// when the discounted estimate fits the state budget, and the
-		// polynomial backend catches single-processor fragments the DP
-		// rejected (the n=800 class lands there).
-		dpAdmit := est/32 <= gapsched.DefaultStateBudget
-		polyAdmit := poly.Admissible(big) && poly.Estimate(big) <= gapsched.DefaultPolyBudget
-		expectExact := dpAdmit || polyAdmit
-		tb.AddRow("dense n="+strconv.Itoa(bigN), est, est/32,
+		// "Certified exact" says yes when the solve's verdict matches the
+		// admission rule: the exact tier takes the fragment when its
+		// discounted estimate, or (single-processor fragments only) its
+		// single-processor estimate, fits the state budget.
+		single, ok := prep.SingleProcEstimate(big)
+		expectExact := est/32 <= gapsched.DefaultStateBudget ||
+			ok && single <= gapsched.DefaultStateBudget
+		tb.AddRow("dense n="+strconv.Itoa(bigN), est, est/32, single,
 			float64(el.Microseconds())/1000,
 			sol.HeuristicFragments, sol.Subinstances, cost, sol.LowerBound, cost/sol.LowerBound,
 			boolMark(certified == expectExact))

@@ -262,7 +262,6 @@ func printTrace(w io.Writer, tr *obs.Trace) {
 		{obs.StagePrep, ""},
 		{obs.StageCache, ""},
 		{obs.StageSolve, "dp"},
-		{obs.StageSolve, "poly"},
 		{obs.StageSolve, "heuristic"},
 		{obs.StageAssemble, ""},
 	} {

@@ -167,6 +167,23 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
+// Connection timeouts of both listeners. readHeaderTimeout bounds how
+// long a client may take to send its request headers, so a connection
+// that never finishes them is closed instead of held forever;
+// idleTimeout closes keep-alive connections left idle between
+// requests. No WriteTimeout is set: it would cut off responses to
+// long exact solves, which -timeout bounds instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the daemon's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve runs the daemon on ln until ctx is canceled, then shuts down
 // gracefully: the listener drains within the grace budget and the
 // service flushes its open coalescing windows. A non-nil pprofLn gets
@@ -174,14 +191,14 @@ func pprofHandler() http.Handler {
 // requests are diagnostics, not client traffic, so no grace is owed).
 func serve(ctx context.Context, ln, pprofLn net.Listener, o options, logger *slog.Logger) error {
 	srv := service.New(o.cfg)
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
 		"window", o.cfg.Window,
 		"maxBatch", o.cfg.MaxBatch,
 		"cache", o.cfg.CacheCapacity)
 	if pprofLn != nil {
-		pprofSrv := &http.Server{Handler: pprofHandler()}
+		pprofSrv := newHTTPServer(pprofHandler())
 		logger.Info("pprof listening", "addr", pprofLn.Addr().String())
 		go func() {
 			if err := pprofSrv.Serve(pprofLn); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -162,3 +162,24 @@ func TestServePprof(t *testing.T) {
 		t.Fatal("pprof endpoint still serving after shutdown")
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts both listeners
+// get: headers and idle keep-alives are bounded, so a client that never
+// finishes its headers cannot hold a connection forever, while reads of
+// the body and writes of the response are not, so long solves still
+// answer.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want both unset", srv.WriteTimeout, srv.ReadTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("server has no handler")
+	}
+}

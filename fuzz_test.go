@@ -9,7 +9,10 @@ package gapsched
 // instances and the DP stays fast enough to fuzz.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -18,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feas"
-	"repro/internal/poly"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -443,58 +445,72 @@ func FuzzOnlineCommit(f *testing.F) {
 	})
 }
 
-// FuzzPolyExact certifies the polynomial single-machine backend against
-// the index-space DP engine bit for bit on every decodable instance,
-// forced single-processor (the backend's domain), both objectives:
-// identical feasibility verdicts, identical optimal costs (dyadic α
-// keeps the float sums exact, so equality is exact equality), and
-// slot-identical schedules — the equivalence ModeAuto's three-way gate
-// relies on when it swaps one exact backend for the other.
-func FuzzPolyExact(f *testing.F) {
-	seedFuzzCorpus(f)
+// FuzzWireDecode hardens the daemon's wire decoders against arbitrary
+// request bodies: no sched.Decode* function may panic on any byte
+// string, and every request a decoder accepts must survive a round
+// trip — re-encoded and decoded again, it yields the same value (up to
+// nil versus empty for omitempty lists, which JSON cannot tell apart).
+func FuzzWireDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"jobs":[{"release":0,"deadline":2},{"release":1,"deadline":1}]}`,
+		`{"objective":"power","alpha":2.5,"procs":2,"mode":"auto","stateBudget":-1,"jobs":[]}`,
+		`{"requests":[{"jobs":[{"release":3,"deadline":4}]},{"objective":"nope","jobs":null}]}`,
+		`{"mode":"heuristic","online":true,"jobs":[{"release":0,"deadline":0}]}`,
+		`{"add":[{"release":5,"deadline":9}],"remove":[0,2]}`,
+		`{"session":"s1","jobIds":[0,1],"jobs":2}`,
+		`{"spans":1,"schedule":{"procs":1,"slots":[{"proc":0,"time":0}]},"timings":{"prepNs":5}}`,
+		`{"responses":[{"error":{"code":"infeasible","message":"no"}}]}`,
+		`{"jobs":[]} {}`,
+		`{"jobs":[{"release":1e400}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, alpha, ok := decodeFuzzInstance(data)
-		if !ok {
-			t.Skip()
+		decode := func() io.Reader { return bytes.NewReader(data) }
+		// Responses are decoded only by clients; they need only not panic.
+		_, _ = sched.DecodeSolveResponse(decode())
+		_, _ = sched.DecodeBatchResponse(decode())
+		_, _ = sched.DecodeSessionResponse(decode())
+		if req, err := sched.DecodeSolveRequest(decode()); err == nil {
+			checkWireRoundTrip(t, req, sched.DecodeSolveRequest)
 		}
-		in.Procs = 1
-
-		pg, polyErr := poly.SolveGaps(in)
-		cg, coreErr := core.SolveGaps(in)
-		if (polyErr == nil) != (coreErr == nil) {
-			t.Fatalf("gaps feasibility disagreement: poly %v, core %v (jobs %v)", polyErr, coreErr, in.Jobs)
+		if req, err := sched.DecodeBatchRequest(decode()); err == nil {
+			checkWireRoundTrip(t, req, sched.DecodeBatchRequest)
 		}
-		if polyErr != nil {
-			if !errors.Is(polyErr, poly.ErrInfeasible) {
-				t.Fatalf("poly gaps failed with %v, want ErrInfeasible", polyErr)
+		if req, err := sched.DecodeSessionCreateRequest(decode()); err == nil {
+			if len(req.Jobs) == 0 {
+				req.Jobs = nil
 			}
-		} else {
-			if pg.Cost != float64(cg.Spans) || !reflect.DeepEqual(pg.Schedule, cg.Schedule) {
-				t.Fatalf("poly gaps %v differs from core %d (jobs %v)", pg.Cost, cg.Spans, in.Jobs)
+			checkWireRoundTrip(t, req, sched.DecodeSessionCreateRequest)
+		}
+		if req, err := sched.DecodeSessionDeltaRequest(decode()); err == nil {
+			if len(req.Add) == 0 {
+				req.Add = nil
 			}
-			if err := pg.Schedule.Validate(in); err != nil {
-				t.Fatalf("poly gaps schedule invalid: %v (jobs %v)", err, in.Jobs)
+			if len(req.Remove) == 0 {
+				req.Remove = nil
 			}
-		}
-
-		pp, polyErr := poly.SolvePower(in, alpha)
-		cp, coreErr := core.SolvePower(in, alpha)
-		if (polyErr == nil) != (coreErr == nil) {
-			t.Fatalf("power feasibility disagreement: poly %v, core %v (jobs %v α=%v)", polyErr, coreErr, in.Jobs, alpha)
-		}
-		if polyErr != nil {
-			if !errors.Is(polyErr, poly.ErrInfeasible) {
-				t.Fatalf("poly power failed with %v, want ErrInfeasible", polyErr)
-			}
-			return
-		}
-		if pp.Cost != cp.Power || !reflect.DeepEqual(pp.Schedule, cp.Schedule) {
-			t.Fatalf("poly power %v differs from core %v (jobs %v α=%v)", pp.Cost, cp.Power, in.Jobs, alpha)
-		}
-		if err := pp.Schedule.Validate(in); err != nil {
-			t.Fatalf("poly power schedule invalid: %v (jobs %v α=%v)", err, in.Jobs, alpha)
+			checkWireRoundTrip(t, req, sched.DecodeSessionDeltaRequest)
 		}
 	})
+}
+
+// checkWireRoundTrip encodes an accepted request and decodes it with
+// the decoder that accepted it, failing unless the decoder accepts the
+// encoding and returns a value equal to req.
+func checkWireRoundTrip[T any](t *testing.T, req T, decode func(io.Reader) (T, error)) {
+	t.Helper()
+	enc, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("re-encoding accepted %T: %v", req, err)
+	}
+	got, err := decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("decoder rejected its own re-encoding %s: %v", enc, err)
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("round trip changed %T:\n got %#v\nwant %#v", req, got, req)
+	}
 }
 
 func FuzzSolveGaps(f *testing.F) {

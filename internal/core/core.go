@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/sched"
 )
@@ -56,8 +55,7 @@ type base struct {
 	byDL []int // all job indices in (deadline, release, index) order
 	grid []int // candidate execution times, sorted ascending
 
-	listMu sync.RWMutex     // guards lists: parallel-root workers share the cache
-	lists  map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
+	lists map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
 }
 
 func newBase(in sched.Instance) *base {
@@ -105,21 +103,16 @@ func newBase(in sched.Instance) *base {
 // [t1, t2], cached per interval.
 func (b *base) list(t1, t2 int) []int {
 	key := [2]int{t1, t2}
-	b.listMu.RLock()
-	l, ok := b.lists[key]
-	b.listMu.RUnlock()
-	if ok {
+	if l, ok := b.lists[key]; ok {
 		return l
 	}
-	l = []int{}
+	l := []int{}
 	for _, j := range b.byDL {
 		if a := b.jobs[j].Release; t1 <= a && a <= t2 {
 			l = append(l, j)
 		}
 	}
-	b.listMu.Lock()
 	b.lists[key] = l
-	b.listMu.Unlock()
 	return l
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sched"
 )
@@ -96,13 +94,12 @@ type entry struct {
 type engine[M costModel] struct {
 	*base
 	model M
-	memo  memoStore
+	memo  *memoTable
 
 	// Branch-and-bound accounting. pruned counts the dp calls answered
 	// by the bound check (or a memoized prune marker) without expanding
-	// the node; expanded counts compute invocations. Atomics: the
-	// parallel root's workers share the engine.
-	pruned, expanded atomic.Int64
+	// the node; expanded counts compute invocations.
+	pruned, expanded int
 
 	// t1val[i] is the left endpoint encoded by index i: t1val[0] is the
 	// virtual start (grid[0]−1) and t1val[g+1] is grid[g]+1, the right
@@ -117,16 +114,9 @@ func newEngine[M costModel](b *base, m M) *engine[M] {
 	e := &engine[M]{
 		base:  b,
 		model: m,
+		memo:  newMemoTable(g, len(b.jobs), b.p),
 		t1val: make([]int, g+1),
 		t2val: make([]int, g+1),
-	}
-	// Fragments big enough for the intra-fragment parallel root get the
-	// concurrent sharded memo; everything else uses the pooled flat
-	// table (strictly cheaper single-threaded).
-	if e.parallelRoot() {
-		e.memo = newShardedMemo(g, len(b.jobs), b.p)
-	} else {
-		e.memo = newMemoTable(g, len(b.jobs), b.p)
 	}
 	e.t1val[0] = b.grid[0] - 1
 	for i, t := range b.grid {
@@ -137,20 +127,6 @@ func newEngine[M costModel](b *base, m M) *engine[M] {
 	return e
 }
 
-// parallelRootMinJobs gates intra-fragment parallelism: below this many
-// jobs a fragment solves in milliseconds and the coordination (sharded
-// memo locking, goroutine fan-out) costs more than it buys. Every
-// correctness suite that compares state counts across solve paths runs
-// far below the threshold, so their counters stay deterministic.
-const parallelRootMinJobs = 192
-
-// parallelRoot reports whether this engine distributes the root node's
-// case-B grid points across worker goroutines.
-func (e *engine[M]) parallelRoot() bool {
-	return len(e.jobs) >= parallelRootMinJobs && runtime.GOMAXPROCS(0) > 1 &&
-		denseIndexSpaceFits(len(e.grid), len(e.jobs), e.p)
-}
-
 // run solves the root problem covering the whole horizon and replays
 // the optimal choices into job→time placements. budget is the
 // branch-and-bound cut: a strict upper bound on the cost run is allowed
@@ -159,11 +135,7 @@ func (e *engine[M]) parallelRoot() bool {
 // finite budget only certifies cost ≥ budget, not infeasibility.
 func (e *engine[M]) run(n int, budget float64) (cost float64, placed map[int]int, states int, ok bool) {
 	root := node{i1: 0, i2: len(e.grid), k: n}
-	if e.parallelRoot() {
-		cost = e.dpRootParallel(root, budget)
-	} else {
-		cost = e.dp(root, budget)
-	}
+	cost = e.dp(root, budget)
 	states = e.memo.entries()
 	if cost >= infinite {
 		return 0, nil, states, false
@@ -199,19 +171,19 @@ func (e *engine[M]) dp(nd node, budget float64) float64 {
 			return r.cost
 		}
 		if budget <= r.cost {
-			e.pruned.Add(1)
+			e.pruned++
 			return infinite
 		}
 	}
 	if lb := e.model.nodeLB(nd.k, nd.l1, nd.l2, nd.c2, e.t1val[nd.i1], e.t2val[nd.i2]); lb >= budget {
-		e.pruned.Add(1)
+		e.pruned++
 		// The admissible bound holds unconditionally, so the marker can
 		// record cost ≥ lb — stronger than the triggering budget — and
 		// absorb future visits up to lb without recomputing the bound.
 		e.memo.put(nd, entry{cost: lb, choice: choicePruned})
 		return infinite
 	}
-	e.expanded.Add(1)
+	e.expanded++
 	r := e.compute(nd, budget)
 	if r.cost < budget || budget >= infinite {
 		// Exact: every candidate either evaluated exactly or proved ≥ the
@@ -333,10 +305,6 @@ func putRights(rp *[]float64) { rightsPool.Put(rp) }
 // pruning is disabled outright — children inherit the infinite budget
 // rather than the running best, reproducing the unbounded recursion
 // exactly (and keeping PrunedStates at 0, as NoPrune promises).
-//
-// The serial recursion calls this with best threaded across all of the
-// node's grid points; the parallel root calls it per gi with an empty
-// best and merges in gi order, which lands on the identical entry.
 func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64, best entry, rights *[]float64) entry {
 	k, l1, l2, c2 := nd.k, nd.l1, nd.l2, nd.c2
 	thr := func() float64 {
@@ -444,135 +412,6 @@ func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64,
 			if c := left + right + e.model.boundary(busy, next, ctx); c < best.cost {
 				best = entry{cost: c, choice: choiceB, tp: int32(gi), lp: int16(lv), lpp: int16(next)}
 			}
-		}
-	}
-	return best
-}
-
-// dpRootParallel is dp specialized to the root node, with the case-B
-// grid points fanned out across worker goroutines. The memo is the
-// concurrent shardedMemo (newEngine pairs the two), so the workers'
-// recursions share subproblem results exactly as the serial order does.
-func (e *engine[M]) dpRootParallel(nd node, budget float64) float64 {
-	e.expanded.Add(1)
-	r := e.rootParallel(nd, budget)
-	if r.cost < budget || budget >= infinite {
-		e.memo.put(nd, r)
-		return r.cost
-	}
-	e.memo.put(nd, entry{cost: budget, choice: choicePruned})
-	return infinite
-}
-
-// rootParallel is compute for the root node with its case-B grid points
-// evaluated concurrently. Exactness and bit-identity with the serial
-// order rest on three facts:
-//
-//   - Each grid point is evaluated by evalSplit with an empty running
-//     best and a private threshold thr0 = min(budget, one ulp above the
-//     shared incumbent snapshot). The snapshot is always ≥ the node
-//     optimum (it is a min over exact feasible candidate costs), so the
-//     task owning the optimal grid point sees thr0 strictly above its
-//     own minimum and computes it exactly; any other task returns
-//     either its exact local minimum or infinite — never a finite
-//     non-optimal underestimate.
-//
-//   - The merge folds results in the serial candidate order (case A
-//     first, then grid points ascending) with strict <, so the recorded
-//     choice is the same first-attaining candidate the serial loop
-//     records, making reconstruction — and the reported schedule —
-//     bit-identical.
-//
-//   - Shared memo writes are safe to race: exact entries for a state
-//     are byte-identical, and mergeEntry keeps exact entries over prune
-//     markers and larger marker budgets over smaller.
-//
-// Under an infinite budget (NoPrune) the incumbent is ignored entirely
-// so every task expands fully, preserving PrunedStates == 0.
-func (e *engine[M]) rootParallel(nd node, budget float64) entry {
-	t1, t2 := e.t1val[nd.i1], e.t2val[nd.i2]
-	k := nd.k
-	list := e.list(t1, t2) // warm the interval cache before sharing it
-	jk := list[k-1]
-	job := e.jobs[jk]
-
-	best := entry{cost: infinite, choice: choiceNone}
-
-	// Case A: j_k at t′ = t2, joining the context stack — a single child,
-	// evaluated up front so its cost seeds the shared incumbent.
-	if job.Deadline >= t2 {
-		if cl2, cc2, ok := e.model.caseAChild(nd.l2, nd.c2); ok {
-			if c := e.dp(node{nd.i1, nd.i2, k - 1, nd.l1, cl2, cc2}, budget); c < best.cost {
-				best = entry{cost: c, choice: choiceA}
-			}
-		}
-	}
-
-	giLo, giHi := e.splitRange(job, t1, t2)
-	tasks := giHi - giLo
-	if tasks <= 0 {
-		return best
-	}
-
-	// incumbent is the best finite candidate cost published so far, as
-	// Float64bits (costs are non-negative and finite, so bit order is
-	// value order). It tightens task thresholds but never decides the
-	// answer — the deterministic merge below does that.
-	var incumbent atomic.Uint64
-	incumbent.Store(math.Float64bits(best.cost))
-	publish := func(c float64) {
-		bits := math.Float64bits(c)
-		for {
-			cur := incumbent.Load()
-			if math.Float64frombits(cur) <= c {
-				return
-			}
-			if incumbent.CompareAndSwap(cur, bits) {
-				return
-			}
-		}
-	}
-
-	results := make([]entry, tasks)
-	var cursor atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > tasks {
-		workers = tasks
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			rights := getRights(e.p)
-			defer putRights(rights)
-			for {
-				x := int(cursor.Add(1)) - 1
-				if x >= tasks {
-					return
-				}
-				thr0 := budget
-				if budget < infinite {
-					if snap := math.Float64frombits(incumbent.Load()); snap < infinite {
-						if t := math.Nextafter(snap, infinite); t < thr0 {
-							thr0 = t
-						}
-					}
-				}
-				local := e.evalSplit(nd, giLo+x, t1, t2, list, thr0,
-					entry{cost: infinite, choice: choiceNone}, rights)
-				results[x] = local
-				if local.cost < infinite {
-					publish(local.cost)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		if r.cost < best.cost {
-			best = r
 		}
 	}
 	return best

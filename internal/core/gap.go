@@ -147,7 +147,7 @@ func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
 		Gaps:           spans - 1,
 		Schedule:       schedule,
 		States:         states,
-		PrunedStates:   int(e.pruned.Load()),
-		ExpandedStates: int(e.expanded.Load()),
+		PrunedStates:   e.pruned,
+		ExpandedStates: e.expanded,
 	}, nil
 }

@@ -2,21 +2,6 @@ package core
 
 import "sync"
 
-// memoStore is the engine's memoization backend. The serial engine uses
-// the flat open-addressing memoTable; fragments big enough for the
-// intra-fragment parallel root use shardedMemo, whose operations are
-// safe for concurrent use. Both honor the same put semantics (exact
-// entries win over prune markers, larger marker budgets win — see
-// mergeEntry), which is what makes racing duplicate computations of a
-// state benign: every exact entry for a state is byte-identical.
-type memoStore interface {
-	get(nd node) (entry, bool)
-	put(nd node, e entry)
-	entries() int
-	// release returns pooled storage; the table must not be used after.
-	release()
-}
-
 // memoTable memoizes DP entries under a flat, index-encoded key: a node
 // is folded into a single dense integer (interval-pair index × k × l1 ×
 // l2 × c2) and stored in an open-addressing table probed linearly. The
@@ -63,8 +48,7 @@ const (
 var memoPool sync.Pool
 
 // denseIndexSpaceFits reports whether a (g, n, p)-shaped instance can
-// use the dense flat encoding — the gate for both memoTable's fast path
-// and the sharded parallel table, which has no sparse fallback.
+// use the dense flat encoding, memoTable's fast path.
 func denseIndexSpaceFits(g, n, p int) bool {
 	d1, d2, d3 := int64(g)+1, int64(n)+1, int64(p)+1
 	space := int64(1)
@@ -99,7 +83,8 @@ func newMemoTable(g, n, p int) *memoTable {
 	return m
 }
 
-// release returns the table to the pool. Sparse tables are dropped.
+// release returns the table to the pool; the table must not be used
+// after. Sparse tables are dropped.
 func (m *memoTable) release() {
 	if m.slots == nil {
 		return
@@ -203,109 +188,3 @@ func (m *memoTable) grow() {
 		}
 	}
 }
-
-// shardMask: shardedMemo routes a key by the top bits of its hash to
-// one of 64 independently locked memoTable-style shards. 64 shards keep
-// contention low at the worker counts GOMAXPROCS yields while bounding
-// the per-fragment fixed cost of the shard array.
-const numShards = 64
-
-// shardedMemo is the concurrent memoStore backing intra-fragment root
-// parallelism. Each shard is a private open-addressing table guarded by
-// its own mutex; keys route by hash, so probe sequences never cross a
-// shard boundary. There is no sparse fallback — callers gate on
-// denseIndexSpaceFits before choosing the parallel path.
-type shardedMemo struct {
-	d1, d2, d3 int64
-	shards     [numShards]memoShard
-}
-
-type memoShard struct {
-	mu    sync.Mutex
-	slots []slot
-	mask  uint64
-	size  int
-}
-
-func newShardedMemo(g, n, p int) *shardedMemo {
-	m := &shardedMemo{d1: int64(g) + 1, d2: int64(n) + 1, d3: int64(p) + 1}
-	for i := range m.shards {
-		m.shards[i].slots = make([]slot, initialSlots/4)
-		m.shards[i].mask = uint64(len(m.shards[i].slots)) - 1
-	}
-	return m
-}
-
-func (m *shardedMemo) index(nd node) int64 {
-	return ((((int64(nd.i1)*m.d1+int64(nd.i2))*m.d2+int64(nd.k))*m.d3+
-		int64(nd.l1))*m.d3+int64(nd.l2))*m.d3 + int64(nd.c2)
-}
-
-func (m *shardedMemo) get(nd node) (entry, bool) {
-	key := m.index(nd) + 1
-	h := hash(key)
-	sh := &m.shards[h>>(64-6)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := h & sh.mask; ; i = (i + 1) & sh.mask {
-		s := &sh.slots[i]
-		if s.key == key {
-			return s.e, true
-		}
-		if s.key == 0 {
-			return entry{}, false
-		}
-	}
-}
-
-func (m *shardedMemo) put(nd node, e entry) {
-	key := m.index(nd) + 1
-	h := hash(key)
-	sh := &m.shards[h>>(64-6)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if 4*(sh.size+1) >= 3*len(sh.slots) {
-		sh.grow()
-	}
-	for i := h & sh.mask; ; i = (i + 1) & sh.mask {
-		s := &sh.slots[i]
-		if s.key == key {
-			s.e = mergeEntry(s.e, e)
-			return
-		}
-		if s.key == 0 {
-			s.key = key
-			s.e = e
-			sh.size++
-			return
-		}
-	}
-}
-
-func (sh *memoShard) grow() {
-	old := sh.slots
-	sh.slots = make([]slot, 2*len(old))
-	sh.mask = uint64(len(sh.slots) - 1)
-	for _, s := range old {
-		if s.key != 0 {
-			for i := hash(s.key) & sh.mask; ; i = (i + 1) & sh.mask {
-				if sh.slots[i].key == 0 {
-					sh.slots[i] = s
-					break
-				}
-			}
-		}
-	}
-}
-
-func (m *shardedMemo) entries() int {
-	total := 0
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		total += m.shards[i].size
-		m.shards[i].mu.Unlock()
-	}
-	return total
-}
-
-func (m *shardedMemo) release() {} // per-fragment compute dominates; not pooled

@@ -40,8 +40,8 @@ func TestMemoPoolClearsOnGet(t *testing.T) {
 	m2.release()
 }
 
-// TestMergeEntry pins the double-write resolution rules the concurrent
-// sharded table relies on.
+// TestMergeEntry pins the double-write resolution rules memoTable.put
+// applies when branch and bound re-expands a node.
 func TestMergeEntry(t *testing.T) {
 	exact := entry{cost: 3, choice: choiceB}
 	weak := entry{cost: 5, choice: choicePruned}

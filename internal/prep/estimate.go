@@ -2,7 +2,7 @@ package prep
 
 // A-priori DP size estimation for the facade's adaptive mode: ModeAuto
 // decides per fragment whether the exact engine is affordable, before
-// running it, by comparing this estimate against Solver.StateBudget.
+// running it, by comparing these estimates against Solver.StateBudget.
 
 import (
 	"math"
@@ -42,12 +42,30 @@ func StateEstimate(in sched.Instance) int {
 	return est
 }
 
-// GridSize computes the size of the exact backends' candidate
-// execution grid without materialising it: the measure of the union of
-// the clipped anchor neighbourhoods [a−n, a+n] over all releases and
-// deadlines a — exactly the grid internal/core and internal/poly
-// build. Exported so backend-specific admission estimates (see
-// internal/poly.Estimate) price the same grid StateEstimate does.
+// SingleProcEstimate is the admission signal for instances with at
+// most one effective processor (Procs capped at the job count, as the
+// engine caps it): G·(n+1), saturating, with ok reporting whether the
+// instance is single-processor at all. At p = 1 every level dimension
+// of the engine's state collapses to a bit, so this lower-degree shape
+// prices the per-interval frontier the bounded recursion actually
+// walks, where StateEstimate's G² pair space would reject dense
+// fragments from about 800 jobs on. The empty instance estimates 0.
+func SingleProcEstimate(in sched.Instance) (est int, ok bool) {
+	n := len(in.Jobs)
+	if n == 0 {
+		return 0, true
+	}
+	if min(in.Procs, n) > 1 {
+		return 0, false
+	}
+	return satMul(GridSize(in), n+1), true
+}
+
+// GridSize computes the size of the exact engine's candidate execution
+// grid without materialising it: the measure of the union of the
+// clipped anchor neighbourhoods [a−n, a+n] over all releases and
+// deadlines a — exactly the grid internal/core builds. Exported so
+// tests and experiments can reproduce the admission estimates.
 func GridSize(in sched.Instance) int {
 	n := len(in.Jobs)
 	lo, hi := in.TimeHorizon()

@@ -131,3 +131,48 @@ func TestStateEstimateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleProcEstimate pins the single-processor admission signal.
+// "admissible": ok holds for the empty instance and for instances with
+// one effective processor (Procs is capped at n first, as the engine
+// caps it), and not for ones that need more. "estimate": 0 for empty,
+// G·(n+1) otherwise, and monotone in the horizon.
+func TestSingleProcEstimate(t *testing.T) {
+	t.Run("admissible", func(t *testing.T) {
+		j := sched.Job{Release: 0, Deadline: 3}
+		cases := []struct {
+			in   sched.Instance
+			want bool
+		}{
+			{sched.Instance{Procs: 1}, true},                             // empty
+			{sched.Instance{Jobs: []sched.Job{j}, Procs: 1}, true},       // single proc
+			{sched.Instance{Jobs: []sched.Job{j}, Procs: 5}, true},       // p caps at n = 1
+			{sched.Instance{Jobs: []sched.Job{j, j}, Procs: 2}, false},   // genuinely multi-proc
+			{sched.Instance{Jobs: []sched.Job{j, j, j}, Procs: 1}, true}, // single proc, n > 1
+		}
+		for i, c := range cases {
+			if _, ok := SingleProcEstimate(c.in); ok != c.want {
+				t.Fatalf("case %d: ok = %v, want %v", i, ok, c.want)
+			}
+		}
+	})
+
+	t.Run("estimate", func(t *testing.T) {
+		if est, _ := SingleProcEstimate(sched.Instance{Procs: 1}); est != 0 {
+			t.Fatalf("empty estimate = %d, want 0", est)
+		}
+		// One job: grid is [−1, 3] clipped to [0, 2] → G = 3; G·(n+1) = 6,
+		// on 1 processor and on 5 (p caps at n = 1).
+		j := sched.Job{Release: 0, Deadline: 2}
+		for _, procs := range []int{1, 5} {
+			if est, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{j}, Procs: procs}); est != 6 {
+				t.Fatalf("procs %d: estimate = %d, want 6", procs, est)
+			}
+		}
+		small, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{j}, Procs: 1})
+		wide, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 200}}, Procs: 1})
+		if wide <= small {
+			t.Fatalf("estimate not monotone: wide %d ≤ small %d", wide, small)
+		}
+	})
+}

@@ -47,12 +47,10 @@ type metrics struct {
 	qualityGap    atomic.Uint64 // float64 bits of the summed gap
 
 	// Per-backend fragment accounting: every served solution adds its
-	// fragment counts to the backend that solved them — the index-space
-	// DP engine, the polynomial single-machine backend, or the greedy
-	// heuristic — so the live tier mix is visible at fragment
-	// granularity, where ModeAuto actually decides.
+	// fragment counts to the backend that solved them — the exact DP
+	// engine or the greedy heuristic — so the live tier mix is visible
+	// at fragment granularity, where ModeAuto actually decides.
 	backendDP   atomic.Int64
-	backendPoly atomic.Int64
 	backendHeur atomic.Int64
 
 	// Online-tier accounting: solves served for commit-only sessions,
@@ -88,21 +86,17 @@ type metrics struct {
 	reqSessionSolve  obs.Histogram
 	reqSessionDelete obs.Histogram
 	fragDP           obs.Histogram
-	fragPoly         obs.Histogram
 	fragHeur         obs.Histogram
 	queueWait        obs.Histogram
 }
 
 // observeFragment records one fragment's backend solve duration under
 // the backend's histogram; the backend names match the trace span tags
-// ("dp", "poly", "heuristic").
+// ("dp", "heuristic").
 func (m *metrics) observeFragment(backend string, d time.Duration) {
-	switch backend {
-	case "poly":
-		m.fragPoly.Observe(d)
-	case "heuristic":
+	if backend == "heuristic" {
 		m.fragHeur.Observe(d)
-	default:
+	} else {
 		m.fragDP.Observe(d)
 	}
 }
@@ -113,8 +107,7 @@ func (m *metrics) observeFragment(backend string, d time.Duration) {
 func (m *metrics) countModeSolve(sol gapsched.Solution, gap float64) {
 	m.prunedStates.Add(int64(sol.PrunedStates))
 	m.expandedStates.Add(int64(sol.ExpandedStates))
-	m.backendDP.Add(int64(sol.Subinstances - sol.HeuristicFragments - sol.PolyFragments))
-	m.backendPoly.Add(int64(sol.PolyFragments))
+	m.backendDP.Add(int64(sol.Subinstances - sol.HeuristicFragments))
 	m.backendHeur.Add(int64(sol.HeuristicFragments))
 	switch sol.Mode {
 	case gapsched.ModeHeuristic:
@@ -242,9 +235,8 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 		`mode="exact"`, m.modeExact.Load(),
 		`mode="heuristic"`, m.modeHeuristic.Load(),
 		`mode="auto"`, m.modeAuto.Load())
-	counter("gapschedd_backend_solves_total", "Fragments solved over served solutions, by backend: the index-space DP engine, the polynomial single-machine backend, or the greedy heuristic.",
+	counter("gapschedd_backend_solves_total", "Fragments solved over served solutions, by backend: the exact DP engine or the greedy heuristic.",
 		`backend="dp"`, m.backendDP.Load(),
-		`backend="poly"`, m.backendPoly.Load(),
 		`backend="heuristic"`, m.backendHeur.Load())
 	fmt.Fprintf(w, "# HELP gapschedd_quality_gap_total Summed certified optimality gap (cost minus lower bound) over served solutions.\n"+
 		"# TYPE gapschedd_quality_gap_total counter\ngapschedd_quality_gap_total %g\n", m.qualityGapTotal())
@@ -288,7 +280,6 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 	obs.WriteProm(w, "gapschedd_fragment_solve_duration_seconds",
 		"Per-fragment backend solve latency over dispatched solves, by backend (cache hits excluded).",
 		obs.Series{Labels: `backend="dp"`, Hist: &m.fragDP},
-		obs.Series{Labels: `backend="poly"`, Hist: &m.fragPoly},
 		obs.Series{Labels: `backend="heuristic"`, Hist: &m.fragHeur})
 	obs.WriteProm(w, "gapschedd_queue_wait_seconds",
 		"Time solve requests spent buffered in coalescing windows before their dispatch started.",

@@ -368,7 +368,6 @@ func wireOutcome(out outcome) sched.SolveResponse {
 		Mode:               sol.Mode.String(),
 		LowerBound:         sol.LowerBound,
 		HeuristicFragments: sol.HeuristicFragments,
-		PolyFragments:      sol.PolyFragments,
 		CompetitiveRatio:   sol.CompetitiveRatio,
 		CommittedJobs:      sol.CommittedJobs,
 		CommittedCost:      sol.CommittedCost,
@@ -376,7 +375,6 @@ func wireOutcome(out outcome) sched.SolveResponse {
 			PrepNs:      sol.Timings.Prep.Nanoseconds(),
 			CacheNs:     sol.Timings.Cache.Nanoseconds(),
 			SolveDPNs:   sol.Timings.SolveDP.Nanoseconds(),
-			SolvePolyNs: sol.Timings.SolvePoly.Nanoseconds(),
 			SolveHeurNs: sol.Timings.SolveHeur.Nanoseconds(),
 			AssembleNs:  sol.Timings.Assemble.Nanoseconds(),
 		},

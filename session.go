@@ -253,7 +253,7 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		timings.add(r)
 		return incr.Result{Cost: r.cost, Schedule: r.schedule, States: r.states,
 			Pruned: r.pruned, Expanded: r.expanded,
-			LB: r.lb, Heur: r.heur, Poly: r.poly, Hit: r.hit, Err: r.err}
+			LB: r.lb, Heur: r.heur, Hit: r.hit, Err: r.err}
 	})
 	if err != nil {
 		return Solution{}, err
@@ -282,7 +282,6 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		Mode:               ss.solver.Mode,
 		LowerBound:         counts.LowerBound,
 		HeuristicFragments: counts.HeuristicFragments,
-		PolyFragments:      counts.PolyFragments,
 	}
 	ss.rt.finish(&sol, cost)
 	return sol, nil
@@ -319,7 +318,6 @@ func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
 		Mode:               ModeAuto, // the mirror's tier
 		LowerBound:         counts.LowerBound,
 		HeuristicFragments: counts.HeuristicFragments,
-		PolyFragments:      counts.PolyFragments,
 		CommittedJobs:      acct.Committed,
 		CommittedCost:      acct.Cost,
 		CompetitiveRatio:   1,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fragcache"
 	"repro/internal/heur"
 	"repro/internal/obs"
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 )
@@ -52,15 +51,12 @@ const (
 	// optimality gaps (Solution.LowerBound ≤ OPT ≤ cost), serving
 	// instance sizes the exact tier cannot.
 	ModeHeuristic
-	// ModeAuto picks per fragment among three tiers: the index-space DP
-	// engine when the fragment's estimated DP size (prep.StateEstimate)
-	// is within Solver.StateBudget; otherwise the polynomial
-	// single-machine backend (internal/poly) when the fragment is
-	// single-processor and its own, lower-degree estimate
-	// (poly.Estimate) is within Solver.PolyBudget; the heuristic
-	// otherwise. Mixed instances thus get exact answers wherever either
-	// exact backend is affordable, and the Solution's LowerBound stays
-	// tight (exact fragments contribute their optimal cost to it).
+	// ModeAuto picks per fragment between two tiers: the exact DP engine
+	// when the fragment's estimated DP size is within Solver.StateBudget
+	// (see Solver.StateBudget for the two estimates), the heuristic
+	// otherwise. Mixed instances thus get exact answers wherever the
+	// engine is affordable, and the Solution's LowerBound stays tight
+	// (exact fragments contribute their optimal cost to it).
 	ModeAuto
 )
 
@@ -108,22 +104,11 @@ func ParseMode(s string) (Mode, error) {
 // the huge fragments that would stall the engine go to the heuristic.
 const DefaultStateBudget = 1 << 25
 
-// DefaultPolyBudget is the ModeAuto admission bound for the polynomial
-// single-machine backend, used when Solver.PolyBudget is zero. The
-// backend's estimate (poly.Estimate, G·(n+1)) is a much lower-degree
-// polynomial than the index-space shape, so the same order of budget
-// admits single-processor fragments with thousands of jobs — the E23
-// crossover — while fragments large enough to stall even the
-// specialized backend still fall to the heuristic.
-const DefaultPolyBudget = 1 << 25
-
 // Solver is the configured entry point to the solving pipeline:
 // preprocessing (instance decomposition and coordinate compression, see
-// internal/prep), the solving tiers — the exact tier with its two
-// backends, the index-space DP engine (internal/core) and the
-// polynomial single-machine DP (internal/poly), plus the certified
-// greedy heuristic (internal/heur), selected by Mode — an optional
-// canonical-fragment solution cache,
+// internal/prep), the solving tiers — the exact DP engine
+// (internal/core) and the certified greedy heuristic (internal/heur),
+// selected by Mode — an optional canonical-fragment solution cache,
 // and, for SolveBatch, a bounded worker pool fed at fragment
 // granularity. The zero value minimizes gaps exactly with
 // preprocessing enabled and no cache.
@@ -153,24 +138,17 @@ type Solver struct {
 	// solution with a heuristic one). Takes precedence over CacheSize.
 	Cache *FragmentCache
 	// Mode selects the solving tier: ModeExact (default), ModeHeuristic,
-	// or ModeAuto, which decides per fragment using StateBudget and
-	// PolyBudget.
+	// or ModeAuto, which decides per fragment using StateBudget.
 	Mode Mode
-	// StateBudget is ModeAuto's admission bound for the index-space DP
-	// engine: a fragment is solved there when its estimated DP size
-	// (prep.StateEstimate) is at most this. Zero means
-	// DefaultStateBudget; a negative budget disables the whole exact
-	// tier — both backends — and sends every fragment to the heuristic.
-	// Ignored by ModeExact and ModeHeuristic.
+	// StateBudget is ModeAuto's admission bound for the exact engine. A
+	// fragment is solved exactly when its index-space estimate
+	// (prep.StateEstimate, discounted for pruning) is at most this, or
+	// when it has one effective processor and its single-processor
+	// estimate (prep.SingleProcEstimate, G·(n+1)) is at most this; it
+	// goes to the heuristic otherwise. Zero means DefaultStateBudget; a
+	// negative budget sends every fragment to the heuristic. Ignored by
+	// ModeExact and ModeHeuristic.
 	StateBudget int
-	// PolyBudget is ModeAuto's admission bound for the polynomial
-	// single-machine backend, consulted only for fragments the
-	// StateBudget gate rejected: such a fragment is solved by
-	// internal/poly when it is single-processor (poly.Admissible) and
-	// its backend estimate (poly.Estimate) is at most this. Zero means
-	// DefaultPolyBudget; a negative budget disables the polynomial
-	// backend. Ignored by ModeExact and ModeHeuristic.
-	PolyBudget int
 }
 
 // Solution is the unified outcome of a Solver run.
@@ -221,12 +199,10 @@ type Solution struct {
 	// tier; 0 for ModeExact, Subinstances for ModeHeuristic, and
 	// in between for ModeAuto on mixed instances.
 	HeuristicFragments int
-	// PolyFragments counts the fragments served by the polynomial
-	// single-machine backend (internal/poly) — exact solves, so they
-	// contribute their optimal cost to LowerBound like the DP engine's.
-	// Only ModeAuto routes fragments there, so this is 0 for ModeExact
-	// and ModeHeuristic; the DP engine served
-	// Subinstances − HeuristicFragments − PolyFragments.
+	// PolyFragments is always 0. It counted a second exact backend that
+	// has since been folded into the DP engine, and stays only so that
+	// existing readers of the field keep compiling; the DP engine serves
+	// Subinstances − HeuristicFragments.
 	PolyFragments int
 	// CompetitiveRatio, CommittedJobs, and CommittedCost are set by
 	// Resolve on online (commit-only) sessions and zero everywhere
@@ -263,22 +239,24 @@ type Solution struct {
 // Timings is a solve's per-stage wall-clock breakdown. The stages
 // mirror the pipeline: preprocessing (validation + decomposition),
 // fragment-cache service (lookups that avoided a backend solve,
-// singleflight waits included), the three solving backends, and
+// singleflight waits included), the two solving backends, and
 // reassembly (fragment schedules → instance schedule + validation).
 // Durations are summed over fragments/sub-steps, so on a parallel
 // SolveBatch they report aggregate work, not elapsed wall-clock.
 type Timings struct {
-	Prep      time.Duration
-	Cache     time.Duration
-	SolveDP   time.Duration
+	Prep    time.Duration
+	Cache   time.Duration
+	SolveDP time.Duration
+	// SolvePoly is always 0, like Solution.PolyFragments: it timed the
+	// retired second exact backend and stays for existing readers.
 	SolvePoly time.Duration
 	SolveHeur time.Duration
 	Assemble  time.Duration
 }
 
-// Solve returns the summed backend solve time across all three tiers.
+// Solve returns the summed backend solve time across both tiers.
 func (t Timings) Solve() time.Duration {
-	return t.SolveDP + t.SolvePoly + t.SolveHeur
+	return t.SolveDP + t.SolveHeur
 }
 
 // Total returns the summed duration of every recorded stage.
@@ -292,12 +270,9 @@ func (t *Timings) add(r fragResult) {
 		t.Cache += r.dur
 		return
 	}
-	switch {
-	case r.heur:
+	if r.heur {
 		t.SolveHeur += r.dur
-	case r.poly:
-		t.SolvePoly += r.dur
-	default:
+	} else {
 		t.SolveDP += r.dur
 	}
 }
@@ -343,31 +318,20 @@ type fragSolution struct {
 	expanded int
 	lb       float64
 	heur     bool
-	poly     bool
 	err      error
 }
 
-// heurTag and polyTag mark heuristic-tier and polynomial-backend
-// entries in the cache key's tag byte, so backends can never serve
-// each other's solutions even when Solvers of different modes share
-// one FragmentCache. (Poly entries are exact, but their counters —
-// states, backend attribution — differ from the DP engine's, and
-// keeping the keyspaces disjoint keeps every Solution's accounting
-// independent of who warmed the cache.)
-const (
-	heurTag = 0x80
-	polyTag = 0x40
-)
+// heurTag marks heuristic-tier entries in the cache key's tag byte, so
+// the tiers can never serve each other's solutions even when Solvers of
+// different modes share one FragmentCache.
+const heurTag = 0x80
 
-// backend identifies which solver serves one fragment: the exact tier
-// is pluggable — the index-space B&B engine (internal/core) and the
-// polynomial single-machine DP (internal/poly) are two implementations
-// behind the same seam — and the certified greedy is the fallback.
+// backend identifies which solver serves one fragment: the exact B&B
+// engine (internal/core) or the certified greedy fallback.
 type backend int
 
 const (
 	backendDP backend = iota
-	backendPoly
 	backendHeur
 )
 
@@ -381,23 +345,18 @@ type objectiveRuntime struct {
 	tag        byte // cache-key objective tag
 	alpha      float64
 	mode       Mode
-	budget     int // resolved ModeAuto DP-engine admission bound
-	polyBudget int // resolved ModeAuto poly-backend admission bound
+	budget     int // resolved ModeAuto exact-tier admission bound
 	plan       func(sched.Instance) *prep.Plan
 	solveExact func(sched.Instance) fragSolution
-	solvePoly  func(sched.Instance) fragSolution
 	solveHeur  func(sched.Instance) fragSolution
 	finish     func(*Solution, float64)
 }
 
 // solverFor returns the solve function and cache-key tag of one
-// backend. Distinct tag bits keep the three keyspaces disjoint in a
-// shared FragmentCache.
+// backend. The heuristic's tag bit keeps the two keyspaces disjoint in
+// a shared FragmentCache.
 func (rt *objectiveRuntime) solverFor(b backend) (func(sched.Instance) fragSolution, byte) {
-	switch b {
-	case backendPoly:
-		return rt.solvePoly, rt.tag | polyTag
-	case backendHeur:
+	if b == backendHeur {
 		return rt.solveHeur, rt.tag | heurTag
 	}
 	return rt.solveExact, rt.tag
@@ -414,15 +373,15 @@ func (rt *objectiveRuntime) solverFor(b backend) (func(sched.Instance) fragSolut
 const autoPruneDiscount = 32
 
 // tier picks the backend serving one fragment under the configured
-// mode. ModeAuto decides three ways: the index-space DP engine when
-// the fragment's estimated DP size — discounted for pruning — fits
-// StateBudget; otherwise the polynomial backend when the fragment is
-// single-processor and its lower-degree estimate fits PolyBudget;
-// the heuristic otherwise. A negative StateBudget disables the whole
-// exact tier (both backends), preserving the established "auto with a
-// negative budget ≡ heuristic" contract. Every estimate depends only
-// on the job multiset and processor count, so the decision is
-// identical for a fragment and its canonical form.
+// mode. ModeAuto decides two ways: the exact engine when the fragment's
+// index-space estimate — discounted for pruning — fits StateBudget, or
+// when the fragment has one effective processor and its
+// single-processor estimate fits StateBudget (at p = 1 the engine's
+// level dimensions collapse to bits, so the index-space shape
+// overprices it by orders of magnitude); the heuristic otherwise. A
+// negative StateBudget sends every fragment to the heuristic. Every
+// estimate depends only on the job multiset and processor count, so
+// the decision is identical for a fragment and its canonical form.
 func (rt *objectiveRuntime) tier(fr sched.Instance) backend {
 	switch rt.mode {
 	case ModeHeuristic:
@@ -434,8 +393,8 @@ func (rt *objectiveRuntime) tier(fr sched.Instance) backend {
 		if prep.StateEstimate(fr)/autoPruneDiscount <= rt.budget {
 			return backendDP
 		}
-		if rt.polyBudget >= 0 && poly.Admissible(fr) && poly.Estimate(fr) <= rt.polyBudget {
-			return backendPoly
+		if est, ok := prep.SingleProcEstimate(fr); ok && est <= rt.budget {
+			return backendDP
 		}
 		return backendHeur
 	}
@@ -446,14 +405,6 @@ func (rt *objectiveRuntime) tier(fr sched.Instance) backend {
 // ErrInfeasible, so callers see one error identity regardless of tier.
 func heurErr(err error) error {
 	if errors.Is(err, heur.ErrInfeasible) {
-		return ErrInfeasible
-	}
-	return err
-}
-
-// polyErr is heurErr's analogue for the polynomial backend.
-func polyErr(err error) error {
-	if errors.Is(err, poly.ErrInfeasible) {
 		return ErrInfeasible
 	}
 	return err
@@ -475,29 +426,18 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	if budget == 0 {
 		budget = DefaultStateBudget
 	}
-	polyBudget := s.PolyBudget
-	if polyBudget == 0 {
-		polyBudget = DefaultPolyBudget
-	}
 	switch s.Objective {
 	case ObjectiveGaps:
 		return objectiveRuntime{
-			tag:        byte(ObjectiveGaps),
-			mode:       s.Mode,
-			budget:     budget,
-			polyBudget: polyBudget,
-			plan:       prep.ForGaps,
+			tag:    byte(ObjectiveGaps),
+			mode:   s.Mode,
+			budget: budget,
+			plan:   prep.ForGaps,
 			solveExact: func(fr sched.Instance) fragSolution {
 				res, err := core.SolveGaps(fr)
 				return fragSolution{cost: float64(res.Spans), schedule: res.Schedule,
 					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
 					lb: float64(res.Spans), err: err}
-			},
-			solvePoly: func(fr sched.Instance) fragSolution {
-				res, err := poly.SolveGaps(fr)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Cost, poly: true, err: polyErr(err)}
 			},
 			solveHeur: func(fr sched.Instance) fragSolution {
 				res, err := heur.SolveGapsFragment(fr)
@@ -512,23 +452,16 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	case ObjectivePower:
 		alpha := s.Alpha
 		return objectiveRuntime{
-			tag:        byte(ObjectivePower),
-			alpha:      alpha,
-			mode:       s.Mode,
-			budget:     budget,
-			polyBudget: polyBudget,
-			plan:       func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
+			tag:    byte(ObjectivePower),
+			alpha:  alpha,
+			mode:   s.Mode,
+			budget: budget,
+			plan:   func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
 			solveExact: func(fr sched.Instance) fragSolution {
 				res, err := core.SolvePower(fr, alpha)
 				return fragSolution{cost: res.Power, schedule: res.Schedule,
 					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
 					lb: res.Power, err: err}
-			},
-			solvePoly: func(fr sched.Instance) fragSolution {
-				res, err := poly.SolvePower(fr, alpha)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Cost, poly: true, err: polyErr(err)}
 			},
 			solveHeur: func(fr sched.Instance) fragSolution {
 				res, err := heur.SolvePowerFragment(fr, alpha)
@@ -557,7 +490,6 @@ type fragResult struct {
 	expanded int
 	lb       float64
 	heur     bool
-	poly     bool
 	hit      bool
 	dur      time.Duration
 	err      error
@@ -566,11 +498,8 @@ type fragResult struct {
 // backendName names the backend that produced a result, matching the
 // obs span tags and the daemon's per-backend metric labels.
 func (r fragResult) backendName() string {
-	switch {
-	case r.heur:
+	if r.heur {
 		return "heuristic"
-	case r.poly:
-		return "poly"
 	}
 	return "dp"
 }
@@ -657,7 +586,7 @@ func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sche
 		val := solve(fr)
 		res := fragResult{cost: val.cost, schedule: val.schedule, states: val.states,
 			pruned: val.pruned, expanded: val.expanded,
-			lb: val.lb, heur: val.heur, poly: val.poly, err: val.err}
+			lb: val.lb, heur: val.heur, err: val.err}
 		res.record(tr, start)
 		return res
 	}
@@ -666,7 +595,7 @@ func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sche
 	val, hit := cache.c.Do(key, func() fragSolution { return solve(canon) })
 	res := fragResult{cost: val.cost, states: val.states,
 		pruned: val.pruned, expanded: val.expanded,
-		lb: val.lb, heur: val.heur, poly: val.poly, hit: hit, err: val.err}
+		lb: val.lb, heur: val.heur, hit: hit, err: val.err}
 	if val.err == nil {
 		// Canonical job i is fragment job perm[i]; their windows agree,
 		// so rerouting the slots yields a valid fragment schedule. The
@@ -711,9 +640,6 @@ func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs
 		sol.ExpandedStates += r.expanded
 		if r.heur {
 			sol.HeuristicFragments++
-		}
-		if r.poly {
-			sol.PolyFragments++
 		}
 		if r.hit {
 			sol.CacheHits++

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/poly"
 	"repro/internal/prep"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -134,11 +133,10 @@ func TestModeAutoNegativeBudgetIsHeuristic(t *testing.T) {
 }
 
 // TestModeAutoMixesTiers: on an instance pairing many small clusters
-// with one oversized single-processor fragment, a mid-sized budget
-// must reject the big fragment from the DP engine. With the polynomial
-// backend enabled (default) the big fragment is still solved exactly —
-// by poly — so the whole solution is certified; with PolyBudget −1 it
-// falls to the heuristic, the pre-poly two-way behavior.
+// with one oversized single-processor fragment, a budget between the
+// small fragments' estimates and the big one's must solve the clusters
+// exactly and send exactly the big fragment to the heuristic, under a
+// certificate that still sandwiches the cost.
 func TestModeAutoMixesTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	var jobs []sched.Job
@@ -156,7 +154,7 @@ func TestModeAutoMixesTiers(t *testing.T) {
 	in := NewInstance(jobs)
 
 	// Pick a budget between the small fragments' estimates and the big
-	// one's, derived from the decomposition itself.
+	// one's cheaper admission route, derived from the decomposition.
 	pl := prep.ForGaps(in)
 	smallMax, bigEst := 0, 0
 	for _, sub := range pl.Subs {
@@ -164,60 +162,39 @@ func TestModeAutoMixesTiers(t *testing.T) {
 		if len(sub.Instance.Jobs) < 100 {
 			smallMax = max(smallMax, est)
 		} else {
-			bigEst = est
+			single, _ := prep.SingleProcEstimate(sub.Instance)
+			bigEst = min(est/autoPruneDiscount, single)
 		}
 	}
 	if smallMax == 0 || bigEst <= smallMax {
 		t.Fatalf("test instance degenerate: smallMax %d bigEst %d", smallMax, bigEst)
 	}
 
-	// Default PolyBudget: the big fragment is single-processor, so the
-	// polynomial backend picks it up and the whole solution stays exact.
 	sol, err := Solver{Mode: ModeAuto, StateBudget: smallMax}.Solve(in)
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
-	if sol.PolyFragments != 1 || sol.HeuristicFragments != 0 {
-		t.Fatalf("auto tiers poly=%d heur=%d, want the big fragment on poly and nothing heuristic",
-			sol.PolyFragments, sol.HeuristicFragments)
+	if sol.HeuristicFragments != 1 {
+		t.Fatalf("auto solved %d fragments heuristically, want exactly the big one", sol.HeuristicFragments)
 	}
 	if err := sol.Schedule.Validate(in); err != nil {
 		t.Fatalf("mixed schedule invalid: %v", err)
 	}
-	if float64(sol.Spans) != sol.LowerBound {
-		t.Fatalf("all-exact tiers should certify themselves: spans %d lb %v", sol.Spans, sol.LowerBound)
+	if sol.LowerBound <= 0 || float64(sol.Spans) < sol.LowerBound {
+		t.Fatalf("mixed certificate inverted: spans %d lb %v", sol.Spans, sol.LowerBound)
 	}
 	if sol.States == 0 {
 		t.Fatal("exact fragments reported no DP states")
 	}
-
-	// PolyBudget −1 disables the polynomial tier: the big fragment falls
-	// to the heuristic, the pre-poly two-way behavior.
-	sol2, err := Solver{Mode: ModeAuto, StateBudget: smallMax, PolyBudget: -1}.Solve(in)
-	if err != nil {
-		t.Fatalf("auto(poly off): %v", err)
-	}
-	if sol2.HeuristicFragments != 1 || sol2.PolyFragments != 0 {
-		t.Fatalf("auto(poly off) tiers poly=%d heur=%d, want exactly the big one heuristic",
-			sol2.PolyFragments, sol2.HeuristicFragments)
-	}
-	if err := sol2.Schedule.Validate(in); err != nil {
-		t.Fatalf("mixed schedule invalid: %v", err)
-	}
-	if sol2.LowerBound <= 0 || float64(sol2.Spans) < sol2.LowerBound {
-		t.Fatalf("mixed certificate inverted: spans %d lb %v", sol2.Spans, sol2.LowerBound)
-	}
-	if sol2.States == 0 {
-		t.Fatal("exact fragments reported no DP states")
-	}
 }
 
-// TestModeAutoPolyAdmissionBoundary pins the three-way gate's edges on
-// a single dense fragment: with the DP tier priced out, a PolyBudget of
-// exactly the fragment's estimate admits it to the polynomial backend,
-// one less rejects it to the heuristic, and a multi-processor fragment
-// of the same size never reaches poly at any budget.
-func TestModeAutoPolyAdmissionBoundary(t *testing.T) {
+// TestModeAutoAdmissionBoundary pins the single-processor route's edge
+// on one dense fragment whose index-space estimate is far over budget:
+// a StateBudget of exactly GridSize·(n+1) solves it exactly, one less
+// sends it to the heuristic, and a two-processor fragment of the same
+// size, which has no single-processor route, goes heuristic at that
+// budget.
+func TestModeAutoAdmissionBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := NewInstance(workload.StressDense(rng, 200, 1).Jobs)
 
@@ -226,51 +203,45 @@ func TestModeAutoPolyAdmissionBoundary(t *testing.T) {
 		t.Fatalf("dense instance split into %d fragments, want 1", len(pl.Subs))
 	}
 	frag := pl.Subs[0].Instance
-	pe := poly.Estimate(frag)
-	if pe <= 0 || !poly.Admissible(frag) {
-		t.Fatalf("fragment not poly-admissible (estimate %d)", pe)
+	edge := prep.GridSize(frag) * (len(frag.Jobs) + 1)
+	if prep.StateEstimate(frag)/autoPruneDiscount <= edge {
+		t.Fatalf("index-space route admits the fragment at budget %d; the test needs it priced out", edge)
 	}
 
-	solve := func(polyBudget int) Solution {
+	solve := func(in Instance, budget int) Solution {
 		t.Helper()
-		sol, err := Solver{Mode: ModeAuto, StateBudget: 1, PolyBudget: polyBudget}.Solve(in)
+		sol, err := Solver{Mode: ModeAuto, StateBudget: budget}.Solve(in)
 		if err != nil {
-			t.Fatalf("auto(PolyBudget %d): %v", polyBudget, err)
+			t.Fatalf("auto(StateBudget %d): %v", budget, err)
 		}
 		if err := sol.Schedule.Validate(in); err != nil {
-			t.Fatalf("schedule invalid (PolyBudget %d): %v", polyBudget, err)
+			t.Fatalf("schedule invalid (StateBudget %d): %v", budget, err)
 		}
 		return sol
 	}
 
-	admitted := solve(pe)
-	if admitted.PolyFragments != admitted.Subinstances || admitted.HeuristicFragments != 0 {
-		t.Fatalf("budget == estimate: poly=%d heur=%d of %d, want all poly",
-			admitted.PolyFragments, admitted.HeuristicFragments, admitted.Subinstances)
+	admitted := solve(in, edge)
+	if admitted.HeuristicFragments != 0 {
+		t.Fatalf("budget == GridSize·(n+1): %d of %d fragments heuristic, want none",
+			admitted.HeuristicFragments, admitted.Subinstances)
 	}
 	if float64(admitted.Spans) != admitted.LowerBound {
-		t.Fatalf("poly-solved fragment not certified: spans %d lb %v", admitted.Spans, admitted.LowerBound)
+		t.Fatalf("exact fragment not certified: spans %d lb %v", admitted.Spans, admitted.LowerBound)
 	}
 
-	rejected := solve(pe - 1)
-	if rejected.PolyFragments != 0 || rejected.HeuristicFragments != rejected.Subinstances {
-		t.Fatalf("budget == estimate−1: poly=%d heur=%d of %d, want all heuristic",
-			rejected.PolyFragments, rejected.HeuristicFragments, rejected.Subinstances)
+	rejected := solve(in, edge-1)
+	if rejected.HeuristicFragments != rejected.Subinstances {
+		t.Fatalf("budget == GridSize·(n+1)−1: %d of %d fragments heuristic, want all",
+			rejected.HeuristicFragments, rejected.Subinstances)
 	}
 	if float64(rejected.Spans) < rejected.LowerBound {
 		t.Fatalf("heuristic certificate inverted: spans %d lb %v", rejected.Spans, rejected.LowerBound)
 	}
 
-	// Multi-processor fragments never reach poly, however generous the
-	// budget: Admissible gates on p ≤ 1.
 	multi := NewMultiprocInstance(workload.StressDense(rng, 200, 2).Jobs, 2)
-	sol, err := Solver{Mode: ModeAuto, StateBudget: 1, PolyBudget: math.MaxInt}.Solve(multi)
-	if err != nil {
-		t.Fatalf("auto(multi-proc): %v", err)
-	}
-	if sol.PolyFragments != 0 || sol.HeuristicFragments != sol.Subinstances {
-		t.Fatalf("multi-proc: poly=%d heur=%d of %d, want all heuristic",
-			sol.PolyFragments, sol.HeuristicFragments, sol.Subinstances)
+	if sol := solve(multi, edge); sol.HeuristicFragments != sol.Subinstances {
+		t.Fatalf("two-proc at budget %d: %d of %d fragments heuristic, want all",
+			edge, sol.HeuristicFragments, sol.Subinstances)
 	}
 }
 
