@@ -61,7 +61,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	gapsched "repro"
 	"repro/internal/cli"
@@ -241,39 +240,9 @@ func runOneInterval(in sched.Instance, o options, mode gapsched.Mode, alpha floa
 func printTrace(w io.Writer, tr *obs.Trace) {
 	tr.Finish(nil)
 	d := tr.Data()
-	type agg struct {
-		count int
-		dur   time.Duration
-	}
-	type key struct{ name, backend string }
-	sums := make(map[key]agg)
-	for _, sp := range d.Spans {
-		k := key{sp.Name, sp.Backend}
-		if sp.Name == obs.StageCache {
-			k.backend = ""
-		}
-		a := sums[k]
-		a.count++
-		a.dur += sp.Dur
-		sums[k] = a
-	}
 	fmt.Fprintf(w, "trace (%v total):\n", d.Dur)
-	for _, k := range []key{
-		{obs.StagePrep, ""},
-		{obs.StageCache, ""},
-		{obs.StageSolve, "dp"},
-		{obs.StageSolve, "heuristic"},
-		{obs.StageAssemble, ""},
-	} {
-		a, ok := sums[k]
-		if !ok {
-			continue
-		}
-		name := k.name
-		if k.backend != "" {
-			name += "[" + k.backend + "]"
-		}
-		fmt.Fprintf(w, "  %-18s ×%-4d %v\n", name, a.count, a.dur)
+	for _, st := range d.Stages() {
+		fmt.Fprintf(w, "  %-18s ×%-4d %v\n", st.Label(), st.Count, st.Dur)
 	}
 }
 

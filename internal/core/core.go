@@ -39,8 +39,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/feas"
+	"repro/internal/heur"
+	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
@@ -53,7 +57,7 @@ type base struct {
 	jobs []sched.Job
 	p    int
 	byDL []int // all job indices in (deadline, release, index) order
-	grid []int // candidate execution times, sorted ascending
+	grid []int // candidate execution times (prep.Grid), sorted ascending
 
 	lists map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
 }
@@ -72,30 +76,7 @@ func newBase(in sched.Instance) *base {
 	if b.p > len(in.Jobs) {
 		b.p = len(in.Jobs)
 	}
-	n := len(in.Jobs)
-	lo, hi := in.TimeHorizon()
-	gridSet := make(map[int]struct{})
-	add := func(center int) {
-		from, to := center-n, center+n
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-		for t := from; t <= to; t++ {
-			gridSet[t] = struct{}{}
-		}
-	}
-	for _, j := range in.Jobs {
-		add(j.Release)
-		add(j.Deadline)
-	}
-	b.grid = make([]int, 0, len(gridSet))
-	for t := range gridSet {
-		b.grid = append(b.grid, t)
-	}
-	sort.Ints(b.grid)
+	b.grid = prep.Grid(in)
 	return b
 }
 
@@ -183,6 +164,73 @@ type PowerResult struct {
 	PrunedStates int
 	// ExpandedStates counts subproblems the recursion actually expanded.
 	ExpandedStates int
+}
+
+// solution is one engine solve's outcome, before the objective's
+// result type names its cost.
+type solution struct {
+	cost                     float64
+	schedule                 sched.Schedule
+	states, pruned, expanded int
+}
+
+// solve runs the steps every objective shares around the engine: the
+// empty-instance and Hall-infeasibility shortcuts, the greedy
+// incumbent (priced by price) that seeds the branch-and-bound budget,
+// the engine run with its defensive unbounded retry, and reassembly
+// plus validation of the schedule. model builds the objective's cost
+// model from the engine's processor count (capped at n).
+func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, price func(sched.Schedule) float64) (solution, error) {
+	if err := in.Validate(); err != nil {
+		return solution{}, err
+	}
+	n := len(in.Jobs)
+	if n == 0 {
+		return solution{schedule: sched.Schedule{Procs: in.Procs}}, nil
+	}
+	if !feas.FeasibleOneInterval(in) {
+		return solution{}, ErrInfeasible
+	}
+	b := newBase(in)
+	if opts.FullGrid {
+		lo, hi := in.TimeHorizon()
+		b.grid = make([]int, 0, hi-lo+1)
+		for t := lo; t <= hi; t++ {
+			b.grid = append(b.grid, t)
+		}
+	}
+	budget := infinite
+	if !opts.NoPrune {
+		if s, err := heur.Greedy(in); err == nil {
+			// One ulp above the incumbent: a node is cut only when its
+			// bound strictly exceeds every cost the incumbent still
+			// allows, so an optimum equal to it is found exactly.
+			budget = math.Nextafter(price(s), infinite)
+		}
+	}
+	e := newEngine(b, model(b.p))
+	cost, placed, states, ok := e.run(n, budget)
+	if !ok && budget < infinite {
+		// Defensive: the greedy cost upper-bounds the optimum, so a
+		// bounded run cannot come back empty unless the incumbent was
+		// somehow below it (conceivable only through float
+		// summation-order effects in the greedy's cost); re-solve
+		// unbounded rather than misreport infeasibility.
+		cost, placed, states, ok = e.run(n, infinite)
+	}
+	if !ok {
+		// Cannot happen after the Hall pre-check; defensive.
+		return solution{}, ErrInfeasible
+	}
+	schedule, err := assemble(n, in.Procs, placed)
+	if err != nil {
+		return solution{}, err
+	}
+	if err := schedule.Validate(in); err != nil {
+		return solution{}, err
+	}
+	return solution{cost: cost, schedule: schedule, states: states,
+		pruned: e.pruned, expanded: e.expanded}, nil
 }
 
 // assemble builds a staircase schedule from job→time placements.

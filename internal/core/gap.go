@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math"
-
-	"repro/internal/feas"
 	"repro/internal/heur"
 	"repro/internal/sched"
 )
@@ -79,15 +76,6 @@ type Options struct {
 	NoPrune bool
 }
 
-// incumbentBudget turns a feasible heuristic cost into the engine's
-// branch-and-bound budget: one ulp above the incumbent, so a node is cut
-// only when its bound strictly exceeds every cost the incumbent still
-// allows (an optimum equal to the incumbent stays below the budget and
-// is found exactly).
-func incumbentBudget(ub float64) float64 {
-	return math.Nextafter(ub, infinite)
-}
-
 // SolveGaps computes an optimal minimum-wake-up schedule for a
 // one-interval p-processor instance (Theorem 1). It returns
 // ErrInfeasible when no feasible schedule exists.
@@ -97,57 +85,18 @@ func SolveGaps(in sched.Instance) (Result, error) {
 
 // SolveGapsOpt is SolveGaps with explicit tuning options.
 func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	n := len(in.Jobs)
-	if n == 0 {
-		return Result{Schedule: sched.Schedule{Procs: in.Procs}}, nil
-	}
-	if !feas.FeasibleOneInterval(in) {
-		return Result{}, ErrInfeasible
-	}
-	b := newBase(in)
-	if opts.FullGrid {
-		lo, hi := in.TimeHorizon()
-		b.grid = make([]int, 0, hi-lo+1)
-		for t := lo; t <= hi; t++ {
-			b.grid = append(b.grid, t)
-		}
-	}
-	budget := infinite
-	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
-			budget = incumbentBudget(float64(s.Spans()))
-		}
-	}
-	e := newEngine(b, gapModel{p: b.p})
-	cost, placed, states, ok := e.run(n, budget)
-	if !ok && budget < infinite {
-		// Defensive: the greedy cost upper-bounds the optimum, so a
-		// bounded run cannot come back empty unless the incumbent was
-		// somehow below the optimum; re-solve unbounded rather than
-		// misreport infeasibility.
-		cost, placed, states, ok = e.run(n, infinite)
-	}
-	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
-		return Result{}, ErrInfeasible
-	}
-	schedule, err := assemble(n, in.Procs, placed)
+	r, err := solve(in, opts, func(p int) gapModel { return gapModel{p: p} },
+		func(s sched.Schedule) float64 { return float64(s.Spans()) })
 	if err != nil {
 		return Result{}, err
 	}
-	if err := schedule.Validate(in); err != nil {
-		return Result{}, err
-	}
-	spans := int(cost)
+	spans := int(r.cost)
 	return Result{
 		Spans:          spans,
-		Gaps:           spans - 1,
-		Schedule:       schedule,
-		States:         states,
-		PrunedStates:   e.pruned,
-		ExpandedStates: e.expanded,
+		Gaps:           max(spans-1, 0),
+		Schedule:       r.schedule,
+		States:         r.states,
+		PrunedStates:   r.pruned,
+		ExpandedStates: r.expanded,
 	}, nil
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // memoTable memoizes DP entries under a flat, index-encoded key: a node
 // is folded into a single dense integer (interval-pair index × k × l1 ×
 // l2 × c2) and stored in an open-addressing table probed linearly. The
@@ -40,13 +38,6 @@ const (
 	maxIndexSpace = int64(1) << 62
 )
 
-// memoPool recycles whole memoTables (struct and slot array) across
-// fragment solves: duplicate-heavy batches stop paying an allocation and
-// its GC debt per fragment. Tables are cleared on get, so a pooled table
-// carries capacity, never contents. Sparse-fallback tables are not
-// pooled (their map dominates and resists reuse).
-var memoPool sync.Pool
-
 // denseIndexSpaceFits reports whether a (g, n, p)-shaped instance can
 // use the dense flat encoding, memoTable's fast path.
 func denseIndexSpaceFits(g, n, p int) bool {
@@ -62,34 +53,14 @@ func denseIndexSpaceFits(g, n, p int) bool {
 }
 
 func newMemoTable(g, n, p int) *memoTable {
-	m, _ := memoPool.Get().(*memoTable)
-	if m == nil {
-		m = &memoTable{}
-	}
-	m.d1, m.d2, m.d3 = int64(g)+1, int64(n)+1, int64(p)+1
-	m.size = 0
-	m.sparse = nil
+	m := &memoTable{d1: int64(g) + 1, d2: int64(n) + 1, d3: int64(p) + 1}
 	if !denseIndexSpaceFits(g, n, p) {
-		m.slots = nil
 		m.sparse = make(map[node]entry)
 		return m
 	}
-	if m.slots == nil {
-		m.slots = make([]slot, initialSlots)
-	} else {
-		clear(m.slots)
-	}
-	m.mask = uint64(len(m.slots)) - 1
+	m.slots = make([]slot, initialSlots)
+	m.mask = initialSlots - 1
 	return m
-}
-
-// release returns the table to the pool; the table must not be used
-// after. Sparse tables are dropped.
-func (m *memoTable) release() {
-	if m.slots == nil {
-		return
-	}
-	memoPool.Put(m)
 }
 
 func (m *memoTable) entries() int { return m.size }

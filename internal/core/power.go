@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/feas"
 	"repro/internal/heur"
 	"repro/internal/sched"
 )
@@ -89,47 +88,20 @@ func SolvePower(in sched.Instance, alpha float64) (PowerResult, error) {
 // SolvePowerOpt is SolvePower with explicit tuning options (FullGrid
 // does not apply to the power DP and is ignored).
 func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult, error) {
-	if err := in.Validate(); err != nil {
-		return PowerResult{}, err
-	}
 	if alpha < 0 {
+		if err := in.Validate(); err != nil {
+			return PowerResult{}, err // an invalid instance reports first
+		}
 		return PowerResult{}, errNegativeAlpha
 	}
-	n := len(in.Jobs)
-	if n == 0 {
-		return PowerResult{Schedule: sched.Schedule{Procs: in.Procs}}, nil
-	}
-	if !feas.FeasibleOneInterval(in) {
-		return PowerResult{}, ErrInfeasible
-	}
-	budget := infinite
-	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
-			budget = incumbentBudget(s.PowerCost(alpha))
-		}
-	}
-	b := newBase(in)
-	e := newEngine(b, powerModel{p: b.p, alpha: alpha})
-	cost, placed, states, ok := e.run(n, budget)
-	if !ok && budget < infinite {
-		// Defensive, as in SolveGapsOpt: never let a too-tight incumbent
-		// (conceivable only through float summation-order effects in the
-		// greedy's cost) masquerade as infeasibility.
-		cost, placed, states, ok = e.run(n, infinite)
-	}
-	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
-		return PowerResult{}, ErrInfeasible
-	}
-	schedule, err := assemble(n, in.Procs, placed)
+	opts.FullGrid = false
+	r, err := solve(in, opts, func(p int) powerModel { return powerModel{p: p, alpha: alpha} },
+		func(s sched.Schedule) float64 { return s.PowerCost(alpha) })
 	if err != nil {
 		return PowerResult{}, err
 	}
-	if err := schedule.Validate(in); err != nil {
-		return PowerResult{}, err
-	}
-	return PowerResult{Power: cost, Schedule: schedule, States: states,
-		PrunedStates: e.pruned, ExpandedStates: e.expanded}, nil
+	return PowerResult{Power: r.cost, Schedule: r.schedule, States: r.states,
+		PrunedStates: r.pruned, ExpandedStates: r.expanded}, nil
 }
 
 var errNegativeAlpha = errInvalid("core: negative transition cost alpha")

@@ -38,73 +38,54 @@ import (
 	"repro/internal/sched"
 )
 
-// Result is one fragment's solved outcome, as produced by the solve
-// callback handed to Resolve. Schedule is fragment-local: zero-based
-// times, slots aligned with the fragment's jobs in id order. LB is the
-// fragment's certified lower bound (the optimal cost itself when the
-// fragment was solved exactly) and Heur marks heuristic-tier results;
-// both are stored with the fragment so reuse keeps the session's
-// aggregate certificate and backend accounting exact. Hit reports a
-// fragment-cache hit (informational). Err is typically the engine's
-// infeasibility error.
-type Result struct {
-	Cost     float64
-	Schedule sched.Schedule
-	States   int
-	Pruned   int // branch-and-bound cuts in the fragment's exact solve
-	Expanded int // DP states the fragment's exact solve expanded
-	LB       float64
-	Heur     bool
-	Hit      bool
-	Err      error
-}
-
 // fragment is one maximal covered region of the live instance: jobs
 // whose windows chain with idle runs too narrow to split. start is the
 // minimum release, end the maximum deadline; ids are ascending, which
-// is exactly the per-fragment job order Decompose restores.
-type fragment struct {
+// is exactly the per-fragment job order Decompose restores. rec is the
+// caller's record of the fragment's last solve, kept as given.
+type fragment[R any] struct {
 	ids        []int
 	start, end int
 	dirty      bool
-	res        Result
+	rec        R
 }
 
 // Tracker holds a live instance and its incrementally maintained
-// decomposition. The zero value is not usable; construct with New.
-// Tracker is not safe for concurrent use — callers (the facade
-// Session) serialize access.
-type Tracker struct {
+// decomposition, storing one caller-defined record R per fragment —
+// whatever the solve callback handed to Resolve returns. The zero value
+// is not usable; construct with New. Tracker is not safe for concurrent
+// use — callers (the facade Session) serialize access.
+type Tracker[R any] struct {
 	procs      int
 	splitWidth float64
 	nextID     int
 	jobs       map[int]sched.Job
-	frags      []*fragment // ascending by start; regions disjoint
+	frags      []*fragment[R] // ascending by start; regions disjoint
 }
 
 // New builds an empty tracker for procs processors with the given
 // split threshold (1 for the span objective, α for power — the same
 // widths prep.ForGaps/ForPower use).
-func New(procs int, splitWidth float64) *Tracker {
-	return &Tracker{procs: procs, splitWidth: splitWidth, jobs: make(map[int]sched.Job)}
+func New[R any](procs int, splitWidth float64) *Tracker[R] {
+	return &Tracker[R]{procs: procs, splitWidth: splitWidth, jobs: make(map[int]sched.Job)}
 }
 
 // Len returns the number of live jobs.
-func (t *Tracker) Len() int { return len(t.jobs) }
+func (t *Tracker[R]) Len() int { return len(t.jobs) }
 
 // Fragments returns the number of fragments in the current
 // decomposition.
-func (t *Tracker) Fragments() int { return len(t.frags) }
+func (t *Tracker[R]) Fragments() int { return len(t.frags) }
 
 // Job returns the live job with the given id.
-func (t *Tracker) Job(id int) (sched.Job, bool) {
+func (t *Tracker[R]) Job(id int) (sched.Job, bool) {
 	j, ok := t.jobs[id]
 	return j, ok
 }
 
 // IDs returns the live job ids in ascending order — the job order of
 // Instance.
-func (t *Tracker) IDs() []int {
+func (t *Tracker[R]) IDs() []int {
 	ids := make([]int, 0, len(t.jobs))
 	for id := range t.jobs {
 		ids = append(ids, id)
@@ -116,7 +97,7 @@ func (t *Tracker) IDs() []int {
 // Instance snapshots the current job set as a solver instance, jobs in
 // id order. A from-scratch solve of this instance is the reference the
 // tracker's incremental solution is bit-identical to.
-func (t *Tracker) Instance() sched.Instance {
+func (t *Tracker[R]) Instance() sched.Instance {
 	ids := t.IDs()
 	jobs := make([]sched.Job, len(ids))
 	for i, id := range ids {
@@ -132,7 +113,7 @@ func (t *Tracker) Instance() sched.Instance {
 // later fragments reached by the extended coverage. Exactly the
 // touched fragments (at least the one now containing the job) become
 // dirty.
-func (t *Tracker) Add(j sched.Job) int {
+func (t *Tracker[R]) Add(j sched.Job) int {
 	id := t.nextID
 	t.nextID++
 	t.jobs[id] = j
@@ -160,12 +141,12 @@ func (t *Tracker) Add(j sched.Job) int {
 		hi++
 	}
 
-	merged := &fragment{ids: []int{id}, start: start, end: end, dirty: true}
+	merged := &fragment[R]{ids: []int{id}, start: start, end: end, dirty: true}
 	for _, f := range t.frags[lo:hi] {
 		merged.ids = append(merged.ids, f.ids...)
 	}
 	sort.Ints(merged.ids)
-	t.frags = append(t.frags[:lo], append([]*fragment{merged}, t.frags[hi:]...)...)
+	t.frags = append(t.frags[:lo], append([]*fragment[R]{merged}, t.frags[hi:]...)...)
 	return id
 }
 
@@ -173,7 +154,7 @@ func (t *Tracker) Add(j sched.Job) int {
 // live. The containing fragment is re-decomposed locally — it may
 // shrink or split, and every piece is dirty; no other fragment is
 // touched.
-func (t *Tracker) Remove(id int) bool {
+func (t *Tracker[R]) Remove(id int) bool {
 	j, ok := t.jobs[id]
 	if !ok {
 		return false
@@ -201,9 +182,9 @@ func (t *Tracker) Remove(id int) bool {
 		jobs[i] = t.jobs[fid]
 	}
 	pl := prep.Decompose(sched.Instance{Jobs: jobs, Procs: t.procs}, t.splitWidth)
-	pieces := make([]*fragment, len(pl.Subs))
+	pieces := make([]*fragment[R], len(pl.Subs))
 	for si, sub := range pl.Subs {
-		nf := &fragment{ids: make([]int, len(sub.Jobs)), dirty: true}
+		nf := &fragment[R]{ids: make([]int, len(sub.Jobs)), dirty: true}
 		for i, local := range sub.Jobs {
 			nf.ids[i] = rest[local]
 		}
@@ -219,7 +200,7 @@ func (t *Tracker) Remove(id int) bool {
 // fragment's jobs in id order, translated so the earliest release is 0
 // — byte-identical to the corresponding prep.Decompose sub-instance of
 // Instance().
-func (t *Tracker) fragmentInstance(f *fragment) sched.Instance {
+func (t *Tracker[R]) fragmentInstance(f *fragment[R]) sched.Instance {
 	jobs := make([]sched.Job, len(f.ids))
 	for i, id := range f.ids {
 		j := t.jobs[id]
@@ -228,76 +209,42 @@ func (t *Tracker) fragmentInstance(f *fragment) sched.Instance {
 	return sched.Instance{Jobs: jobs, Procs: t.procs}
 }
 
-// Counts reports what one Resolve call did.
-type Counts struct {
-	// Resolved is the number of dirty fragments solved by this call.
-	Resolved int
-	// Reused is the number of clean fragments whose stored result was
-	// used without re-solving.
-	Reused int
-	// CacheHits is the number of resolved fragments the solve callback
-	// reported as served from a fragment cache.
-	CacheHits int
-	// States sums the DP states over all fragments (stored states for
-	// reused fragments), matching the batch facade's accounting.
-	States int
-	// PrunedStates and ExpandedStates sum the fragments'
-	// branch-and-bound counters under the same stored-result convention
-	// as States.
-	PrunedStates   int
-	ExpandedStates int
-	// LowerBound sums the per-fragment certified lower bounds in
-	// fragment time order, matching the one-shot facade's accounting.
-	LowerBound float64
-	// HeuristicFragments counts the fragments whose current stored
-	// result came from the heuristic tier.
-	HeuristicFragments int
-}
-
-// Resolve brings the solution up to date: dirty fragments are solved
-// through the callback in time order, clean fragments keep their
-// stored results, and the per-fragment costs are summed in time order
-// — the same order a from-scratch solve uses, so the total is
-// bit-identical. The assembled schedule covers Instance() (slots in
-// job-id order, absolute times). On the first fragment error (stored
-// or fresh) Resolve stops and returns it, exactly like the sequential
-// from-scratch path; fragments after the failing one stay dirty and
-// are picked up by a later Resolve once the conflict is removed.
-func (t *Tracker) Resolve(solve func(sched.Instance) Result) (cost float64, s sched.Schedule, c Counts, err error) {
+// Resolve brings the solution up to date and assembles it. Fragments
+// are visited in time order — the order a from-scratch solve sums
+// costs in, so a visitor accumulating them stays bit-identical. A dirty
+// fragment is first solved through solve and its record stored; visit
+// then receives the fragment's record, fresh or (reused set) stored by
+// an earlier Resolve, and returns the fragment-local schedule it
+// carries (zero-based times, slots aligned with the fragment's jobs in
+// id order) or the fragment's error. The assembled schedule covers
+// Instance() (slots in job-id order, absolute times). On the first
+// error (stored or fresh) Resolve stops and returns it, exactly like
+// the sequential from-scratch path; fragments after the failing one
+// stay dirty and are picked up by a later Resolve once the conflict is
+// removed.
+func (t *Tracker[R]) Resolve(solve func(sched.Instance) R, visit func(rec *R, reused bool) (sched.Schedule, error)) (sched.Schedule, error) {
 	ids := t.IDs()
 	pos := make(map[int]int, len(ids))
 	for i, id := range ids {
 		pos[id] = i
 	}
-	s = sched.Schedule{Procs: t.procs, Slots: make([]sched.Assignment, len(ids))}
+	s := sched.Schedule{Procs: t.procs, Slots: make([]sched.Assignment, len(ids))}
 	for _, f := range t.frags {
+		reused := !f.dirty
 		if f.dirty {
-			f.res = solve(t.fragmentInstance(f))
+			f.rec = solve(t.fragmentInstance(f))
 			f.dirty = false
-			c.Resolved++
-			if f.res.Hit {
-				c.CacheHits++
-			}
-		} else {
-			c.Reused++
 		}
-		c.States += f.res.States
-		c.PrunedStates += f.res.Pruned
-		c.ExpandedStates += f.res.Expanded
-		c.LowerBound += f.res.LB
-		if f.res.Heur {
-			c.HeuristicFragments++
+		part, err := visit(&f.rec, reused)
+		if err != nil {
+			return sched.Schedule{}, err
 		}
-		if f.res.Err != nil {
-			return 0, sched.Schedule{}, c, f.res.Err
+		if len(part.Slots) != len(f.ids) {
+			return sched.Schedule{}, fmt.Errorf("incr: fragment solution has %d slots for %d jobs", len(part.Slots), len(f.ids))
 		}
-		if len(f.res.Schedule.Slots) != len(f.ids) {
-			return 0, sched.Schedule{}, c, fmt.Errorf("incr: fragment solution has %d slots for %d jobs", len(f.res.Schedule.Slots), len(f.ids))
-		}
-		cost += f.res.Cost
-		for i, a := range f.res.Schedule.Slots {
+		for i, a := range part.Slots {
 			s.Slots[pos[f.ids[i]]] = sched.Assignment{Proc: a.Proc, Time: a.Time + f.start}
 		}
 	}
-	return cost, s, c, nil
+	return s, nil
 }

@@ -10,24 +10,55 @@ import (
 	"repro/internal/sched"
 )
 
-// gapSolve is the solve callback the tests hand to Resolve: the span
-// objective through the exact engine.
-func gapSolve(fr sched.Instance) Result {
-	res, err := core.SolveGaps(fr)
-	return Result{Cost: float64(res.Spans), Schedule: res.Schedule, States: res.States, Err: err}
+// result is the record the tests store per fragment: one engine
+// solve's cost, fragment-local schedule and error.
+type result struct {
+	cost     float64
+	schedule sched.Schedule
+	err      error
 }
 
-func powerSolve(alpha float64) func(sched.Instance) Result {
-	return func(fr sched.Instance) Result {
+// gapSolve is the solve callback the tests hand to Resolve: the span
+// objective through the exact engine.
+func gapSolve(fr sched.Instance) result {
+	res, err := core.SolveGaps(fr)
+	return result{cost: float64(res.Spans), schedule: res.Schedule, err: err}
+}
+
+func powerSolve(alpha float64) func(sched.Instance) result {
+	return func(fr sched.Instance) result {
 		res, err := core.SolvePower(fr, alpha)
-		return Result{Cost: res.Power, Schedule: res.Schedule, States: res.States, Err: err}
+		return result{cost: res.Power, schedule: res.Schedule, err: err}
 	}
+}
+
+// tally is what the tests read back from one Resolve: the cost summed
+// in visit order and the split between re-solved and reused records.
+type tally struct {
+	cost             float64
+	resolved, reused int
+}
+
+// resolve runs Resolve with a visitor that folds every visited record
+// into a tally, the way the facade session folds its records.
+func resolve(tr *Tracker[result], solve func(sched.Instance) result) (tally, sched.Schedule, error) {
+	var c tally
+	s, err := tr.Resolve(solve, func(r *result, reused bool) (sched.Schedule, error) {
+		if reused {
+			c.reused++
+		} else {
+			c.resolved++
+		}
+		c.cost += r.cost
+		return r.schedule, r.err
+	})
+	return c, s, err
 }
 
 // checkDecomposition asserts the tracker's fragment list is identical
 // to prep.Decompose of the full current job set: same fragment count,
 // same job partition in the same order, same zero-based instances.
-func checkDecomposition(t *testing.T, tr *Tracker, splitWidth float64) {
+func checkDecomposition(t *testing.T, tr *Tracker[result], splitWidth float64) {
 	t.Helper()
 	in := tr.Instance()
 	pl := prep.Decompose(in, splitWidth)
@@ -60,16 +91,16 @@ func checkDecomposition(t *testing.T, tr *Tracker, splitWidth float64) {
 // scratchCost solves the full current instance from scratch the way
 // the facade does — per Decompose fragment, costs summed in time
 // order — so equality with Resolve is a bit-exact claim.
-func scratchCost(t *testing.T, tr *Tracker, splitWidth float64, solve func(sched.Instance) Result) (float64, error) {
+func scratchCost(t *testing.T, tr *Tracker[result], splitWidth float64, solve func(sched.Instance) result) (float64, error) {
 	t.Helper()
 	pl := prep.Decompose(tr.Instance(), splitWidth)
 	cost := 0.0
 	for _, sub := range pl.Subs {
 		r := solve(sub.Instance)
-		if r.Err != nil {
-			return 0, r.Err
+		if r.err != nil {
+			return 0, r.err
 		}
-		cost += r.Cost
+		cost += r.cost
 	}
 	return cost, nil
 }
@@ -92,7 +123,7 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 			solve = powerSolve(cfg.splitWidth)
 		}
 		for trial := 0; trial < 20; trial++ {
-			tr := New(cfg.procs, cfg.splitWidth)
+			tr := New[result](cfg.procs, cfg.splitWidth)
 			var live []int
 			for step := 0; step < 30; step++ {
 				if len(live) > 0 && rng.Intn(3) == 0 {
@@ -109,7 +140,7 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 				checkDecomposition(t, tr, cfg.splitWidth)
 
 				want, wantErr := scratchCost(t, tr, cfg.splitWidth, solve)
-				cost, s, counts, err := tr.Resolve(solve)
+				c, s, err := resolve(tr, solve)
 				if (wantErr == nil) != (err == nil) {
 					t.Fatalf("Resolve err %v, scratch err %v (jobs %v)", err, wantErr, tr.Instance().Jobs)
 				}
@@ -119,14 +150,14 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 					}
 					continue
 				}
-				if cost != want {
-					t.Fatalf("Resolve cost %v, scratch %v (jobs %v)", cost, want, tr.Instance().Jobs)
+				if c.cost != want {
+					t.Fatalf("Resolve cost %v, scratch %v (jobs %v)", c.cost, want, tr.Instance().Jobs)
 				}
 				if err := s.Validate(tr.Instance()); err != nil {
 					t.Fatalf("Resolve schedule invalid: %v", err)
 				}
-				if counts.Resolved+counts.Reused != tr.Fragments() {
-					t.Fatalf("counts %+v do not cover %d fragments", counts, tr.Fragments())
+				if c.resolved+c.reused != tr.Fragments() {
+					t.Fatalf("counts %+v do not cover %d fragments", c, tr.Fragments())
 				}
 			}
 		}
@@ -139,7 +170,7 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 // and removing the bridge splits them back — everything else is
 // reused, never re-solved.
 func TestTrackerDeltaLocality(t *testing.T) {
-	tr := New(1, 1)
+	tr := New[result](1, 1)
 	for _, r := range []int{0, 10, 20} { // three clusters of two jobs
 		tr.Add(sched.Job{Release: r, Deadline: r + 2})
 		tr.Add(sched.Job{Release: r + 1, Deadline: r + 3})
@@ -147,19 +178,19 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 3 {
 		t.Fatalf("fragments = %d, want 3", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 3 || c.Reused != 0 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 3 || c.reused != 0 {
 		t.Fatalf("initial resolve: counts %+v err %v, want 3 resolved", c, err)
 	}
 
 	// A job inside the middle cluster dirties only it.
 	mid := tr.Add(sched.Job{Release: 11, Deadline: 12})
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 1 || c.reused != 2 {
 		t.Fatalf("middle add: counts %+v err %v, want 1 resolved 2 reused", c, err)
 	}
 	if !tr.Remove(mid) {
 		t.Fatal("middle job not removed")
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 2 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 1 || c.reused != 2 {
 		t.Fatalf("middle remove: counts %+v err %v, want 1 resolved 2 reused", c, err)
 	}
 
@@ -169,7 +200,7 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 2 {
 		t.Fatalf("after bridge: fragments = %d, want 2", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 1 || c.Reused != 1 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 1 || c.reused != 1 {
 		t.Fatalf("bridge add: counts %+v err %v, want 1 resolved 1 reused", c, err)
 	}
 
@@ -181,12 +212,12 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	if tr.Fragments() != 3 {
 		t.Fatalf("after unbridge: fragments = %d, want 3", tr.Fragments())
 	}
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 2 || c.Reused != 1 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 2 || c.reused != 1 {
 		t.Fatalf("bridge remove: counts %+v err %v, want 2 resolved 1 reused", c, err)
 	}
 
 	// A steady-state resolve re-solves nothing.
-	if _, _, c, err := tr.Resolve(gapSolve); err != nil || c.Resolved != 0 || c.Reused != 3 {
+	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 0 || c.reused != 3 {
 		t.Fatalf("steady state: counts %+v err %v, want 0 resolved 3 reused", c, err)
 	}
 }
@@ -196,27 +227,27 @@ func TestTrackerDeltaLocality(t *testing.T) {
 // conflicting job re-solves only that fragment and earlier results
 // survive.
 func TestTrackerInfeasibleAndRecover(t *testing.T) {
-	tr := New(1, 1)
+	tr := New[result](1, 1)
 	tr.Add(sched.Job{Release: 0, Deadline: 1})
 	tr.Add(sched.Job{Release: 10, Deadline: 10})
-	if _, _, _, err := tr.Resolve(gapSolve); err != nil {
+	if _, _, err := resolve(tr, gapSolve); err != nil {
 		t.Fatalf("feasible resolve failed: %v", err)
 	}
 	clash := tr.Add(sched.Job{Release: 10, Deadline: 10}) // two point jobs, one slot
-	if _, _, _, err := tr.Resolve(gapSolve); !errors.Is(err, core.ErrInfeasible) {
+	if _, _, err := resolve(tr, gapSolve); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	if !tr.Remove(clash) {
 		t.Fatal("clash not removed")
 	}
-	cost, s, c, err := tr.Resolve(gapSolve)
+	c, s, err := resolve(tr, gapSolve)
 	if err != nil {
 		t.Fatalf("recovery resolve failed: %v", err)
 	}
-	if cost != 2 {
-		t.Fatalf("recovered cost %v, want 2 spans", cost)
+	if c.cost != 2 {
+		t.Fatalf("recovered cost %v, want 2 spans", c.cost)
 	}
-	if c.Resolved != 1 || c.Reused != 1 {
+	if c.resolved != 1 || c.reused != 1 {
 		t.Fatalf("recovery counts %+v, want 1 resolved 1 reused", c)
 	}
 	if err := s.Validate(tr.Instance()); err != nil {
@@ -227,13 +258,13 @@ func TestTrackerInfeasibleAndRecover(t *testing.T) {
 // TestTrackerEmptyAndUnknown covers the degenerate surface: removing
 // unknown ids, resolving an empty tracker, and draining to empty.
 func TestTrackerEmptyAndUnknown(t *testing.T) {
-	tr := New(2, 1)
+	tr := New[result](2, 1)
 	if tr.Remove(7) {
 		t.Fatal("removed a job that was never added")
 	}
-	cost, s, c, err := tr.Resolve(gapSolve)
-	if err != nil || cost != 0 || len(s.Slots) != 0 || c.Resolved != 0 {
-		t.Fatalf("empty resolve: cost %v schedule %+v counts %+v err %v", cost, s, c, err)
+	c, s, err := resolve(tr, gapSolve)
+	if err != nil || c.cost != 0 || len(s.Slots) != 0 || c.resolved != 0 {
+		t.Fatalf("empty resolve: schedule %+v counts %+v err %v", s, c, err)
 	}
 	id := tr.Add(sched.Job{Release: 3, Deadline: 5})
 	if !tr.Remove(id) || tr.Len() != 0 || tr.Fragments() != 0 {
@@ -254,22 +285,22 @@ func TestTrackerEmptyAndUnknown(t *testing.T) {
 func TestTrackerArrivalOrderedDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 40; trial++ {
-		tr := New(1+rng.Intn(2), 1)
+		tr := New[result](1+rng.Intn(2), 1)
 		release := 0
 		for k := 0; k < 12; k++ {
 			release += rng.Intn(6) // non-decreasing, sometimes equal
 			tr.Add(sched.Job{Release: release, Deadline: release + rng.Intn(9)})
 			checkDecomposition(t, tr, 1)
-			_, _, c, err := tr.Resolve(gapSolve)
+			c, _, err := resolve(tr, gapSolve)
 			if err != nil {
 				if !errors.Is(err, core.ErrInfeasible) {
 					t.Fatalf("Resolve: %v", err)
 				}
 				continue
 			}
-			if c.Resolved != 1 || c.Reused != tr.Fragments()-1 {
+			if c.resolved != 1 || c.reused != tr.Fragments()-1 {
 				t.Fatalf("arrival-ordered add resolved %d fragments, reused %d of %d — the delta was not local (jobs %v)",
-					c.Resolved, c.Reused, tr.Fragments(), tr.Instance().Jobs)
+					c.resolved, c.reused, tr.Fragments(), tr.Instance().Jobs)
 			}
 		}
 	}

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Span stage names recorded by the solving pipeline. Solve spans
-// additionally carry the backend that served the fragment
-// ("dp", "heuristic").
+// Span stage names recorded by the solving pipeline. Solve and cache
+// spans additionally carry the name of the Backend that served the
+// fragment.
 const (
 	StageQueueWait = "queue_wait" // coalescer buffering, enqueue → dispatch
 	StagePrep      = "prep"       // instance validation + decomposition
@@ -17,6 +17,22 @@ const (
 	StageSolve     = "solve"      // one fragment's backend solve
 	StageAssemble  = "assemble"   // fragment schedules → instance schedule + validation
 )
+
+// Backend identifies the solver that served one fragment. It indexes
+// Backends, so per-backend tallies are arrays of len(Backends).
+type Backend uint8
+
+const (
+	BackendDP   Backend = iota // the exact branch-and-bound DP engine
+	BackendHeur                // the certified greedy heuristic
+)
+
+// Backends names every Backend in pipeline order. The names are the
+// solve-span tags, the /metrics backend labels and the stage keys of
+// trace summaries.
+var Backends = [...]string{BackendDP: "dp", BackendHeur: "heuristic"}
+
+func (b Backend) String() string { return Backends[b] }
 
 // Span is one timed stage of a solve. Start is the offset from the
 // owning trace's start time, so a span tree is self-contained.
@@ -155,6 +171,54 @@ type TraceData struct {
 	Err   string            `json:"error,omitempty"`
 	Attrs map[string]string `json:"attrs,omitempty"`
 	Spans []Span            `json:"spans"`
+}
+
+// StageSum is one row of a trace's per-stage breakdown: the spans of
+// one stage — of one backend, for solve spans — counted and summed.
+type StageSum struct {
+	Stage   string
+	Backend string // set on solve rows only
+	Count   int
+	Dur     time.Duration
+}
+
+// Label names the row: the stage, suffixed with [backend] on solve
+// rows ("prep", "solve[dp]").
+func (s StageSum) Label() string {
+	if s.Backend == "" {
+		return s.Stage
+	}
+	return s.Stage + "[" + s.Backend + "]"
+}
+
+// Stages aggregates the trace's spans into per-stage sums in pipeline
+// order — queue_wait, prep, cache, one solve row per Backend, assemble
+// — omitting stages that recorded no span. Cache spans fold into one
+// row whichever backend owns the entry; spans of unknown stages or
+// backends are not counted.
+func (d TraceData) Stages() []StageSum {
+	rows := make([]StageSum, 0, 4+len(Backends))
+	rows = append(rows, StageSum{Stage: StageQueueWait}, StageSum{Stage: StagePrep}, StageSum{Stage: StageCache})
+	for _, b := range Backends {
+		rows = append(rows, StageSum{Stage: StageSolve, Backend: b})
+	}
+	rows = append(rows, StageSum{Stage: StageAssemble})
+	for _, sp := range d.Spans {
+		for i := range rows {
+			if r := &rows[i]; r.Stage == sp.Name && (r.Backend == sp.Backend || sp.Name != StageSolve) {
+				r.Count++
+				r.Dur += sp.Dur
+				break
+			}
+		}
+	}
+	out := rows[:0]
+	for _, r := range rows {
+		if r.Count > 0 {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // ctxKey keys the Trace attached to a context.

@@ -156,3 +156,72 @@ func TestRecorderConcurrentAdd(t *testing.T) {
 		t.Fatalf("nil Add bumped ids: %d", got[0].ID)
 	}
 }
+
+// TestTraceDataStages pins the per-stage aggregation behind the
+// slow-solve log line and gapsched -trace: rows in pipeline order with
+// one solve row per backend in Backends order, span counts and summed
+// durations, cache spans folded into one row whatever their backend,
+// empty stages omitted, and unknown stages or backends ignored.
+func TestTraceDataStages(t *testing.T) {
+	sp := func(name, backend string, d time.Duration) Span { return Span{Name: name, Backend: backend, Dur: d} }
+	dp, heur := Backends[BackendDP], Backends[BackendHeur]
+	for _, tc := range []struct {
+		name  string
+		spans []Span
+		want  []StageSum
+	}{
+		{"empty", nil, []StageSum{}},
+		{
+			"pipeline order regardless of span order",
+			[]Span{
+				sp(StageAssemble, "", 5),
+				sp(StageSolve, heur, 7),
+				sp(StageSolve, dp, 3),
+				sp(StagePrep, "", 2),
+				sp(StageQueueWait, "", 1),
+				sp(StageSolve, dp, 4),
+			},
+			[]StageSum{
+				{Stage: StageQueueWait, Count: 1, Dur: 1},
+				{Stage: StagePrep, Count: 1, Dur: 2},
+				{Stage: StageSolve, Backend: dp, Count: 2, Dur: 7},
+				{Stage: StageSolve, Backend: heur, Count: 1, Dur: 7},
+				{Stage: StageAssemble, Count: 1, Dur: 5},
+			},
+		},
+		{
+			"cache spans fold across backends",
+			[]Span{sp(StageCache, dp, 10), sp(StageCache, heur, 20), sp(StageCache, "", 30), sp(StageSolve, heur, 1)},
+			[]StageSum{
+				{Stage: StageCache, Count: 3, Dur: 60},
+				{Stage: StageSolve, Backend: heur, Count: 1, Dur: 1},
+			},
+		},
+		{
+			"unknown stages and backends are ignored",
+			[]Span{sp("warmup", "", 9), sp(StageSolve, "", 9), sp(StageSolve, "poly", 9), sp(StagePrep, "", 1)},
+			[]StageSum{{Stage: StagePrep, Count: 1, Dur: 1}},
+		},
+	} {
+		got := TraceData{Spans: tc.spans}.Stages()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d rows %+v, want %+v", tc.name, len(got), got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: row %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+	if l := (StageSum{Stage: StageSolve, Backend: heur}).Label(); l != "solve[heuristic]" {
+		t.Fatalf("solve label %q", l)
+	}
+	if l := (StageSum{Stage: StageCache}).Label(); l != "cache" {
+		t.Fatalf("cache label %q", l)
+	}
+	for b, name := range Backends {
+		if Backend(b).String() != name {
+			t.Fatalf("Backend(%d).String() = %q, want %q", b, Backend(b).String(), name)
+		}
+	}
+}

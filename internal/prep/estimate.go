@@ -5,8 +5,9 @@ package prep
 // running it, by comparing these estimates against Solver.StateBudget.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -64,41 +65,56 @@ func SingleProcEstimate(in sched.Instance) (est int, ok bool) {
 // GridSize computes the size of the exact engine's candidate execution
 // grid without materialising it: the measure of the union of the
 // clipped anchor neighbourhoods [a−n, a+n] over all releases and
-// deadlines a — exactly the grid internal/core builds. Exported so
-// tests and experiments can reproduce the admission estimates.
+// deadlines a — exactly the grid Grid lists. Exported so tests and
+// experiments can reproduce the admission estimates.
 func GridSize(in sched.Instance) int {
+	_, size := gridRuns(in)
+	return size
+}
+
+// Grid lists the exact engine's candidate execution grid in ascending
+// order: every time within distance n of a release or a deadline,
+// clipped to the horizon (the span-anchoring argument of internal/core).
+func Grid(in sched.Instance) []int {
+	runs, size := gridRuns(in)
+	grid := make([]int, 0, size)
+	for _, r := range runs {
+		for t := r[0]; t <= r[1]; t++ {
+			grid = append(grid, t)
+		}
+	}
+	return grid
+}
+
+// gridRuns returns the candidate grid as ascending, disjoint runs of
+// consecutive times [lo, hi], plus its size, by one sort and one sweep
+// over the 2n clipped anchor neighbourhoods — so measuring the grid
+// costs O(n log n) however large it is.
+func gridRuns(in sched.Instance) (runs [][2]int, size int) {
 	n := len(in.Jobs)
 	lo, hi := in.TimeHorizon()
-	type iv struct{ lo, hi int }
-	ivs := make([]iv, 0, 2*n)
-	add := func(center int) {
-		from, to := center-n, center+n
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-		if from <= to {
-			ivs = append(ivs, iv{from, to})
-		}
-	}
+	ivs := make([][2]int, 0, 2*n)
 	for _, j := range in.Jobs {
-		add(j.Release)
-		add(j.Deadline)
-	}
-	sort.Slice(ivs, func(x, y int) bool { return ivs[x].lo < ivs[y].lo })
-	size, end := 0, math.MinInt
-	for _, v := range ivs {
-		if v.lo > end {
-			size += v.hi - v.lo + 1
-			end = v.hi
-		} else if v.hi > end {
-			size += v.hi - end
-			end = v.hi
+		for _, a := range [2]int{j.Release, j.Deadline} {
+			if from, to := max(a-n, lo), min(a+n, hi); from <= to {
+				ivs = append(ivs, [2]int{from, to})
+			}
 		}
 	}
-	return size
+	slices.SortFunc(ivs, func(x, y [2]int) int { return cmp.Compare(x[0], y[0]) })
+	runs = ivs[:0] // merges in place: runs never outgrows the intervals read
+	for _, v := range ivs {
+		if k := len(runs) - 1; k >= 0 && v[0] <= runs[k][1] {
+			if v[1] > runs[k][1] {
+				size += v[1] - runs[k][1]
+				runs[k][1] = v[1]
+			}
+		} else {
+			runs = append(runs, v)
+			size += v[1] - v[0] + 1
+		}
+	}
+	return runs, size
 }
 
 // satMul multiplies non-negative ints, saturating at MaxInt.

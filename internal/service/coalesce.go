@@ -29,19 +29,13 @@ type solveKey struct {
 	budget    int
 }
 
-// outcome is one request's terminal result.
-type outcome struct {
-	sol gapsched.Solution
-	err error
-}
-
 // pending is one buffered request. done is buffered so a dispatcher
 // never blocks on a client that stopped listening; enq timestamps the
 // buffering so the dispatch trace can report each request's queue wait.
 type pending struct {
 	ctx  context.Context
 	in   gapsched.Instance
-	done chan outcome
+	done chan gapsched.BatchResult
 	enq  time.Time
 }
 
@@ -84,14 +78,14 @@ func newCoalescer(window time.Duration, maxBatch int, timeout time.Duration, met
 	}
 }
 
-// enqueue buffers one request and returns the channel its outcome will
+// enqueue buffers one request and returns the channel its result will
 // arrive on. ctx is honored whenever the dispatch ends up serving only
 // this request — an immediate (uncoalesced) dispatch, or a window that
 // closes with no other request in it. A dispatch serving several
 // clients is bounded by the coalescer's timeout instead, so one
 // disconnecting client cannot cancel its peers' solutions.
-func (c *coalescer) enqueue(ctx context.Context, key solveKey, in gapsched.Instance) (<-chan outcome, error) {
-	p := &pending{ctx: ctx, in: in, done: make(chan outcome, 1), enq: time.Now()}
+func (c *coalescer) enqueue(ctx context.Context, key solveKey, in gapsched.Instance) (<-chan gapsched.BatchResult, error) {
+	p := &pending{ctx: ctx, in: in, done: make(chan gapsched.BatchResult, 1), enq: time.Now()}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -187,7 +181,7 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 	}
 	s := c.solver(key)
 	// The trace finishes (histograms fed, ring entry added, slow-solve
-	// warning logged) before outcomes are delivered, so a client that
+	// warning logged) before results are delivered, so a client that
 	// has its response can already see its dispatch in /v1/debug/traces.
 	if len(reqs) == 1 {
 		sol, err := s.SolveContext(ctx, reqs[0].in)
@@ -195,7 +189,7 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 			tr.SetAttr("fragments", strconv.Itoa(sol.Subinstances))
 		}
 		c.po.finishTrace(tr, err)
-		reqs[0].done <- outcome{sol: sol, err: err}
+		reqs[0].done <- gapsched.BatchResult{Solution: sol, Err: err}
 		return
 	}
 	ins := make([]gapsched.Instance, len(reqs))
@@ -212,7 +206,7 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 	}
 	c.po.finishTrace(tr, firstErr)
 	for i, r := range results {
-		reqs[i].done <- outcome{sol: r.Solution, err: r.Err}
+		reqs[i].done <- r
 	}
 }
 

@@ -46,8 +46,8 @@ func TestCoalescerSingleRequestWindowHonorsContext(t *testing.T) {
 		cancel() // before the window timer can possibly fire
 		select {
 		case out := <-done:
-			if !errors.Is(out.err, context.Canceled) {
-				t.Fatalf("%s: outcome %v, want context.Canceled", tc.name, out.err)
+			if !errors.Is(out.Err, context.Canceled) {
+				t.Fatalf("%s: outcome %v, want context.Canceled", tc.name, out.Err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: dispatch never resolved", tc.name)
@@ -74,14 +74,14 @@ func TestCoalescerSharedWindowIgnoresClientContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	for i, done := range []<-chan outcome{done1, done2} {
+	for i, done := range []<-chan gapsched.BatchResult{done1, done2} {
 		select {
 		case out := <-done:
-			if out.err != nil {
-				t.Fatalf("request %d: %v, want success despite peer cancellation", i, out.err)
+			if out.Err != nil {
+				t.Fatalf("request %d: %v, want success despite peer cancellation", i, out.Err)
 			}
-			if len(out.sol.Schedule.Slots) != 1 {
-				t.Fatalf("request %d: truncated solution %+v", i, out.sol)
+			if len(out.Solution.Schedule.Slots) != 1 {
+				t.Fatalf("request %d: truncated solution %+v", i, out.Solution)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d never resolved", i)

@@ -46,12 +46,11 @@ type metrics struct {
 	modeAuto      atomic.Int64
 	qualityGap    atomic.Uint64 // float64 bits of the summed gap
 
-	// Per-backend fragment accounting: every served solution adds its
-	// fragment counts to the backend that solved them — the exact DP
-	// engine or the greedy heuristic — so the live tier mix is visible
-	// at fragment granularity, where ModeAuto actually decides.
-	backendDP   atomic.Int64
-	backendHeur atomic.Int64
+	// Per-backend fragment accounting, indexed by obs.Backend: every
+	// served solution adds its fragment counts to the backend that
+	// solved them, so the live tier mix is visible at fragment
+	// granularity, where ModeAuto actually decides.
+	backendSolves [len(obs.Backends)]atomic.Int64
 
 	// Online-tier accounting: solves served for commit-only sessions,
 	// and the most recently measured competitive ratio (a gauge — the
@@ -76,39 +75,40 @@ type metrics struct {
 
 	// Latency histograms (lock-free, log₂-bucketed; internal/obs).
 	// Request histograms measure end-to-end handler time per endpoint;
-	// fragment histograms measure individual backend solves extracted
-	// from dispatch traces; queueWait measures how long solve requests
-	// sat buffered in coalescing windows before their dispatch started.
+	// fragment histograms, indexed by obs.Backend, measure individual
+	// backend solves extracted from dispatch traces; queueWait measures
+	// how long solve requests sat buffered in coalescing windows before
+	// their dispatch started.
 	reqSolve         obs.Histogram
 	reqBatch         obs.Histogram
 	reqSessionCreate obs.Histogram
 	reqSessionDelta  obs.Histogram
 	reqSessionSolve  obs.Histogram
 	reqSessionDelete obs.Histogram
-	fragDP           obs.Histogram
-	fragHeur         obs.Histogram
+	fragSolve        [len(obs.Backends)]obs.Histogram
 	queueWait        obs.Histogram
 }
 
 // observeFragment records one fragment's backend solve duration under
-// the backend's histogram; the backend names match the trace span tags
-// ("dp", "heuristic").
+// the histogram of the backend its solve span is tagged with.
 func (m *metrics) observeFragment(backend string, d time.Duration) {
-	if backend == "heuristic" {
-		m.fragHeur.Observe(d)
-	} else {
-		m.fragDP.Observe(d)
+	for b, name := range obs.Backends {
+		if name == backend {
+			m.fragSolve[b].Observe(d)
+			return
+		}
 	}
 }
 
-// countModeSolve records one successfully served solution: the mode
-// that produced it, its certified optimality gap, and its
+// countModeSolve records one successfully served solution of a key's
+// configuration: the mode that produced it, its certified optimality
+// gap (cost − lowerBound), its per-backend fragment split, and its
 // branch-and-bound state counters.
-func (m *metrics) countModeSolve(sol gapsched.Solution, gap float64) {
+func (m *metrics) countModeSolve(key solveKey, sol gapsched.Solution) {
 	m.prunedStates.Add(int64(sol.PrunedStates))
 	m.expandedStates.Add(int64(sol.ExpandedStates))
-	m.backendDP.Add(int64(sol.Subinstances - sol.HeuristicFragments))
-	m.backendHeur.Add(int64(sol.HeuristicFragments))
+	m.backendSolves[obs.BackendDP].Add(int64(sol.Subinstances - sol.HeuristicFragments))
+	m.backendSolves[obs.BackendHeur].Add(int64(sol.HeuristicFragments))
 	switch sol.Mode {
 	case gapsched.ModeHeuristic:
 		m.modeHeuristic.Add(1)
@@ -117,6 +117,7 @@ func (m *metrics) countModeSolve(sol gapsched.Solution, gap float64) {
 	default:
 		m.modeExact.Add(1)
 	}
+	gap := key.objective.Cost(sol) - sol.LowerBound
 	if !(gap > 0) { // exact solves certify themselves: gap 0
 		return
 	}
@@ -235,9 +236,12 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 		`mode="exact"`, m.modeExact.Load(),
 		`mode="heuristic"`, m.modeHeuristic.Load(),
 		`mode="auto"`, m.modeAuto.Load())
+	backendPairs := make([]any, 0, 2*len(obs.Backends))
+	for b, name := range obs.Backends {
+		backendPairs = append(backendPairs, fmt.Sprintf("backend=%q", name), m.backendSolves[b].Load())
+	}
 	counter("gapschedd_backend_solves_total", "Fragments solved over served solutions, by backend: the exact DP engine or the greedy heuristic.",
-		`backend="dp"`, m.backendDP.Load(),
-		`backend="heuristic"`, m.backendHeur.Load())
+		backendPairs...)
 	fmt.Fprintf(w, "# HELP gapschedd_quality_gap_total Summed certified optimality gap (cost minus lower bound) over served solutions.\n"+
 		"# TYPE gapschedd_quality_gap_total counter\ngapschedd_quality_gap_total %g\n", m.qualityGapTotal())
 	counter("gapschedd_dp_states_total", "Exact-tier DP subproblems over served solutions, by outcome: pruned (cut by the branch-and-bound lower bound) versus expanded.",
@@ -277,10 +281,13 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 		obs.Series{Labels: `endpoint="session_delta"`, Hist: &m.reqSessionDelta},
 		obs.Series{Labels: `endpoint="session_solve"`, Hist: &m.reqSessionSolve},
 		obs.Series{Labels: `endpoint="session_delete"`, Hist: &m.reqSessionDelete})
+	fragSeries := make([]obs.Series, len(obs.Backends))
+	for b, name := range obs.Backends {
+		fragSeries[b] = obs.Series{Labels: fmt.Sprintf("backend=%q", name), Hist: &m.fragSolve[b]}
+	}
 	obs.WriteProm(w, "gapschedd_fragment_solve_duration_seconds",
 		"Per-fragment backend solve latency over dispatched solves, by backend (cache hits excluded).",
-		obs.Series{Labels: `backend="dp"`, Hist: &m.fragDP},
-		obs.Series{Labels: `backend="heuristic"`, Hist: &m.fragHeur})
+		fragSeries...)
 	obs.WriteProm(w, "gapschedd_queue_wait_seconds",
 		"Time solve requests spent buffered in coalescing windows before their dispatch started.",
 		obs.Series{Hist: &m.queueWait})

@@ -122,43 +122,17 @@ func (o *pipelineObs) finishTrace(tr *obs.Trace, err error) {
 	o.logger.Warn("slow solve", args...)
 }
 
-// stageSummary aggregates a trace's spans into one compact per-stage
-// line ("queue_wait=1.2ms prep=30µs solve[dp]=4ms …"): durations sum
-// per stage/backend pair, in fixed pipeline order, so the summary
-// stays one log attribute no matter how many fragments the dispatch
-// solved.
+// stageSummary renders a trace's per-stage breakdown (obs
+// TraceData.Stages) as one compact line ("queue_wait=1.2ms prep=30µs
+// solve[dp]=4ms …"), so the summary stays one log attribute no matter
+// how many fragments the dispatch solved.
 func stageSummary(d obs.TraceData) string {
-	type key struct{ name, backend string }
-	order := []key{
-		{obs.StageQueueWait, ""},
-		{obs.StagePrep, ""},
-		{obs.StageCache, ""},
-		{obs.StageSolve, "dp"},
-		{obs.StageSolve, "heuristic"},
-		{obs.StageAssemble, ""},
-	}
-	sums := make(map[key]time.Duration, len(order))
-	for _, sp := range d.Spans {
-		k := key{sp.Name, sp.Backend}
-		if sp.Name == obs.StageCache {
-			k.backend = "" // one cache line regardless of owning backend
-		}
-		sums[k] += sp.Dur
-	}
 	var b strings.Builder
-	for _, k := range order {
-		dur, ok := sums[k]
-		if !ok {
-			continue
-		}
+	for _, st := range d.Stages() {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(k.name)
-		if k.backend != "" {
-			fmt.Fprintf(&b, "[%s]", k.backend)
-		}
-		fmt.Fprintf(&b, "=%s", dur)
+		fmt.Fprintf(&b, "%s=%s", st.Label(), st.Dur)
 	}
 	return b.String()
 }

@@ -349,12 +349,12 @@ func keyFor(req sched.SolveRequest) solveKey {
 	return key
 }
 
-// wireOutcome converts one solve outcome to its wire form.
-func wireOutcome(out outcome) sched.SolveResponse {
-	if out.err != nil {
-		return sched.SolveResponse{Err: wireError(out.err)}
+// wireOutcome converts one solve result to its wire form.
+func wireOutcome(out gapsched.BatchResult) sched.SolveResponse {
+	if out.Err != nil {
+		return sched.SolveResponse{Err: wireError(out.Err)}
 	}
-	sol := out.sol
+	sol := out.Solution
 	return sched.SolveResponse{
 		Spans:              sol.Spans,
 		Gaps:               sol.Gaps,
@@ -368,6 +368,8 @@ func wireOutcome(out outcome) sched.SolveResponse {
 		Mode:               sol.Mode.String(),
 		LowerBound:         sol.LowerBound,
 		HeuristicFragments: sol.HeuristicFragments,
+		ResolvedFragments:  sol.ResolvedFragments,
+		ReusedFragments:    sol.ReusedFragments,
 		CompetitiveRatio:   sol.CompetitiveRatio,
 		CommittedJobs:      sol.CommittedJobs,
 		CommittedCost:      sol.CommittedCost,
@@ -379,12 +381,6 @@ func wireOutcome(out outcome) sched.SolveResponse {
 			AssembleNs:  sol.Timings.Assemble.Nanoseconds(),
 		},
 	}
-}
-
-// costOf extracts the objective's cost from a solution, for the
-// quality-gap accounting.
-func costOf(key solveKey, sol gapsched.Solution) float64 {
-	return key.objective.Cost(sol)
 }
 
 // wireError classifies a solver-side error. Requests are validated
@@ -459,7 +455,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.writeWireError(w, resp.Err)
 			return
 		}
-		s.met.countModeSolve(out.sol, costOf(key, out.sol)-out.sol.LowerBound)
+		s.met.countModeSolve(key, out.Solution)
 		writeJSON(w, http.StatusOK, resp)
 	case <-r.Context().Done():
 		// The client is gone; its window still completes for the
@@ -531,14 +527,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		var firstErr error
 		for j, br := range s.solverFor(key).SolveBatchContext(obs.With(ctx, tr), ins) {
-			out := wireOutcome(outcome{sol: br.Solution, err: br.Err})
+			out := wireOutcome(br)
 			if out.Err != nil {
 				s.met.bumpError(out.Err.Code)
 				if firstErr == nil {
 					firstErr = br.Err
 				}
 			} else {
-				s.met.countModeSolve(br.Solution, costOf(key, br.Solution)-br.Solution.LowerBound)
+				s.met.countModeSolve(key, br.Solution)
 			}
 			resp.Responses[idxs[j]] = out
 		}

@@ -367,14 +367,11 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.sessionSolves.Add(1)
-	s.met.countModeSolve(sol, costOf(e.key, sol)-sol.LowerBound)
+	s.met.countModeSolve(e.key, sol)
 	if sol.CompetitiveRatio > 0 {
 		s.met.observeOnlineRatio(sol.CompetitiveRatio)
 	}
-	resp := wireOutcome(outcome{sol: sol})
-	resp.ResolvedFragments = sol.ResolvedFragments
-	resp.ReusedFragments = sol.ReusedFragments
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, wireOutcome(gapsched.BatchResult{Solution: sol}))
 }
 
 // handleSessionDelete serves DELETE /v1/session/{id}.

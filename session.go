@@ -49,7 +49,7 @@ type Session struct {
 	rt     objectiveRuntime
 	solver Solver
 	cache  *FragmentCache
-	tr     *incr.Tracker
+	tr     *incr.Tracker[fragResult]
 	onl    *online.Scheduler // non-nil for commit-only online sessions
 	closed bool
 }
@@ -88,7 +88,7 @@ func (s Solver) Open(procs int) (*Session, error) {
 		rt:     rt,
 		solver: s,
 		cache:  cache,
-		tr:     incr.New(procs, splitWidth),
+		tr:     incr.New[fragResult](procs, splitWidth),
 	}, nil
 }
 
@@ -247,54 +247,44 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 		return Solution{}, ErrSessionClosed
 	}
 	trace := obs.FromContext(ctx)
-	var timings Timings
-	cost, schedule, counts, err := ss.tr.Resolve(func(fr sched.Instance) incr.Result {
-		r := ss.solver.solveFragment(ss.rt, ss.cache, fr, trace)
-		timings.add(r)
-		return incr.Result{Cost: r.cost, Schedule: r.schedule, States: r.states,
-			Pruned: r.pruned, Expanded: r.expanded,
-			LB: r.lb, Heur: r.heur, Hit: r.hit, Err: r.err}
-	})
+	sol := Solution{Mode: ss.solver.Mode}
+	cost := 0.0
+	schedule, err := ss.tr.Resolve(
+		func(fr sched.Instance) fragResult { return ss.solver.solveFragment(ss.rt, ss.cache, fr, trace) },
+		func(r *fragResult, reused bool) (sched.Schedule, error) {
+			if r.err != nil {
+				return sched.Schedule{}, r.err
+			}
+			use := fragResolved
+			if reused {
+				use = fragReused
+			}
+			sol.fold(r, use)
+			cost += r.cost
+			return r.schedule, nil
+		})
 	if err != nil {
 		return Solution{}, err
 	}
 	if ss.onl != nil {
-		sol, err := ss.resolveOnline(counts)
-		if err != nil {
-			return Solution{}, err
-		}
-		sol.Timings = timings
-		return sol, nil
+		return ss.resolveOnline(sol)
 	}
 	if err := schedule.Validate(ss.tr.Instance()); err != nil {
 		return Solution{}, err
 	}
-	sol := Solution{
-		Timings:            timings,
-		Schedule:           schedule,
-		States:             counts.States,
-		PrunedStates:       counts.PrunedStates,
-		ExpandedStates:     counts.ExpandedStates,
-		Subinstances:       ss.tr.Fragments(),
-		CacheHits:          counts.CacheHits,
-		ResolvedFragments:  counts.Resolved,
-		ReusedFragments:    counts.Reused,
-		Mode:               ss.solver.Mode,
-		LowerBound:         counts.LowerBound,
-		HeuristicFragments: counts.HeuristicFragments,
-	}
+	sol.Schedule = schedule
 	ss.rt.finish(&sol, cost)
 	return sol, nil
 }
 
-// resolveOnline finishes an online Resolve, with the lock held and the
-// offline mirror freshly resolved (counts). The returned Solution
-// carries the online run's schedule — the committed prefix extended by
-// a projected run-out over the revealed jobs — its cost, and the
-// measured competitive ratio against the mirror's certified
-// LowerBound: onlineCost ≥ OPT ≥ LowerBound, so the ratio is ≥ 1 and
-// never understated.
-func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
+// resolveOnline finishes an online Resolve, with the lock held and sol
+// folded from the freshly resolved offline mirror (whose Mode is
+// ModeAuto). The returned Solution carries the online run's schedule —
+// the committed prefix extended by a projected run-out over the
+// revealed jobs — its cost, and the measured competitive ratio against
+// the mirror's certified LowerBound: onlineCost ≥ OPT ≥ LowerBound, so
+// the ratio is ≥ 1 and never understated.
+func (ss *Session) resolveOnline(sol Solution) (Solution, error) {
 	proj, err := ss.onl.Project()
 	if err != nil {
 		// By EDF's feasibility-optimality this happens only when the
@@ -306,25 +296,12 @@ func (ss *Session) resolveOnline(counts incr.Counts) (Solution, error) {
 		return Solution{}, err
 	}
 	acct := ss.onl.Accounting()
-	sol := Solution{
-		Schedule:           proj.Schedule,
-		States:             counts.States,
-		PrunedStates:       counts.PrunedStates,
-		ExpandedStates:     counts.ExpandedStates,
-		Subinstances:       ss.tr.Fragments(),
-		CacheHits:          counts.CacheHits,
-		ResolvedFragments:  counts.Resolved,
-		ReusedFragments:    counts.Reused,
-		Mode:               ModeAuto, // the mirror's tier
-		LowerBound:         counts.LowerBound,
-		HeuristicFragments: counts.HeuristicFragments,
-		CommittedJobs:      acct.Committed,
-		CommittedCost:      acct.Cost,
-		CompetitiveRatio:   1,
-	}
+	sol.Schedule = proj.Schedule
+	sol.CommittedJobs, sol.CommittedCost = acct.Committed, acct.Cost
+	sol.CompetitiveRatio = 1
 	ss.rt.finish(&sol, proj.Cost)
-	if counts.LowerBound > 0 {
-		sol.CompetitiveRatio = proj.Cost / counts.LowerBound
+	if sol.LowerBound > 0 {
+		sol.CompetitiveRatio = proj.Cost / sol.LowerBound
 	}
 	return sol, nil
 }

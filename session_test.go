@@ -10,13 +10,16 @@ import (
 )
 
 // sessionConfigs is the configuration matrix the session tests sweep:
-// both objectives, with and without a shared fragment cache.
+// both objectives, with and without a shared fragment cache, plus an
+// auto-mode lane whose small StateBudget keeps only the tiniest
+// fragments on the exact engine and sends the rest to the heuristic.
 func sessionConfigs() []Solver {
 	return []Solver{
 		{},
 		{Cache: NewFragmentCache(1 << 10)},
 		{Objective: ObjectivePower, Alpha: 2.5},
 		{Objective: ObjectivePower, Alpha: 2.5, Cache: NewFragmentCache(1 << 10)},
+		{Mode: ModeAuto, StateBudget: 4, Cache: NewFragmentCache(1 << 10)},
 	}
 }
 
@@ -30,12 +33,24 @@ func sessionCost(s Solver, sol Solution) float64 {
 // TestSessionMatchesScratchUnderChurn drives random add/remove churn
 // and asserts after every delta that Resolve is bit-identical to a
 // from-scratch Solve of the session's snapshot instance, under every
-// configuration of the matrix. The from-scratch reference uses the
-// same Solver (same cache), which is exactly the claim the subsystem
-// makes.
+// configuration of the matrix: cost, schedule validity, and every
+// per-fragment aggregate (state counters, lower bound, backend split,
+// fragment count, mode). The from-scratch reference uses the same
+// Solver (same cache), which is exactly the claim the subsystem makes.
 func TestSessionMatchesScratchUnderChurn(t *testing.T) {
+	type aggregates struct {
+		States, Pruned, Expanded int
+		LowerBound               float64
+		Heuristic, Subinstances  int
+		Mode                     Mode
+	}
+	agg := func(sol Solution) aggregates {
+		return aggregates{sol.States, sol.PrunedStates, sol.ExpandedStates,
+			sol.LowerBound, sol.HeuristicFragments, sol.Subinstances, sol.Mode}
+	}
 	for _, cfg := range sessionConfigs() {
 		rng := rand.New(rand.NewSource(23))
+		dpFrags, heurFrags := 0, 0
 		sess, err := cfg.Open(2)
 		if err != nil {
 			t.Fatal(err)
@@ -82,8 +97,17 @@ func TestSessionMatchesScratchUnderChurn(t *testing.T) {
 				t.Fatalf("step %d: counters %d+%d do not cover %d fragments",
 					step, got.ResolvedFragments, got.ReusedFragments, got.Subinstances)
 			}
+			if agg(got) != agg(want) {
+				t.Fatalf("step %d: session aggregates %+v, scratch %+v (jobs %v)",
+					step, agg(got), agg(want), snapshot.Jobs)
+			}
+			heurFrags += got.HeuristicFragments
+			dpFrags += got.Subinstances - got.HeuristicFragments
 		}
 		sess.Close()
+		if cfg.Mode == ModeAuto && (dpFrags == 0 || heurFrags == 0) {
+			t.Fatalf("auto lane never mixed backends: %d dp, %d heuristic fragment results", dpFrags, heurFrags)
+		}
 	}
 }
 

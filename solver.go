@@ -264,19 +264,6 @@ func (t Timings) Total() time.Duration {
 	return t.Prep + t.Cache + t.Solve() + t.Assemble
 }
 
-// add folds one fragment's outcome into the breakdown.
-func (t *Timings) add(r fragResult) {
-	if r.hit {
-		t.Cache += r.dur
-		return
-	}
-	if r.heur {
-		t.SolveHeur += r.dur
-	} else {
-		t.SolveDP += r.dur
-	}
-}
-
 // FragmentCache is a sharded, bounded (LRU per shard) cache of
 // canonical-fragment solutions with in-flight deduplication: concurrent
 // solves of identical fragments are performed once. It is safe for
@@ -284,14 +271,14 @@ func (t *Timings) add(r fragResult) {
 // are keyed by the fragment's canonical form plus objective and alpha
 // (see internal/prep.CanonicalKey), so a hit is always an exact match.
 type FragmentCache struct {
-	c *fragcache.Cache[fragSolution]
+	c *fragcache.Cache[fragResult]
 }
 
 // NewFragmentCache builds a fragment cache holding at most about
 // capacity fragment solutions (the bound is enforced per shard, so it
 // is approximate; see internal/fragcache).
 func NewFragmentCache(capacity int) *FragmentCache {
-	return &FragmentCache{c: fragcache.New[fragSolution](capacity)}
+	return &FragmentCache{c: fragcache.New[fragResult](capacity)}
 }
 
 // CacheStats snapshots a FragmentCache's effectiveness counters.
@@ -304,20 +291,30 @@ func (fc *FragmentCache) Stats() CacheStats { return fc.c.Stats() }
 // Len returns the number of fragment solutions currently stored.
 func (fc *FragmentCache) Len() int { return fc.c.Len() }
 
-// fragSolution is one cached canonical-fragment outcome. The schedule
-// is in canonical job order; err is typically ErrInfeasible (infeasible
-// fragments are cached too, so repeated infeasible duplicates do not
-// re-run the feasibility machinery). lb is the fragment's certified
-// lower bound — the optimal cost itself when the fragment was solved
-// exactly, the internal/heur certificate when heur is set.
-type fragSolution struct {
+// fragResult is the one per-fragment record: what solving one fragment
+// produced, which backend produced it, and what obtaining it cost.
+// solveFragment returns it, the FragmentCache stores it (schedule in
+// canonical job order; solveFragment stamps backend, hit and dur on
+// every return), and sessions keep it per fragment. Every Solution
+// counter and Timings stage is folded from it (Solution.fold) and every
+// fragment span is recorded from it, so they cannot disagree.
+// lb is the fragment's certified lower bound — the optimal cost itself
+// on the exact backend, the internal/heur certificate on the heuristic
+// one. err is typically ErrInfeasible (infeasible fragments are cached
+// too, so repeated infeasible duplicates do not re-run the feasibility
+// machinery). dur is the wall-clock the call spent obtaining the record
+// — the backend solve for a miss, the lookup (and possible singleflight
+// wait) for a cache hit.
+type fragResult struct {
 	cost     float64
 	schedule sched.Schedule
 	states   int
 	pruned   int
 	expanded int
 	lb       float64
-	heur     bool
+	backend  obs.Backend
+	hit      bool
+	dur      time.Duration
 	err      error
 }
 
@@ -326,15 +323,6 @@ type fragSolution struct {
 // different modes share one FragmentCache.
 const heurTag = 0x80
 
-// backend identifies which solver serves one fragment: the exact B&B
-// engine (internal/core) or the certified greedy fallback.
-type backend int
-
-const (
-	backendDP backend = iota
-	backendHeur
-)
-
 // objectiveRuntime binds the objective- and mode-specific pieces of
 // the pipeline after the configuration has been validated once: how to
 // decompose an instance, how to solve one fragment on each backend,
@@ -342,24 +330,13 @@ const (
 // accumulated cost. Sharing it between Solve and SolveBatch is what
 // makes their validation and results uniform.
 type objectiveRuntime struct {
-	tag        byte // cache-key objective tag
-	alpha      float64
-	mode       Mode
-	budget     int // resolved ModeAuto exact-tier admission bound
-	plan       func(sched.Instance) *prep.Plan
-	solveExact func(sched.Instance) fragSolution
-	solveHeur  func(sched.Instance) fragSolution
-	finish     func(*Solution, float64)
-}
-
-// solverFor returns the solve function and cache-key tag of one
-// backend. The heuristic's tag bit keeps the two keyspaces disjoint in
-// a shared FragmentCache.
-func (rt *objectiveRuntime) solverFor(b backend) (func(sched.Instance) fragSolution, byte) {
-	if b == backendHeur {
-		return rt.solveHeur, rt.tag | heurTag
-	}
-	return rt.solveExact, rt.tag
+	tag    byte // cache-key objective tag
+	alpha  float64
+	mode   Mode
+	budget int // resolved ModeAuto exact-tier admission bound
+	plan   func(sched.Instance) *prep.Plan
+	solve  [len(obs.Backends)]func(sched.Instance) fragResult // indexed by backend
+	finish func(*Solution, float64)
 }
 
 // autoPruneDiscount scales ModeAuto's admission estimate to reflect
@@ -382,23 +359,23 @@ const autoPruneDiscount = 32
 // negative StateBudget sends every fragment to the heuristic. Every
 // estimate depends only on the job multiset and processor count, so
 // the decision is identical for a fragment and its canonical form.
-func (rt *objectiveRuntime) tier(fr sched.Instance) backend {
+func (rt *objectiveRuntime) tier(fr sched.Instance) obs.Backend {
 	switch rt.mode {
 	case ModeHeuristic:
-		return backendHeur
+		return obs.BackendHeur
 	case ModeAuto:
 		if rt.budget < 0 {
-			return backendHeur
+			return obs.BackendHeur
 		}
 		if prep.StateEstimate(fr)/autoPruneDiscount <= rt.budget {
-			return backendDP
+			return obs.BackendDP
 		}
 		if est, ok := prep.SingleProcEstimate(fr); ok && est <= rt.budget {
-			return backendDP
+			return obs.BackendDP
 		}
-		return backendHeur
+		return obs.BackendHeur
 	}
-	return backendDP
+	return obs.BackendDP
 }
 
 // heurErr maps the heuristic tier's infeasibility onto the facade's
@@ -433,16 +410,17 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 			mode:   s.Mode,
 			budget: budget,
 			plan:   prep.ForGaps,
-			solveExact: func(fr sched.Instance) fragSolution {
-				res, err := core.SolveGaps(fr)
-				return fragSolution{cost: float64(res.Spans), schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: float64(res.Spans), err: err}
-			},
-			solveHeur: func(fr sched.Instance) fragSolution {
-				res, err := heur.SolveGapsFragment(fr)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					lb: res.LowerBound, heur: true, err: heurErr(err)}
+			solve: [...]func(sched.Instance) fragResult{
+				obs.BackendDP: func(fr sched.Instance) fragResult {
+					res, err := core.SolveGaps(fr)
+					return fragResult{cost: float64(res.Spans), schedule: res.Schedule,
+						states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
+						lb: float64(res.Spans), err: err}
+				},
+				obs.BackendHeur: func(fr sched.Instance) fragResult {
+					res, err := heur.SolveGapsFragment(fr)
+					return fragResult{cost: res.Cost, schedule: res.Schedule, lb: res.LowerBound, err: heurErr(err)}
+				},
 			},
 			finish: func(sol *Solution, cost float64) {
 				sol.Spans = int(cost)
@@ -457,16 +435,17 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 			mode:   s.Mode,
 			budget: budget,
 			plan:   func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
-			solveExact: func(fr sched.Instance) fragSolution {
-				res, err := core.SolvePower(fr, alpha)
-				return fragSolution{cost: res.Power, schedule: res.Schedule,
-					states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-					lb: res.Power, err: err}
-			},
-			solveHeur: func(fr sched.Instance) fragSolution {
-				res, err := heur.SolvePowerFragment(fr, alpha)
-				return fragSolution{cost: res.Cost, schedule: res.Schedule,
-					lb: res.LowerBound, heur: true, err: heurErr(err)}
+			solve: [...]func(sched.Instance) fragResult{
+				obs.BackendDP: func(fr sched.Instance) fragResult {
+					res, err := core.SolvePower(fr, alpha)
+					return fragResult{cost: res.Power, schedule: res.Schedule,
+						states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
+						lb: res.Power, err: err}
+				},
+				obs.BackendHeur: func(fr sched.Instance) fragResult {
+					res, err := heur.SolvePowerFragment(fr, alpha)
+					return fragResult{cost: res.Cost, schedule: res.Schedule, lb: res.LowerBound, err: heurErr(err)}
+				},
 			},
 			finish: func(sol *Solution, cost float64) {
 				sol.Power = cost
@@ -478,45 +457,47 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	return objectiveRuntime{}, fmt.Errorf("gapsched: unknown objective %v", s.Objective)
 }
 
-// fragResult is the outcome of solving one fragment, in the fragment's
-// own job order. dur is the wall-clock this call spent obtaining the
-// result — the backend solve for a miss, the lookup (and possible
-// singleflight wait) for a cache hit.
-type fragResult struct {
-	cost     float64
-	schedule sched.Schedule
-	states   int
-	pruned   int
-	expanded int
-	lb       float64
-	heur     bool
-	hit      bool
-	dur      time.Duration
-	err      error
-}
+// fragUse says how the call folding a record came by it.
+type fragUse uint8
 
-// backendName names the backend that produced a result, matching the
-// obs span tags and the daemon's per-backend metric labels.
-func (r fragResult) backendName() string {
-	if r.heur {
-		return "heuristic"
+const (
+	fragSolved   fragUse = iota // obtained by this one-shot Solve or SolveBatch call
+	fragResolved                // a dirty session fragment this Resolve re-solved
+	fragReused                  // a clean session fragment's stored record
+)
+
+// fold adds one fragment's record to the solution; it is the only
+// place per-fragment outcomes reach a Solution. The state counters,
+// lower bound and backend split describe the fragment whoever solved
+// it, so a reused record adds them too; CacheHits and the cache and
+// solve Timings measure this call's work, so a reused record adds
+// none. Costs are not folded: callers sum them in fragment order and
+// hand the total to objectiveRuntime.finish.
+func (sol *Solution) fold(r *fragResult, use fragUse) {
+	sol.Subinstances++
+	sol.States += r.states
+	sol.PrunedStates += r.pruned
+	sol.ExpandedStates += r.expanded
+	sol.LowerBound += r.lb
+	if r.backend == obs.BackendHeur {
+		sol.HeuristicFragments++
 	}
-	return "dp"
-}
-
-// record stamps the fragment's duration and, when a trace is attached,
-// its span: cache hits become StageCache spans, real solves become
-// backend-tagged StageSolve spans.
-func (r *fragResult) record(tr *obs.Trace, start time.Time) {
-	r.dur = time.Since(start)
-	if tr == nil {
+	switch use {
+	case fragReused:
+		sol.ReusedFragments++
 		return
+	case fragResolved:
+		sol.ResolvedFragments++
 	}
-	name := obs.StageSolve
-	if r.hit {
-		name = obs.StageCache
+	switch {
+	case r.hit:
+		sol.CacheHits++
+		sol.Timings.Cache += r.dur
+	case r.backend == obs.BackendHeur:
+		sol.Timings.SolveHeur += r.dur
+	default:
+		sol.Timings.SolveDP += r.dur
 	}
-	tr.Span(name, r.backendName(), start, r.dur)
 }
 
 // preparedInstance is one instance after the prep phase: its fragments
@@ -569,63 +550,69 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 }
 
 // solveFragment solves one fragment on the backend the configured
-// mode assigns it, through the cache when one is configured. Cached
-// solves run on the canonical form of the fragment (jobs sorted in
-// compressed coordinates) and the stored schedule is mapped back
-// through the canonicalization permutation, so a hit returns a
-// schedule of the fragment as given; each backend's entries carry a
-// distinct key tag, so backends never serve each other's solutions.
-// Every call is timed: the elapsed wall-clock lands in the result's
-// dur and, when tr is non-nil, in a per-fragment span — a
-// backend-tagged StageSolve span for a real solve, a StageCache span
-// for a hit (singleflight waits on another worker's solve included).
+// mode assigns it, through the cache when one is configured, and
+// stamps the record's backend, hit and dur. Cached solves run on the
+// canonical form of the fragment (jobs sorted in compressed
+// coordinates) and the stored schedule is mapped back through the
+// canonicalization permutation, so a hit returns a schedule of the
+// fragment as given; the heuristic's entries carry a distinct key tag
+// bit, so backends never serve each other's solutions. Every call is
+// timed: the elapsed wall-clock lands in the result's dur and, when tr
+// is non-nil, in a per-fragment span — a backend-tagged StageSolve
+// span for a real solve, a StageCache span for a hit (singleflight
+// waits on another worker's solve included).
 func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sched.Instance, tr *obs.Trace) fragResult {
 	start := time.Now()
-	solve, tag := rt.solverFor(rt.tier(fr))
+	b := rt.tier(fr)
+	solve := rt.solve[b]
+	var res fragResult
 	if cache == nil {
-		val := solve(fr)
-		res := fragResult{cost: val.cost, schedule: val.schedule, states: val.states,
-			pruned: val.pruned, expanded: val.expanded,
-			lb: val.lb, heur: val.heur, err: val.err}
-		res.record(tr, start)
-		return res
-	}
-	canon, perm := prep.Canonicalize(fr)
-	key := prep.CanonicalKey(canon, tag, rt.alpha)
-	val, hit := cache.c.Do(key, func() fragSolution { return solve(canon) })
-	res := fragResult{cost: val.cost, states: val.states,
-		pruned: val.pruned, expanded: val.expanded,
-		lb: val.lb, heur: val.heur, hit: hit, err: val.err}
-	if val.err == nil {
-		// Canonical job i is fragment job perm[i]; their windows agree,
-		// so rerouting the slots yields a valid fragment schedule. The
-		// cached slice is shared and read-only; build a fresh one.
-		slots := make([]sched.Assignment, len(val.schedule.Slots))
-		for i, a := range val.schedule.Slots {
-			slots[perm[i]] = a
+		res = solve(fr)
+	} else {
+		tag := rt.tag
+		if b == obs.BackendHeur {
+			tag |= heurTag
 		}
-		res.schedule = sched.Schedule{Procs: val.schedule.Procs, Slots: slots}
+		canon, perm := prep.Canonicalize(fr)
+		var hit bool
+		res, hit = cache.c.Do(prep.CanonicalKey(canon, tag, rt.alpha), func() fragResult { return solve(canon) })
+		res.hit = hit
+		if res.err == nil {
+			// Canonical job i is fragment job perm[i]; their windows
+			// agree, so rerouting the slots yields a valid fragment
+			// schedule. The cached slice is shared and read-only; build
+			// a fresh one.
+			slots := make([]sched.Assignment, len(res.schedule.Slots))
+			for i, a := range res.schedule.Slots {
+				slots[perm[i]] = a
+			}
+			res.schedule = sched.Schedule{Procs: res.schedule.Procs, Slots: slots}
+		}
 	}
-	res.record(tr, start)
+	res.backend = b
+	res.dur = time.Since(start)
+	stage := obs.StageSolve
+	if res.hit {
+		stage = obs.StageCache
+	}
+	tr.Span(stage, b.String(), start, res.dur)
 	return res
 }
 
 // finishInstance folds per-fragment results (all of which must be
 // populated unless a fragment errored, after which siblings may be
-// zero-value placeholders) into one Solution: costs and
-// states accumulate in fragment order — fixed summation order keeps
-// float results bit-identical no matter which workers solved what —
-// and the fragment schedules are reassembled onto the original
-// instance. The first error in fragment order wins, matching a
-// sequential solve exactly. The reassembly is timed into
-// Timings.Assemble (and a StageAssemble span when tr is non-nil);
-// per-fragment durations accumulate into the stage the fragment used.
+// zero-value placeholders) into one Solution: records fold and costs
+// accumulate in fragment order — fixed summation order keeps float
+// results bit-identical no matter which workers solved what — and the
+// fragment schedules are reassembled onto the original instance. The
+// first error in fragment order wins, matching a sequential solve
+// exactly. The reassembly is timed into Timings.Assemble (and a
+// StageAssemble span when tr is non-nil).
 func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs.Trace) (Solution, error) {
 	if p.err != nil {
 		return Solution{}, p.err
 	}
-	sol := Solution{Subinstances: len(p.frags), Mode: s.Mode}
-	sol.Timings.Prep = p.prepDur
+	sol := Solution{Mode: s.Mode, Timings: Timings{Prep: p.prepDur}}
 	parts := make([]sched.Schedule, len(p.frags))
 	cost := 0.0
 	for i := range p.results {
@@ -633,18 +620,8 @@ func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs
 		if r.err != nil {
 			return Solution{}, r.err
 		}
+		sol.fold(r, fragSolved)
 		cost += r.cost
-		sol.LowerBound += r.lb
-		sol.States += r.states
-		sol.PrunedStates += r.pruned
-		sol.ExpandedStates += r.expanded
-		if r.heur {
-			sol.HeuristicFragments++
-		}
-		if r.hit {
-			sol.CacheHits++
-		}
-		sol.Timings.add(*r)
 		parts[i] = r.schedule
 	}
 	if p.plan == nil {

@@ -182,3 +182,95 @@ func TestObjectiveString(t *testing.T) {
 		t.Fatal("unknown objective has empty name")
 	}
 }
+
+// TestTimingsAndCacheHitsContract pins what Timings and CacheHits
+// measure: the work of this call, stage by stage. An uncached exact
+// solve spends its time on the DP engine and none on the cache; a
+// warm-cache re-solve serves every fragment from the cache with zero
+// solve time while reporting the first solve's counters and lower
+// bound; a no-op session resolve reuses every fragment and does no
+// solve work; a mixed auto solve times both backends.
+func TestTimingsAndCacheHitsContract(t *testing.T) {
+	var jobs []Job
+	for c := 0; c < 6; c++ { // six distinct clusters, one fragment each
+		base := 40 * c
+		for k := 0; k <= c; k++ {
+			jobs = append(jobs, Job{Release: base + k, Deadline: base + k + 3})
+		}
+	}
+	in := NewInstance(jobs)
+
+	cold, err := Solver{}.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Subinstances != 6 || cold.CacheHits != 0 {
+		t.Fatalf("uncached solve: %d fragments, %d hits; want 6, 0", cold.Subinstances, cold.CacheHits)
+	}
+	if tm := cold.Timings; tm.Cache != 0 || tm.SolveDP <= 0 || tm.SolveHeur != 0 {
+		t.Fatalf("uncached exact timings %+v: want Cache 0, SolveDP > 0, SolveHeur 0", tm)
+	}
+
+	cached := Solver{Cache: NewFragmentCache(64)}
+	first, err := cached.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := cached.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheHits != warm.Subinstances {
+		t.Fatalf("warm re-solve: %d hits of %d fragments", warm.CacheHits, warm.Subinstances)
+	}
+	if tm := warm.Timings; tm.Solve() != 0 || tm.Cache <= 0 {
+		t.Fatalf("warm re-solve timings %+v: want zero solve time, Cache > 0", tm)
+	}
+	if warm.States != first.States || warm.PrunedStates != first.PrunedStates ||
+		warm.ExpandedStates != first.ExpandedStates || warm.LowerBound != first.LowerBound {
+		t.Fatalf("warm re-solve counters %d/%d/%d lb %v, first solve %d/%d/%d lb %v",
+			warm.States, warm.PrunedStates, warm.ExpandedStates, warm.LowerBound,
+			first.States, first.PrunedStates, first.ExpandedStates, first.LowerBound)
+	}
+
+	sess, err := Solver{}.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, j := range jobs {
+		if _, err := sess.Add(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	noop, err := sess.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noop.ReusedFragments != noop.Subinstances || noop.ResolvedFragments != 0 {
+		t.Fatalf("no-op resolve: %d reused, %d resolved of %d fragments",
+			noop.ReusedFragments, noop.ResolvedFragments, noop.Subinstances)
+	}
+	if tm := noop.Timings; tm.Solve() != 0 || tm.Cache != 0 {
+		t.Fatalf("no-op resolve timings %+v: want no solve or cache time", tm)
+	}
+	if noop.States != cold.States || noop.LowerBound != cold.LowerBound {
+		t.Fatalf("no-op resolve states %d lb %v, scratch %d lb %v", noop.States, noop.LowerBound, cold.States, cold.LowerBound)
+	}
+
+	// A budget of 8 admits the one-job cluster (G·(n+1) = 4·2 on its
+	// single-processor route) and nothing larger.
+	mixed, err := Solver{Mode: ModeAuto, StateBudget: 8}.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mixed.HeuristicFragments == 0 || mixed.HeuristicFragments == mixed.Subinstances {
+		t.Fatalf("auto solve not mixed: %d heuristic of %d fragments", mixed.HeuristicFragments, mixed.Subinstances)
+	}
+	if tm := mixed.Timings; tm.SolveDP <= 0 || tm.SolveHeur <= 0 {
+		t.Fatalf("mixed auto timings %+v: want both solve stages > 0", tm)
+	}
+}
