@@ -20,7 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/feas"
+	"repro/internal/exact"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -411,7 +411,7 @@ func FuzzOnlineCommit(f *testing.F) {
 				}
 				checkPrefix("after add")
 				revealed := ss.Instance()
-				feasible := feas.FeasibleOneInterval(revealed)
+				feasible := exact.HallFeasible(revealed)
 				sol, err := ss.Resolve()
 				checkPrefix("after resolve")
 				if feasible != (err == nil) {

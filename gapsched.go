@@ -142,7 +142,9 @@ func MinimizePower(in Instance, alpha float64) (PowerResult, error) {
 }
 
 // Feasible reports whether the one-interval instance admits any
-// feasible schedule (Hall's condition).
+// feasible schedule (Hall's condition, decided by one EDF sweep in
+// O(n log n)). A job with an empty window, or an instance with no
+// processors, is infeasible.
 func Feasible(in Instance) bool { return feas.FeasibleOneInterval(in) }
 
 // FeasibleMulti reports whether the multi-interval instance admits any

@@ -57,16 +57,21 @@ type base struct {
 	jobs []sched.Job
 	p    int
 	byDL []int // all job indices in (deadline, release, index) order
-	grid []int // candidate execution times (prep.Grid), sorted ascending
+	grid []int // candidate execution times, sorted ascending
+	rel  []int // rel[j] is the grid index of job j's release
 
 	lists map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
 }
 
-func newBase(in sched.Instance) *base {
+// newBase builds the engine's instance view. The candidate grid is the
+// anchor grid (prep.Grid), or every integer time of the horizon under
+// fullGrid; both contain every release, which rel indexes.
+func newBase(in sched.Instance, fullGrid bool) *base {
 	b := &base{
 		jobs:  in.Jobs,
 		p:     in.Procs,
 		byDL:  in.SortedByDeadline(),
+		rel:   make([]int, len(in.Jobs)),
 		lists: make(map[[2]int][]int),
 	}
 	// No schedule ever occupies more than n processors at once, and no
@@ -76,7 +81,18 @@ func newBase(in sched.Instance) *base {
 	if b.p > len(in.Jobs) {
 		b.p = len(in.Jobs)
 	}
-	b.grid = prep.Grid(in)
+	if fullGrid {
+		lo, hi := in.TimeHorizon()
+		b.grid = make([]int, 0, hi-lo+1)
+		for t := lo; t <= hi; t++ {
+			b.grid = append(b.grid, t)
+		}
+	} else {
+		b.grid = prep.Grid(in)
+	}
+	for j, job := range in.Jobs {
+		b.rel[j] = sort.SearchInts(b.grid, job.Release)
+	}
 	return b
 }
 
@@ -103,17 +119,27 @@ func (b *base) gridRange(lo, hi int) (int, int) {
 	return sort.SearchInts(b.grid, lo), sort.SearchInts(b.grid, hi+1)
 }
 
-// pendingAfter counts, among the first k−1 jobs of list, those released
-// strictly after t (the i of the recurrence: jobs that must go to the
-// right subproblem when j_k is placed at t).
-func pendingAfter(jobs []sched.Job, list []int, k, t int) int {
-	cnt := 0
+// pendingCounts fills pend[gi−giLo], for every grid index gi in
+// [giLo, giHi), with the i of the recurrence at t′ = grid[gi]: the
+// number of the first k−1 jobs of list released strictly after t′, which
+// must go to the right subproblem when j_k is placed there. pend has
+// length giHi − giLo. Releases lie on the grid, so one pass buckets them
+// by grid index and a suffix sum turns the buckets into counts:
+// O(k + giHi − giLo) for the whole range.
+func (b *base) pendingCounts(list []int, k, giLo, giHi int, pend []int) {
+	clear(pend)
+	after := 0 // released after grid[giHi−1]
 	for _, j := range list[:k-1] {
-		if jobs[j].Release > t {
-			cnt++
+		switch r := b.rel[j]; {
+		case r >= giHi:
+			after++
+		case r >= giLo:
+			pend[r-giLo]++
 		}
 	}
-	return cnt
+	for x := len(pend) - 1; x >= 0; x-- {
+		pend[x], after = after, after+pend[x]
+	}
 }
 
 // choice kinds recorded for reconstruction. choiceUnset must stay zero:
@@ -175,7 +201,8 @@ type solution struct {
 }
 
 // solve runs the steps every objective shares around the engine: the
-// empty-instance and Hall-infeasibility shortcuts, the greedy
+// empty-instance and infeasibility shortcuts (the EDF sweep decides
+// Hall's condition, independently of the greedy), the greedy
 // incumbent (priced by price) that seeds the branch-and-bound budget,
 // the engine run with its defensive unbounded retry, and reassembly
 // plus validation of the schedule. model builds the objective's cost
@@ -191,14 +218,7 @@ func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, pr
 	if !feas.FeasibleOneInterval(in) {
 		return solution{}, ErrInfeasible
 	}
-	b := newBase(in)
-	if opts.FullGrid {
-		lo, hi := in.TimeHorizon()
-		b.grid = make([]int, 0, hi-lo+1)
-		for t := lo; t <= hi; t++ {
-			b.grid = append(b.grid, t)
-		}
-	}
+	b := newBase(in, opts.FullGrid)
 	budget := infinite
 	if !opts.NoPrune {
 		if s, err := heur.Greedy(in); err == nil {
@@ -219,7 +239,7 @@ func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, pr
 		cost, placed, states, ok = e.run(n, infinite)
 	}
 	if !ok {
-		// Cannot happen after the Hall pre-check; defensive.
+		// Cannot happen after the feasibility pre-check; defensive.
 		return solution{}, ErrInfeasible
 	}
 	schedule, err := assemble(n, in.Procs, placed)

@@ -54,7 +54,9 @@ type costModel interface {
 	// feasible completion of the subproblem costs less. The engine cuts
 	// any node whose bound reaches the incumbent-derived budget without
 	// expanding it (branch and bound); the bound must therefore never
-	// overestimate, or pruning would change answers.
+	// overestimate, or pruning would change answers. It must also be
+	// non-increasing in l1: the engine bounds a split's right child over
+	// every boundary level at once by its value at l1 = p.
 	nodeLB(k, l1, l2, c2, t1, t2 int) float64
 }
 
@@ -62,10 +64,31 @@ type costModel interface {
 // the engine only adds child costs that compare strictly below it.
 var infinite = math.Inf(1)
 
-// rightsPool recycles the per-grid-point right-child buffers compute
-// uses. compute recurses through dp, so the buffer cannot live on the
-// engine; a pool keeps the recursion allocation-free past warm-up.
-var rightsPool = sync.Pool{New: func() any { return new([]float64) }}
+// scratch holds one compute call's buffers: the right-child cache
+// evalSplit fills per candidate (width p+1) and the pending counts of
+// the node's case-B range. compute recurses through dp, so the buffers
+// cannot live on the engine; scratchPool keeps the recursion
+// allocation-free past warm-up.
+type scratch struct {
+	rights  []float64
+	pending []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch leases buffers sized for width p+1 and a case-B range of
+// span candidates.
+func getScratch(p, span int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if cap(s.rights) <= p {
+		s.rights = make([]float64, p+1)
+	}
+	if cap(s.pending) < span {
+		s.pending = make([]int, span)
+	}
+	s.rights, s.pending = s.rights[:p+1], s.pending[:span]
+	return s
+}
 
 // node identifies one subproblem. Interval endpoints are stored as
 // indices into the engine's t1val/t2val tables, not as raw times, so
@@ -261,11 +284,12 @@ func (e *engine[M]) compute(nd node, budget float64) entry {
 	// Case B: j_k at a grid time t′ with t1 ≤ t′ < t2.
 	giLo, giHi := e.splitRange(job, t1, t2)
 	if giLo < giHi {
-		rights := getRights(e.p)
+		s := getScratch(e.p, giHi-giLo)
+		e.pendingCounts(list, k, giLo, giHi, s.pending)
 		for gi := giLo; gi < giHi; gi++ {
-			best = e.evalSplit(nd, gi, t1, t2, list, budget, best, rights)
+			best = e.evalSplit(nd, gi, s.pending[gi-giLo], t1, t2, budget, best, s.rights)
 		}
-		putRights(rights)
+		scratchPool.Put(s)
 	}
 	return best
 }
@@ -284,28 +308,16 @@ func (e *engine[M]) splitRange(job sched.Job, t1, t2 int) (int, int) {
 	return e.gridRange(lo, hi)
 }
 
-// getRights leases a right-child cache of width p+1 from rightsPool.
-func getRights(p int) *[]float64 {
-	rp := rightsPool.Get().(*[]float64)
-	if cap(*rp) <= p {
-		*rp = make([]float64, p+1)
-	} else {
-		*rp = (*rp)[:p+1]
-	}
-	return rp
-}
-
-func putRights(rp *[]float64) { rightsPool.Put(rp) }
-
 // evalSplit evaluates every case-B candidate that places j_k at grid
-// index gi, folding improvements into best (strict <, so the first
-// candidate attaining the minimum is the one recorded) and returns the
-// result. thr0 is the caller's branch-and-bound budget; children are
+// index gi, with i of the first k−1 jobs released after grid[gi],
+// folding improvements into best (strict <, so the first candidate
+// attaining the minimum is the one recorded) and returns the result.
+// thr0 is the caller's branch-and-bound budget; children are
 // evaluated under min(thr0, best so far). Under an infinite thr0
 // pruning is disabled outright — children inherit the infinite budget
 // rather than the running best, reproducing the unbounded recursion
 // exactly (and keeping PrunedStates at 0, as NoPrune promises).
-func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64, best entry, rights *[]float64) entry {
+func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0 float64, best entry, rs []float64) entry {
 	k, l1, l2, c2 := nd.k, nd.l1, nd.l2, nd.c2
 	thr := func() float64 {
 		if thr0 >= infinite {
@@ -318,7 +330,6 @@ func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64,
 	}
 
 	tp := e.grid[gi]
-	i := pendingAfter(e.jobs, list, k, tp)
 	kL := k - 1 - i
 
 	// The right child of a split at t′ = grid[gi] does not depend on the
@@ -326,7 +337,6 @@ func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64,
 	// (and by the point-left branch). rights caches it per next, filled
 	// lazily — −1 marks "not yet evaluated" (costs are ≥ 0) — so the
 	// hoist adds no dp calls the unhoisted loop would not have made.
-	rs := *rights
 	for x := range rs {
 		rs[x] = -1
 	}
@@ -348,17 +358,12 @@ func (e *engine[M]) evalSplit(nd node, gi, t1, t2 int, list []int, thr0 float64,
 	// evaluated still see the full thr(), so their entries stay exactly
 	// as reusable as in the uncut recursion (budget-keyed markers at
 	// per-candidate budgets would wreck memo reuse for continuous
-	// costs). rLB is the right child's bound minimized over next, the
+	// costs). rLB is the right child's bound minimized over next —
+	// attained at next = p, as nodeLB is non-increasing in l1 — and the
 	// per-busy left bound is computed in the loop.
 	rLB := 0.0
 	if thr0 < infinite {
-		rLB = infinite
-		rt1, rt2 := e.t1val[gi+1], e.t2val[nd.i2]
-		for next := 0; next <= e.p; next++ {
-			if lb := e.model.nodeLB(i, next, l2, c2, rt1, rt2); lb < rLB {
-				rLB = lb
-			}
-		}
+		rLB = e.model.nodeLB(i, e.p, l2, c2, e.t1val[gi+1], e.t2val[nd.i2])
 	}
 
 	if tp == t1 {
@@ -443,9 +448,10 @@ func (e *engine[M]) rebuild(nd node, placed map[int]int) {
 		list := e.list(t1, t2)
 		jk := list[k-1]
 		gi := int(r.tp)
-		tp := e.grid[gi]
-		placed[jk] = tp
-		i := pendingAfter(e.jobs, list, k, tp)
+		placed[jk] = e.grid[gi]
+		var pend [1]int
+		e.pendingCounts(list, k, gi, gi+1, pend[:])
+		i := pend[0]
 		kL := k - 1 - i
 		if r.lp < 0 {
 			pl1, pl2, _ := e.model.pointLeft(nd.l1, kL)

@@ -36,7 +36,7 @@ func TestCandidateGridIsAnchorUnion(t *testing.T) {
 				}
 			}
 		}
-		if got := newBase(in).grid; !slices.Equal(got, want) {
+		if got := newBase(in, false).grid; !slices.Equal(got, want) {
 			t.Fatalf("trial %d: grid %v, anchor union %v (jobs %v)", trial, got, want, jobs)
 		}
 		if got := prep.GridSize(in); got != len(want) {

@@ -30,13 +30,26 @@ type slot struct {
 }
 
 const (
-	// initialSlots is small: most solves memoize a few hundred states,
-	// and the table doubles as needed.
-	initialSlots = 1 << 10
+	// minSlots and maxInitialSlots bound a fresh table's size; see
+	// initialSlots.
+	minSlots, maxInitialSlots = 1 << 4, 1 << 10
 
 	// maxIndexSpace guards the dense encoding against int64 overflow.
 	maxIndexSpace = int64(1) << 62
 )
+
+// initialSlots sizes a fresh table for an n-job fragment: 16 slots per
+// job, rounded up to a power of two within [minSlots, maxInitialSlots].
+// One-job fragments, the bulk of a decomposed instance, memoize 4
+// states and clear 16 slots rather than 1024; from 64 jobs on a table
+// starts at the cap. The table doubles on demand.
+func initialSlots(n int) int {
+	size := minSlots
+	for size < 16*n && size < maxInitialSlots {
+		size *= 2
+	}
+	return size
+}
 
 // denseIndexSpaceFits reports whether a (g, n, p)-shaped instance can
 // use the dense flat encoding, memoTable's fast path.
@@ -58,8 +71,8 @@ func newMemoTable(g, n, p int) *memoTable {
 		m.sparse = make(map[node]entry)
 		return m
 	}
-	m.slots = make([]slot, initialSlots)
-	m.mask = initialSlots - 1
+	m.slots = make([]slot, initialSlots(n))
+	m.mask = uint64(len(m.slots) - 1)
 	return m
 }
 

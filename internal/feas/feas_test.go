@@ -2,9 +2,11 @@ package feas_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exact"
 	"repro/internal/feas"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -81,17 +83,85 @@ func TestMatchingEqualsGreedyAugmenting(t *testing.T) {
 	}
 }
 
+// TestFeasibleEdgeCases pins the verdict on hand-picked instances, the
+// degenerate ones included: a job whose window is empty (release after
+// deadline) fits nowhere, and no job runs without a processor. The
+// feasibility verdict, EDF's and the Hall oracle's must all agree.
+func TestFeasibleEdgeCases(t *testing.T) {
+	job := func(r, d int) sched.Job { return sched.Job{Release: r, Deadline: d} }
+	cases := []struct {
+		name  string
+		procs int
+		jobs  []sched.Job
+		want  bool
+	}{
+		{"no jobs", 1, nil, true},
+		{"chain", 1, []sched.Job{job(0, 0), job(1, 1), job(2, 2)}, true},
+		{"stacked on two procs", 2, []sched.Job{job(0, 0), job(0, 0)}, true},
+		{"overfull point", 1, []sched.Job{job(0, 0), job(0, 0)}, false},
+		{"overfull window", 2, []sched.Job{job(3, 4), job(3, 4), job(3, 4), job(4, 4), job(3, 3)}, false},
+		{"idle stretch", 1, []sched.Job{job(0, 1), job(1<<20, 1<<20+1)}, true},
+		{"empty window alone", 1, []sched.Job{job(5, 3)}, false},
+		{"empty window after a point", 1, []sched.Job{job(0, 0), job(2, 1)}, false},
+		{"empty window, many procs", 4, []sched.Job{job(0, 9), job(7, 6)}, false},
+		{"no processors", 0, []sched.Job{job(0, 1<<20)}, false},
+		{"negative processors", -1, []sched.Job{job(5, 3)}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := sched.Instance{Procs: c.procs, Jobs: c.jobs}
+			if got := feas.FeasibleOneInterval(in); got != c.want {
+				t.Errorf("FeasibleOneInterval = %v, want %v", got, c.want)
+			}
+			s, ok := feas.EDFOneInterval(in)
+			if ok != c.want {
+				t.Errorf("EDFOneInterval ok = %v, want %v", ok, c.want)
+			}
+			if ok {
+				if err := s.Validate(in); err != nil {
+					t.Errorf("EDF schedule invalid: %v", err)
+				}
+			} else if !reflect.DeepEqual(s, sched.Schedule{}) {
+				t.Errorf("failed EDF returned a schedule: %+v", s)
+			}
+			if got := exact.HallFeasible(in); got != c.want {
+				t.Errorf("exact.HallFeasible = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestEDFMatchesHall is the property test behind the O(n log n)
+// verdict: on 100 000 random small instances the EDF sweep, through
+// both FeasibleOneInterval and EDFOneInterval, agrees with the O(n³)
+// Hall-condition oracle. Windows are tight enough that a fair share of
+// instances is infeasible, and a few jobs have empty windows.
 func TestEDFMatchesHall(t *testing.T) {
+	const trials = 100_000
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(10)
-		p := 1 + rng.Intn(3)
-		in := workload.Multiproc(rng, n, p, 12, 4)
-		_, edfOK := feas.EDFOneInterval(in)
-		hall := feas.FeasibleOneInterval(in)
-		if edfOK != hall {
-			t.Fatalf("trial %d: EDF=%v Hall=%v (p=%d jobs %v)", trial, edfOK, hall, p, in.Jobs)
+	infeasible, emptyWindows := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(8)
+		in := workload.Multiproc(rng, n, 1+rng.Intn(3), 1+rng.Intn(12), 1+rng.Intn(4))
+		if rng.Intn(50) == 0 {
+			j := &in.Jobs[rng.Intn(n)]
+			j.Release, j.Deadline = j.Deadline+1, j.Release
+			emptyWindows++
 		}
+		hall := exact.HallFeasible(in)
+		_, edfOK := feas.EDFOneInterval(in)
+		if sweep := feas.FeasibleOneInterval(in); sweep != hall || edfOK != hall {
+			t.Fatalf("trial %d: FeasibleOneInterval=%v EDF=%v Hall=%v (p=%d jobs %v)",
+				trial, sweep, edfOK, hall, in.Procs, in.Jobs)
+		}
+		if !hall {
+			infeasible++
+		}
+	}
+	share := float64(infeasible) / trials
+	t.Logf("%d instances, %.1f%% infeasible, %d with an empty window", trials, 100*share, emptyWindows)
+	if share < 0.10 {
+		t.Fatalf("only %.1f%% of instances infeasible; the generator no longer exercises rejections", 100*share)
 	}
 }
 
@@ -206,7 +276,7 @@ func TestLayOutEquivalence(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		in := workload.Multiproc(rng, 1+rng.Intn(6), 1+rng.Intn(3), 8, 3)
 		mi, _ := sched.LayOut(in)
-		if got, want := feas.FeasibleMulti(mi), feas.FeasibleOneInterval(in); got != want {
+		if got, want := feas.FeasibleMulti(mi), exact.HallFeasible(in); got != want {
 			t.Fatalf("trial %d: laid-out feasibility %v, direct %v", trial, got, want)
 		}
 	}

@@ -1,115 +1,130 @@
 package feas
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sched"
 )
 
 // FeasibleOneInterval reports whether every job of the one-interval
-// p-processor instance can be scheduled, using the Hall condition for
-// interval bipartite graphs: for every window [s, e] over critical
-// endpoints, the number of jobs whose window lies inside [s, e] must not
-// exceed p·(e − s + 1).
+// p-processor instance can be scheduled. Feasibility is Hall's condition
+// for interval bipartite graphs: for every window [s, e], the jobs whose
+// windows lie inside [s, e] number at most p·(e − s + 1), and a job with
+// an empty window fits nowhere. For unit jobs with integer windows, EDF
+// succeeds exactly when that condition holds, so the verdict is one EDF
+// sweep's, in O(n log n). (exact.HallFeasible checks the condition
+// directly and serves as the independent oracle in tests.)
 func FeasibleOneInterval(in sched.Instance) bool {
-	if len(in.Jobs) == 0 {
-		return true
-	}
-	releases := make([]int, 0, len(in.Jobs))
-	deadlines := make([]int, 0, len(in.Jobs))
-	for _, j := range in.Jobs {
-		releases = append(releases, j.Release)
-		deadlines = append(deadlines, j.Deadline)
-	}
-	sort.Ints(releases)
-	sort.Ints(deadlines)
-	releases = dedupe(releases)
-	deadlines = dedupe(deadlines)
-	for _, s := range releases {
-		for _, e := range deadlines {
-			if e < s {
-				continue
-			}
-			inside := 0
-			for _, j := range in.Jobs {
-				if j.Release >= s && j.Deadline <= e {
-					inside++
-				}
-			}
-			if inside > in.Procs*(e-s+1) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func dedupe(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return sweepEDF(in, nil)
 }
 
 // EDFOneInterval builds a feasible schedule for a one-interval
 // p-processor instance by scanning time and running, at each unit, the p
-// (or fewer) released unscheduled jobs with earliest deadlines. It
-// returns false if some job misses its deadline — which, by the standard
-// exchange argument, happens only when the instance is infeasible.
+// (or fewer) released unscheduled jobs with earliest deadlines (ties by
+// job index, processors in that order). It returns false if some job
+// misses its deadline — which, by the standard exchange argument,
+// happens only when the instance is infeasible.
 // The schedule produced is "eager": it never idles while work is
 // available, so it is the canonical online/greedy baseline (§1).
 func EDFOneInterval(in sched.Instance) (sched.Schedule, bool) {
+	out := sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, len(in.Jobs))}
+	if !sweepEDF(in, out.Slots) {
+		return sched.Schedule{}, false
+	}
+	return out, true
+}
+
+// sweepEDF runs the EDF scan behind both functions above, writing each
+// job's assignment into slots when slots is non-nil. It visits only busy
+// times — with nothing pending, time jumps to the next release — so it
+// costs O(n log n) whatever the horizon.
+func sweepEDF(in sched.Instance, slots []sched.Assignment) bool {
 	n := len(in.Jobs)
-	out := sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, n)}
 	if n == 0 {
-		return out, true
+		return true
+	}
+	if in.Procs < 1 {
+		return false // nothing ever runs
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return in.Jobs[order[x]].Release < in.Jobs[order[y]].Release
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(in.Jobs[a].Release, in.Jobs[b].Release)
 	})
-	lo, hi := in.TimeHorizon()
-	// pending is a simple deadline-ordered list; n is small enough in all
-	// our workloads that O(n log n) per step is unnecessary complexity.
-	var pending []int
-	next := 0
-	scheduled := 0
-	for t := lo; t <= hi && scheduled < n; t++ {
+	q := edfQueue{jobs: in.Jobs, heap: make([]int, 0, n)}
+	next, t := 0, 0
+	for next < n || len(q.heap) > 0 {
+		if len(q.heap) == 0 {
+			t = in.Jobs[order[next]].Release // idle until the next release
+		}
 		for next < n && in.Jobs[order[next]].Release <= t {
-			pending = append(pending, order[next])
+			q.push(order[next])
 			next++
 		}
-		sort.Slice(pending, func(x, y int) bool {
-			a, b := in.Jobs[pending[x]], in.Jobs[pending[y]]
-			if a.Deadline != b.Deadline {
-				return a.Deadline < b.Deadline
+		for proc := 0; proc < in.Procs && len(q.heap) > 0; proc++ {
+			j := q.pop()
+			if in.Jobs[j].Deadline < t {
+				return false
 			}
-			return pending[x] < pending[y]
-		})
-		run := len(pending)
-		if run > in.Procs {
-			run = in.Procs
-		}
-		for q := 0; q < run; q++ {
-			i := pending[q]
-			if in.Jobs[i].Deadline < t {
-				return sched.Schedule{}, false
+			if slots != nil {
+				slots[j] = sched.Assignment{Proc: proc, Time: t}
 			}
-			out.Slots[i] = sched.Assignment{Proc: q, Time: t}
-			scheduled++
 		}
-		pending = pending[run:]
+		t++
 	}
-	if scheduled < n {
-		return sched.Schedule{}, false
+	return true
+}
+
+// edfQueue is a binary min-heap of job indices ordered by (deadline,
+// index), the EDF priority. It is typed rather than built on
+// container/heap, whose interface would box every pushed index.
+type edfQueue struct {
+	jobs []sched.Job
+	heap []int
+}
+
+func (q *edfQueue) less(a, b int) bool {
+	da, db := q.jobs[a].Deadline, q.jobs[b].Deadline
+	return da < db || da == db && a < b
+}
+
+func (q *edfQueue) push(j int) {
+	h := append(q.heap, j)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return out, true
+	q.heap = h
+}
+
+func (q *edfQueue) pop() int {
+	h := q.heap
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && q.less(h[c+1], h[c]) {
+			c++
+		}
+		if !q.less(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	q.heap = h
+	return top
 }
 
 // MultiGraph builds the jobs×times bipartite graph of a multi-interval

@@ -1,8 +1,8 @@
 // Package feas provides the feasibility substrate used throughout the
 // repository: Hopcroft–Karp bipartite matching between jobs and time
-// units, Hall-condition feasibility tests for one-interval instances,
-// earliest-deadline-first scheduling, and the augmenting-path schedule
-// extension of Lemma 3.
+// units, one-interval feasibility (Hall's condition, decided by an
+// O(n log n) earliest-deadline-first sweep that also builds the EDF
+// schedule), and the augmenting-path schedule extension of Lemma 3.
 package feas
 
 // Bipartite is a bipartite graph between nLeft left vertices (jobs) and

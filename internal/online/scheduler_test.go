@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/feas"
 	"repro/internal/powerdown"
 	"repro/internal/sched"
@@ -73,7 +74,7 @@ func TestSchedulerMatchesEDF(t *testing.T) {
 			if !errors.Is(err, ErrInfeasible) || !errors.Is(s.Err(), ErrInfeasible) {
 				t.Fatalf("trial %d: infeasible run reported %v (Err %v)", trial, err, s.Err())
 			}
-			if !feas.FeasibleOneInterval(in) {
+			if !exact.HallFeasible(in) {
 				continue
 			}
 			t.Fatalf("trial %d: EDF oracle and Hall oracle disagree", trial)

@@ -99,9 +99,11 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // DefaultStateBudget is the ModeAuto exact-tier admission bound used
-// when Solver.StateBudget is zero. It is calibrated so fragments of up
-// to a few hundred jobs (sub-millisecond exact solves) stay exact while
-// the huge fragments that would stall the engine go to the heuristic.
+// when Solver.StateBudget is zero. Multiprocessor fragments of up to a
+// few hundred jobs and single-processor fragments into the thousands
+// (E21's dense n = 2000 and n = 4000 shapes) fit it and stay exact,
+// while the huge fragments that would stall the engine go to the
+// heuristic.
 const DefaultStateBudget = 1 << 25
 
 // Solver is the configured entry point to the solving pipeline:
