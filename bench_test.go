@@ -364,8 +364,9 @@ func BenchmarkE16_BatchSolve(b *testing.B) {
 
 // BenchmarkE17_FragmentCache: a duplicate-heavy batch through the
 // fragment-level SolveBatch with the canonical-fragment cache off, on
-// per batch (CacheSize), and shared across iterations (Cache). The
-// hits/op metric counts fragments served from the cache.
+// per batch (a fresh cache for every call), and shared across
+// iterations. The hits/op metric counts fragments served from the
+// cache.
 func BenchmarkE17_FragmentCache(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	distinct := make([]Instance, 8)
@@ -376,18 +377,19 @@ func BenchmarkE17_FragmentCache(b *testing.B) {
 	for i := range ins {
 		ins[i] = distinct[rng.Intn(len(distinct))]
 	}
+	shared := Solver{Cache: NewFragmentCache(1 << 12)}
 	for _, cfg := range []struct {
 		name   string
-		solver Solver
+		solver func() Solver
 	}{
-		{"uncached", Solver{}},
-		{"cached-per-batch", Solver{CacheSize: 1 << 12}},
-		{"cached-shared", Solver{Cache: NewFragmentCache(1 << 12)}},
+		{"uncached", func() Solver { return Solver{} }},
+		{"cached-per-batch", func() Solver { return Solver{Cache: NewFragmentCache(1 << 12)} }},
+		{"cached-shared", func() Solver { return shared }},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				for _, r := range cfg.solver.SolveBatch(ins) {
+				for _, r := range cfg.solver().SolveBatch(ins) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}

@@ -100,7 +100,10 @@ func e17DuplicateHeavy(cfg config) *stats.Table {
 		var offCosts []float64
 		var offWall float64
 		for _, cacheSize := range []int{0, 1 << 14} {
-			s.CacheSize = cacheSize
+			s.Cache = nil
+			if cacheSize > 0 {
+				s.Cache = gapsched.NewFragmentCache(cacheSize)
+			}
 			start := time.Now()
 			batch := s.SolveBatch(ins)
 			wall := float64(time.Since(start).Microseconds()) / 1000

@@ -93,7 +93,7 @@ func checkFuzzAgreement(t *testing.T, s Solver, in Instance, cost func(Solution)
 	cached := s
 	cached.Cache = NewFragmentCache(64)
 	batched := s
-	batched.CacheSize = 64
+	batched.Cache = NewFragmentCache(64)
 
 	want, directErr := direct.Solve(in)
 	full, fullErr := s.Solve(in)

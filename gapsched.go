@@ -126,7 +126,8 @@ func MinimizeGaps(in Instance) (GapResult, error) {
 	if err != nil {
 		return GapResult{}, err
 	}
-	return GapResult{Spans: sol.Spans, Gaps: sol.Gaps, Schedule: sol.Schedule, States: sol.States}, nil
+	return GapResult{Spans: sol.Spans, Gaps: sol.Gaps, Schedule: sol.Schedule, States: sol.States,
+		PrunedStates: sol.PrunedStates, ExpandedStates: sol.ExpandedStates}, nil
 }
 
 // MinimizePower computes an optimal schedule minimizing total power
@@ -138,7 +139,8 @@ func MinimizePower(in Instance, alpha float64) (PowerResult, error) {
 	if err != nil {
 		return PowerResult{}, err
 	}
-	return PowerResult{Power: sol.Power, Schedule: sol.Schedule, States: sol.States}, nil
+	return PowerResult{Power: sol.Power, Schedule: sol.Schedule, States: sol.States,
+		PrunedStates: sol.PrunedStates, ExpandedStates: sol.ExpandedStates}, nil
 }
 
 // Feasible reports whether the one-interval instance admits any

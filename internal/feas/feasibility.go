@@ -54,18 +54,18 @@ func sweepEDF(in sched.Instance, slots []sched.Assignment) bool {
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Compare(in.Jobs[a].Release, in.Jobs[b].Release)
 	})
-	q := edfQueue{jobs: in.Jobs, heap: make([]int, 0, n)}
+	q := NewEDFQueue(in.Jobs, n)
 	next, t := 0, 0
-	for next < n || len(q.heap) > 0 {
-		if len(q.heap) == 0 {
+	for next < n || q.Len() > 0 {
+		if q.Len() == 0 {
 			t = in.Jobs[order[next]].Release // idle until the next release
 		}
 		for next < n && in.Jobs[order[next]].Release <= t {
-			q.push(order[next])
+			q.Push(order[next])
 			next++
 		}
-		for proc := 0; proc < in.Procs && len(q.heap) > 0; proc++ {
-			j := q.pop()
+		for proc := 0; proc < in.Procs && q.Len() > 0; proc++ {
+			j := q.Pop()
 			if in.Jobs[j].Deadline < t {
 				return false
 			}
@@ -78,20 +78,30 @@ func sweepEDF(in sched.Instance, slots []sched.Assignment) bool {
 	return true
 }
 
-// edfQueue is a binary min-heap of job indices ordered by (deadline,
+// EDFQueue is a binary min-heap of job indices ordered by (deadline,
 // index), the EDF priority. It is typed rather than built on
 // container/heap, whose interface would box every pushed index.
-type edfQueue struct {
+type EDFQueue struct {
 	jobs []sched.Job
 	heap []int
 }
 
-func (q *edfQueue) less(a, b int) bool {
+// NewEDFQueue returns an empty queue over jobs with room for capacity
+// indices before it grows.
+func NewEDFQueue(jobs []sched.Job, capacity int) EDFQueue {
+	return EDFQueue{jobs: jobs, heap: make([]int, 0, capacity)}
+}
+
+func (q *EDFQueue) less(a, b int) bool {
 	da, db := q.jobs[a].Deadline, q.jobs[b].Deadline
 	return da < db || da == db && a < b
 }
 
-func (q *edfQueue) push(j int) {
+// Len returns the number of queued jobs.
+func (q *EDFQueue) Len() int { return len(q.heap) }
+
+// Push queues job index j.
+func (q *EDFQueue) Push(j int) {
 	h := append(q.heap, j)
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
@@ -104,7 +114,10 @@ func (q *edfQueue) push(j int) {
 	q.heap = h
 }
 
-func (q *edfQueue) pop() int {
+// Pop removes and returns the queued job with the earliest deadline,
+// the smallest index among equal deadlines. The queue must not be
+// empty.
+func (q *EDFQueue) Pop() int {
 	h := q.heap
 	top, last := h[0], len(h)-1
 	h[0] = h[last]

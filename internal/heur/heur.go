@@ -53,12 +53,12 @@
 package heur
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/feas"
 	"repro/internal/sched"
 )
 
@@ -260,7 +260,7 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 		return false
 	}
 
-	pend := &edfHeap{jobs: jobs}
+	pend := feas.NewEDFQueue(jobs, 0)
 	next, scheduled := 0, 0
 	for scheduled < n {
 		// Asleep with an empty pending set: every unscheduled job is a
@@ -279,7 +279,7 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 		}
 		for t := w; ; t++ {
 			for next < n && jobs[byRel[next]].Release <= t {
-				heap.Push(pend, byRel[next])
+				pend.Push(byRel[next])
 				next++
 			}
 			if pend.Len() == 0 {
@@ -287,7 +287,7 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 			}
 			k := min(p, pend.Len())
 			for q := 0; q < k; q++ {
-				j := heap.Pop(pend).(int)
+				j := pend.Pop()
 				if jobs[j].Deadline < t {
 					return sched.Schedule{}, ErrInfeasible
 				}
@@ -299,29 +299,6 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 		}
 	}
 	return out, nil
-}
-
-// edfHeap is a min-heap of job indices ordered by (deadline, index):
-// the pending set of the greedy's awake phases.
-type edfHeap struct {
-	jobs []sched.Job
-	idx  []int
-}
-
-func (h *edfHeap) Len() int { return len(h.idx) }
-func (h *edfHeap) Less(x, y int) bool {
-	a, b := h.jobs[h.idx[x]], h.jobs[h.idx[y]]
-	if a.Deadline != b.Deadline {
-		return a.Deadline < b.Deadline
-	}
-	return h.idx[x] < h.idx[y]
-}
-func (h *edfHeap) Swap(x, y int) { h.idx[x], h.idx[y] = h.idx[y], h.idx[x] }
-func (h *edfHeap) Push(v any)    { h.idx = append(h.idx, v.(int)) }
-func (h *edfHeap) Pop() any {
-	v := h.idx[len(h.idx)-1]
-	h.idx = h.idx[:len(h.idx)-1]
-	return v
 }
 
 // floorDiv is floor(a/b) for b > 0 (Go's / truncates toward zero).

@@ -6,9 +6,9 @@ package online
 // jobs (§1) — and the per-processor power-down decisions follow the
 // α-threshold ski-rental rule of internal/powerdown, generalized to
 // the multi-job setting in the spirit of Chen–Kao–Lee–Rutter–Wagner:
-// after each busy unit a processor stays active for up to τ idle units
-// (τ = α by default) and then sleeps, paying α again at its next
-// wake-up. The committed prefix is never revisited; projections and
+// after each busy unit a processor stays active for up to τ = α idle
+// units and then sleeps, paying α again at its next wake-up. The
+// committed prefix is never revisited; projections and
 // competitive-ratio measurement against the offline optimum of the
 // revealed prefix live in the facade (gapsched.Solver.OpenOnline).
 
@@ -32,16 +32,13 @@ type Config struct {
 	// Procs is the processor count (0 = 1).
 	Procs int
 	// Alpha is the sleep→active transition cost, used by the power
-	// objective and as the default threshold. Must be non-negative.
+	// objective and as the ski-rental threshold: a processor stays
+	// active through the first Alpha idle units after a busy unit, then
+	// sleeps (the classic 2-competitive choice). Must be non-negative.
 	Alpha float64
 	// Power selects the power objective (busy units + α per wake-up +
 	// threshold-priced idle periods); false counts spans.
 	Power bool
-	// Tau is the ski-rental threshold: a processor stays active through
-	// the first Tau idle units after a busy unit, then sleeps. Zero
-	// means Alpha (the classic 2-competitive choice); negative is
-	// rejected.
-	Tau float64
 }
 
 // Commitment is one irrevocably committed busy time unit: Jobs[q] is
@@ -95,7 +92,6 @@ type Scheduler struct {
 	procs int
 	alpha float64
 	power bool
-	tau   float64
 
 	started  bool
 	now      int // latest Step watermark
@@ -128,18 +124,10 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Alpha < 0 {
 		return nil, fmt.Errorf("online: negative transition cost alpha %v", cfg.Alpha)
 	}
-	tau := cfg.Tau
-	if tau == 0 {
-		tau = cfg.Alpha
-	}
-	if tau < 0 {
-		return nil, fmt.Errorf("online: negative threshold tau %v", cfg.Tau)
-	}
 	return &Scheduler{
 		procs:    procs,
 		alpha:    cfg.Alpha,
 		power:    cfg.Power,
-		tau:      tau,
 		lastBusy: make([]int, procs),
 		everBusy: make([]bool, procs),
 	}, nil
@@ -274,8 +262,9 @@ func (s *Scheduler) release(t int) {
 // t. Spans count exactly as Schedule.Spans does; energy charges each
 // closed idle period with the threshold rule, so the committed
 // prefix's energy equals powerdown.EvaluateSchedule of the committed
-// schedule under Threshold{Tau} (busy + α per span-opening wake-up,
-// threshold price per gap, trailing idle free until it closes).
+// schedule under SkiRental, the threshold at τ = α (busy + α per
+// span-opening wake-up, threshold price per gap, trailing idle free
+// until it closes).
 func (s *Scheduler) accountBusy(q, t int) {
 	switch {
 	case !s.everBusy[q]:
@@ -286,7 +275,7 @@ func (s *Scheduler) accountBusy(q, t int) {
 	default:
 		s.spans++
 		gap := t - 1 - s.lastBusy[q]
-		s.energy += powerdown.Threshold{Tau: s.tau}.Cost(gap, s.alpha) + 1
+		s.energy += powerdown.SkiRental{}.Cost(gap, s.alpha) + 1
 	}
 	s.everBusy[q] = true
 	s.lastBusy[q] = t

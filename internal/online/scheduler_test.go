@@ -275,16 +275,12 @@ func TestSchedulerProjectExtendsPrefix(t *testing.T) {
 }
 
 func TestNewSchedulerValidation(t *testing.T) {
-	for _, cfg := range []Config{{Procs: -1}, {Alpha: -1}, {Tau: -0.5}} {
+	for _, cfg := range []Config{{Procs: -1}, {Alpha: -1}} {
 		if _, err := NewScheduler(cfg); err == nil {
 			t.Errorf("NewScheduler(%+v) accepted", cfg)
 		}
 	}
-	s, err := NewScheduler(Config{Alpha: 3})
-	if err != nil {
+	if _, err := NewScheduler(Config{Alpha: 3}); err != nil {
 		t.Fatal(err)
-	}
-	if s.tau != 3 {
-		t.Fatalf("default tau %v, want alpha", s.tau)
 	}
 }

@@ -140,17 +140,13 @@ func (c *coalescer) flush(key solveKey, g *group) {
 	c.run(key, reqs)
 }
 
-// run dispatches one claimed window: a single SolveBatchContext over
-// the shared cache, results demultiplexed back per request. The
-// caller must have claimed a wg slot (detachLocked or enqueue).
-// The dispatch runs under one trace — a coalesced window therefore
-// yields one span tree with a queue-wait span per buffered request —
-// which feeds the latency histograms and the debug ring on completion.
+// run dispatches one claimed window, results demultiplexed back per
+// request. The caller must have claimed a wg slot (detachLocked or
+// enqueue). A coalesced window yields one trace with a queue-wait span
+// per buffered request.
 func (c *coalescer) run(key solveKey, reqs []*pending) {
 	defer c.wg.Done()
 	tr := obs.NewTrace("solve")
-	tr.SetAttr("mode", key.mode.String())
-	tr.SetAttr("requests", strconv.Itoa(len(reqs)))
 	// Queue waits happened before the dispatch trace began; anchor them
 	// at offset zero so span offsets stay non-negative — the duration is
 	// the meaningful quantity.
@@ -165,49 +161,55 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 	ctx := context.Background()
 	if len(reqs) == 1 && reqs[0].ctx != nil {
 		ctx = reqs[0].ctx
-		if rid, ok := ctx.Value(ridKey{}).(uint64); ok {
-			tr.SetAttr("requestId", strconv.FormatUint(rid, 10))
-		}
+	}
+	if len(reqs) > 1 {
+		c.met.coalesced.Add(int64(len(reqs)))
+	}
+	// A lone request solves on one worker, exactly as Solve would.
+	s := c.solver(key)
+	if len(reqs) == 1 {
+		s.Workers = 1
+	}
+	ins := make([]gapsched.Instance, len(reqs))
+	for i, p := range reqs {
+		ins[i] = p.in
+	}
+	for i, r := range c.dispatch(ctx, tr, s, ins) {
+		reqs[i].done <- r
+	}
+}
+
+// dispatch is the daemon's one solve path, serving coalesced windows
+// (run) and /v1/batch groups alike: a single SolveBatchContext of s
+// under the coalescer's timeout (which can only shorten a deadline ctx
+// already carries), recorded into tr. The trace finishes (histograms
+// fed, ring entry added, slow-solve warning logged) before dispatch
+// returns, so a client that has its response can already see its
+// dispatch in /v1/debug/traces.
+func (c *coalescer) dispatch(ctx context.Context, tr *obs.Trace, s gapsched.Solver, ins []gapsched.Instance) []gapsched.BatchResult {
+	tr.SetAttr("mode", s.Mode.String())
+	tr.SetAttr("requests", strconv.Itoa(len(ins)))
+	if rid, ok := ctx.Value(ridKey{}).(uint64); ok {
+		tr.SetAttr("requestId", strconv.FormatUint(rid, 10))
 	}
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	ctx = obs.With(ctx, tr)
 	c.met.dispatches.Add(1)
-	if len(reqs) > 1 {
-		c.met.coalesced.Add(int64(len(reqs)))
-	}
-	s := c.solver(key)
-	// The trace finishes (histograms fed, ring entry added, slow-solve
-	// warning logged) before results are delivered, so a client that
-	// has its response can already see its dispatch in /v1/debug/traces.
-	if len(reqs) == 1 {
-		sol, err := s.SolveContext(ctx, reqs[0].in)
-		if err == nil {
-			tr.SetAttr("fragments", strconv.Itoa(sol.Subinstances))
-		}
-		c.po.finishTrace(tr, err)
-		reqs[0].done <- gapsched.BatchResult{Solution: sol, Err: err}
-		return
-	}
-	ins := make([]gapsched.Instance, len(reqs))
-	for i, p := range reqs {
-		ins[i] = p.in
-	}
-	results := s.SolveBatchContext(ctx, ins)
+	results := s.SolveBatchContext(obs.With(ctx, tr), ins)
+	fragments := 0
 	var firstErr error
 	for _, r := range results {
-		if r.Err != nil {
+		fragments += r.Solution.Subinstances
+		if r.Err != nil && firstErr == nil {
 			firstErr = r.Err
-			break
 		}
 	}
+	tr.SetAttr("fragments", strconv.Itoa(fragments))
 	c.po.finishTrace(tr, firstErr)
-	for i, r := range results {
-		reqs[i].done <- r
-	}
+	return results
 }
 
 // acquire claims a dispatch slot for solve work that runs outside the

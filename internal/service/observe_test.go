@@ -360,6 +360,77 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestDispatchTraceAttrs: a coalesced /v1/solve window and a /v1/batch
+// group dispatch through one path, so both traces carry mode, requests
+// and fragments (the fragments their answers were assembled from). The
+// batch group serves one HTTP request and also carries its id; the
+// shared window does not.
+func TestDispatchTraceAttrs(t *testing.T) {
+	srv := New(Config{Window: time.Hour, MaxBatch: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// pool[0] and pool[2] are gaps requests: they share one window,
+	// which the second fills. pool[1] goes through /v1/batch.
+	pool := testPool(3)
+	var wg sync.WaitGroup
+	solved := make([]sched.SolveResponse, 2)
+	errs := make([]error, 2)
+	for i, req := range []sched.SolveRequest{pool[0], pool[2]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			solved[i], errs[i] = trySolve(ts.URL+"/v1/solve", req)
+		}()
+	}
+	wg.Wait()
+	for i := range solved {
+		if errs[i] != nil || solved[i].Err != nil {
+			t.Fatalf("solve %d: %v %+v", i, errs[i], solved[i].Err)
+		}
+	}
+	httpResp := postJSON(t, ts.URL+"/v1/batch", sched.BatchRequest{Requests: pool[1:2]})
+	batched, err := sched.DecodeBatchResponse(httpResp.Body)
+	httpResp.Body.Close()
+	if err != nil || len(batched.Responses) != 1 || batched.Responses[0].Err != nil {
+		t.Fatalf("batch: %v %+v", err, batched)
+	}
+
+	var out struct {
+		Traces []obs.TraceData `json:"traces"`
+	}
+	if err := json.Unmarshal([]byte(fetch(t, ts.URL+"/v1/debug/traces")), &out); err != nil {
+		t.Fatalf("undecodable traces payload: %v", err)
+	}
+	byOp := map[string]obs.TraceData{}
+	for _, tr := range out.Traces {
+		byOp[tr.Op] = tr
+	}
+	for op, want := range map[string]map[string]string{
+		"solve": {"mode": "exact", "requests": "2",
+			"fragments": strconv.Itoa(solved[0].Subinstances + solved[1].Subinstances)},
+		"batch": {"mode": "exact", "requests": "1",
+			"fragments": strconv.Itoa(batched.Responses[0].Subinstances)},
+	} {
+		tr, ok := byOp[op]
+		if !ok {
+			t.Fatalf("no %q trace among %d", op, len(out.Traces))
+		}
+		for k, v := range want {
+			if tr.Attrs[k] != v {
+				t.Errorf("%s trace: attr %s = %q, want %q (attrs %v)", op, k, tr.Attrs[k], v, tr.Attrs)
+			}
+		}
+	}
+	if byOp["batch"].Attrs["requestId"] == "" {
+		t.Errorf("batch trace has no requestId: %v", byOp["batch"].Attrs)
+	}
+	if id, ok := byOp["solve"].Attrs["requestId"]; ok {
+		t.Errorf("shared window trace carries requestId %s", id)
+	}
+}
+
 // TestDebugTracesDisabled: a negative TraceRing turns retention off;
 // the endpoint still answers with an empty (non-null) list.
 func TestDebugTracesDisabled(t *testing.T) {

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -81,7 +80,9 @@ type Config struct {
 	// SolveTimeout is the per-dispatch solve deadline. A dispatch
 	// that serves a single request additionally honors that client's
 	// request context; dispatches shared by several coalesced
-	// requests honor only this timeout. Zero means no deadline.
+	// requests honor only this timeout. All configuration groups of
+	// one /v1/batch envelope share a single such deadline. Zero means
+	// no deadline.
 	SolveTimeout time.Duration
 	// SessionTTL is how long an idle /v1/session session survives
 	// before it is evicted (0 = DefaultSessionTTL; negative disables
@@ -493,6 +494,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// independently, mirroring SolveBatch semantics.
 	resp := sched.BatchResponse{Responses: make([]sched.SolveResponse, len(breq.Requests))}
 	groups := make(map[solveKey][]int)
+	var order []solveKey // groups in order of first appearance
 	for i, req := range breq.Requests {
 		if err := req.Validate(); err != nil {
 			s.met.bumpError(sched.ErrCodeBadRequest)
@@ -502,43 +504,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		key := keyFor(req)
+		if groups[key] == nil {
+			order = append(order, key)
+		}
 		groups[key] = append(groups[key], i)
 	}
+	// One deadline bounds the whole envelope: once it passes, every
+	// group not yet solved fails as canceled.
 	ctx := r.Context()
 	if s.cfg.SolveTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	for key, idxs := range groups {
+	for _, key := range order {
+		idxs := groups[key]
 		ins := make([]gapsched.Instance, len(idxs))
 		for j, i := range idxs {
 			ins[j] = breq.Requests[i].Instance()
 		}
-		s.met.dispatches.Add(1)
 		// Each configuration group dispatches under its own trace, like
 		// a coalesced window (queue waits do not apply — client-built
 		// batches never buffer).
-		tr := obs.NewTrace("batch")
-		tr.SetAttr("mode", key.mode.String())
-		tr.SetAttr("requests", strconv.Itoa(len(idxs)))
-		if rid, ok := r.Context().Value(ridKey{}).(uint64); ok {
-			tr.SetAttr("requestId", strconv.FormatUint(rid, 10))
-		}
-		var firstErr error
-		for j, br := range s.solverFor(key).SolveBatchContext(obs.With(ctx, tr), ins) {
+		for j, br := range s.co.dispatch(ctx, obs.NewTrace("batch"), s.solverFor(key), ins) {
 			out := wireOutcome(br)
 			if out.Err != nil {
 				s.met.bumpError(out.Err.Code)
-				if firstErr == nil {
-					firstErr = br.Err
-				}
 			} else {
 				s.met.countModeSolve(key, br.Solution)
 			}
 			resp.Responses[idxs[j]] = out
 		}
-		s.po.finishTrace(tr, firstErr)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

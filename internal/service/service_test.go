@@ -212,6 +212,57 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchEnvelopeDeadline: SolveTimeout bounds a whole /v1/batch
+// envelope, not each configuration group. Groups run in order of first
+// appearance; once a slow first group has used up the deadline, every
+// later group fails as canceled instead of starting a fresh timeout.
+func TestBatchEnvelopeDeadline(t *testing.T) {
+	srv := New(Config{SolveTimeout: 25 * time.Millisecond, Workers: 1, CacheCapacity: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// 200 distinct 16-job clusters on 3 processors, far apart: prep
+	// splits them into over a hundred fragments that together take far
+	// longer than the deadline on one worker, and cancellation is
+	// observed between fragments.
+	rng := rand.New(rand.NewSource(9))
+	slow := sched.SolveRequest{Procs: 3}
+	for c := 0; c < 200; c++ {
+		for _, j := range workload.FeasibleOneInterval(rng, 16, 3, 30, 10).Jobs {
+			slow.Jobs = append(slow.Jobs, sched.Job{Release: j.Release + 100*c, Deadline: j.Deadline + 100*c})
+		}
+	}
+	quick := []sched.Job{{Release: 0, Deadline: 2}}
+	rest := []sched.SolveRequest{
+		{Objective: sched.WirePower, Alpha: 1, Jobs: quick},
+		{Objective: sched.WirePower, Alpha: 2, Jobs: quick},
+		{Mode: sched.WireModeHeuristic, Jobs: quick},
+	}
+	batch := func(reqs []sched.SolveRequest) []sched.SolveResponse {
+		t.Helper()
+		httpResp := postJSON(t, ts.URL+"/v1/batch", sched.BatchRequest{Requests: reqs})
+		defer httpResp.Body.Close()
+		bresp, err := sched.DecodeBatchResponse(httpResp.Body)
+		if err != nil || len(bresp.Responses) != len(reqs) {
+			t.Fatalf("batch: %v %+v", err, bresp)
+		}
+		return bresp.Responses
+	}
+
+	// On their own, the three quick groups finish well inside the deadline.
+	for i, r := range batch(rest) {
+		if r.Err != nil {
+			t.Fatalf("quick group %d alone: %+v", i, r.Err)
+		}
+	}
+	for i, r := range batch(append([]sched.SolveRequest{slow}, rest...)) {
+		if r.Err == nil || r.Err.Code != sched.ErrCodeCanceled {
+			t.Errorf("group %d: got %+v, want canceled once the envelope deadline passed", i, r.Err)
+		}
+	}
+}
+
 // A malformed /v1/batch envelope must come back in the wire contract's
 // own shape: a BatchResponse with an envelope-level error that the
 // strict decoder accepts.

@@ -37,10 +37,9 @@ var ErrReleaseOrder = online.ErrReleaseOrder
 // forced-idle fragment decomposition, maintained under deltas so that
 // Resolve re-solves only dirty fragments. Obtain one with
 // Solver.Open; it inherits the Solver's objective, alpha, and cache
-// configuration. Fragment solves go through the Solver's
-// FragmentCache when one is configured (Cache, or a session-lifetime
-// cache of CacheSize entries), so sessions also reuse fragments solved
-// by batches and by each other.
+// configuration. Fragment solves go through the Solver's Cache when
+// one is configured, so sessions also reuse fragments solved by
+// batches and by each other.
 //
 // A Session is safe for concurrent use; operations serialize on an
 // internal mutex, so a Resolve and a delta never interleave.
@@ -48,7 +47,6 @@ type Session struct {
 	mu     sync.Mutex
 	rt     objectiveRuntime
 	solver Solver
-	cache  *FragmentCache
 	tr     *incr.Tracker[fragResult]
 	onl    *online.Scheduler // non-nil for commit-only online sessions
 	closed bool
@@ -80,14 +78,9 @@ func (s Solver) Open(procs int) (*Session, error) {
 	if s.Objective == ObjectivePower {
 		splitWidth = s.Alpha
 	}
-	cache := s.Cache
-	if cache == nil && s.CacheSize > 0 {
-		cache = NewFragmentCache(s.CacheSize)
-	}
 	return &Session{
 		rt:     rt,
 		solver: s,
-		cache:  cache,
 		tr:     incr.New[fragResult](procs, splitWidth),
 	}, nil
 }
@@ -250,7 +243,7 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 	sol := Solution{Mode: ss.solver.Mode}
 	cost := 0.0
 	schedule, err := ss.tr.Resolve(
-		func(fr sched.Instance) fragResult { return ss.solver.solveFragment(ss.rt, ss.cache, fr, trace) },
+		func(fr sched.Instance) fragResult { return ss.solver.solveFragment(ss.rt, fr, trace) },
 		func(r *fragResult, reused bool) (sched.Schedule, error) {
 			if r.err != nil {
 				return sched.Schedule{}, r.err

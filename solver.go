@@ -125,19 +125,15 @@ type Solver struct {
 	// identical either way.
 	NoPreprocess bool
 	// Workers bounds SolveBatch concurrency. Zero or negative means
-	// GOMAXPROCS.
+	// GOMAXPROCS. Solve ignores it and runs on one worker.
 	Workers int
-	// CacheSize, when positive and Cache is nil, gives each SolveBatch
-	// call a transient fragment cache with roughly that capacity, so
-	// duplicate fragments within one batch are solved once. Zero or
-	// negative disables the transient cache.
-	CacheSize int
-	// Cache, when non-nil, is a persistent canonical-fragment solution
-	// cache consulted by both Solve and SolveBatch and shared across
+	// Cache, when non-nil, is a canonical-fragment solution cache
+	// consulted by Solve, SolveBatch and sessions and shared across
 	// calls (and across Solvers — entries are keyed by objective,
 	// alpha, and solving tier, so differently configured Solvers can
 	// share one cache without ever conflating an exact fragment
-	// solution with a heuristic one). Takes precedence over CacheSize.
+	// solution with a heuristic one). For a cache scoped to one call,
+	// pass a fresh NewFragmentCache.
 	Cache *FragmentCache
 	// Mode selects the solving tier: ModeExact (default), ModeHeuristic,
 	// or ModeAuto, which decides per fragment using StateBudget.
@@ -563,12 +559,12 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 // is non-nil, in a per-fragment span — a backend-tagged StageSolve
 // span for a real solve, a StageCache span for a hit (singleflight
 // waits on another worker's solve included).
-func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sched.Instance, tr *obs.Trace) fragResult {
+func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Trace) fragResult {
 	start := time.Now()
 	b := rt.tier(fr)
 	solve := rt.solve[b]
 	var res fragResult
-	if cache == nil {
+	if s.Cache == nil {
 		res = solve(fr)
 	} else {
 		tag := rt.tag
@@ -577,7 +573,7 @@ func (s Solver) solveFragment(rt objectiveRuntime, cache *FragmentCache, fr sche
 		}
 		canon, perm := prep.Canonicalize(fr)
 		var hit bool
-		res, hit = cache.c.Do(prep.CanonicalKey(canon, tag, rt.alpha), func() fragResult { return solve(canon) })
+		res, hit = s.Cache.c.Do(prep.CanonicalKey(canon, tag, rt.alpha), func() fragResult { return solve(canon) })
 		res.hit = hit
 		if res.err == nil {
 			// Canonical job i is fragment job perm[i]; their windows
@@ -645,48 +641,30 @@ func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs
 	return sol, nil
 }
 
-// Solve runs the configured pipeline on one instance. It consults
-// s.Cache when set (a transient CacheSize cache is a batch-level
-// feature and does not apply here). Solve is SolveContext with a
-// background context.
+// Solve runs the configured pipeline on one instance. Solve is
+// SolveContext with a background context.
 func (s Solver) Solve(in Instance) (Solution, error) {
 	return s.SolveContext(context.Background(), in)
 }
 
-// SolveContext is Solve with cancellation and deadline support: the
-// context is observed at fragment granularity, so a solve of a
-// many-fragment instance stops between fragments once ctx is done and
-// returns ctx.Err() (wrapped). A fragment already running in the DP
-// engine is completed; unit fragments are fast, so cancellation
-// latency is bounded by the heaviest single fragment. A successful
-// return is always a complete, bit-identical Solve result — partial
-// solutions are never returned.
+// SolveContext is Solve with cancellation and deadline support. It is a
+// one-instance SolveBatchContext on one worker, whatever s.Workers
+// says: the fragments run in order on the calling goroutine, the
+// context is observed between them, and a done context ends the solve
+// with ctx.Err() (wrapped). A fragment already running in the DP engine
+// is completed; unit fragments are fast, so cancellation latency is
+// bounded by the heaviest single fragment. A successful return is
+// always a complete, bit-identical Solve result — partial solutions are
+// never returned.
 func (s Solver) SolveContext(ctx context.Context, in Instance) (Solution, error) {
-	rt, err := s.runtime()
-	if err != nil {
-		return Solution{}, err
-	}
-	return s.solveOne(ctx, in, rt, s.Cache)
+	s.Workers = 1
+	r := s.SolveBatchContext(ctx, []Instance{in})[0]
+	return r.Solution, r.Err
 }
 
 // ctxErr converts a done context into the facade's error form.
 func ctxErr(ctx context.Context) error {
 	return fmt.Errorf("gapsched: solve aborted: %w", context.Cause(ctx))
-}
-
-func (s Solver) solveOne(ctx context.Context, in Instance, rt objectiveRuntime, cache *FragmentCache) (Solution, error) {
-	tr := obs.FromContext(ctx)
-	p := s.prepare(in, rt, tr)
-	for i, fr := range p.frags {
-		if ctx.Err() != nil {
-			return Solution{}, ctxErr(ctx)
-		}
-		p.results[i] = s.solveFragment(rt, cache, fr, tr)
-		if p.results[i].err != nil {
-			break // finishInstance reports the first error in order
-		}
-	}
-	return s.finishInstance(p, rt, tr)
 }
 
 // BatchResult pairs one instance's Solution with its error; exactly one
@@ -707,16 +685,15 @@ type task struct {
 // up front, their fragments flattened into one work queue, and each
 // instance's solution assembled as its last fragment completes. A
 // skewed instance therefore cannot serialize the batch behind one
-// worker, and — when a cache is configured via Cache or CacheSize —
-// identical fragments recurring across the batch are solved once.
+// worker, and — when Cache is set — identical fragments recurring
+// across the batch are solved once.
 //
 // Results align positionally with ins and are identical to per-instance
 // Solve calls (first-error semantics and bit-exact costs included),
 // independent of Workers and of cache configuration — except CacheHits,
 // whose attribution across instances depends on which worker reaches a
-// duplicate fragment first (and on CacheSize, which Solve ignores).
-// Instances are independent; a failure in one does not disturb the
-// others.
+// duplicate fragment first. Instances are independent; a failure in one
+// does not disturb the others.
 //
 // SolveBatch is SolveBatchContext with a background context.
 func (s Solver) SolveBatch(ins []Instance) []BatchResult {
@@ -743,33 +720,29 @@ func (s Solver) SolveBatchContext(ctx context.Context, ins []Instance) []BatchRe
 		}
 		return out
 	}
-	cache := s.Cache
-	if cache == nil && s.CacheSize > 0 {
-		cache = NewFragmentCache(s.CacheSize)
-	}
 
 	// Prep phase: decompose every instance, flatten the fragments. One
 	// batch shares the context's trace, so its spans interleave across
 	// instances; per-instance Timings stay exact regardless.
 	tr := obs.FromContext(ctx)
 	prepped := make([]*preparedInstance, len(ins))
-	queue := make([]task, 0, len(ins))
+	remaining := make([]atomic.Int32, len(ins))
+	frags := 0
 	for i, in := range ins {
 		prepped[i] = s.prepare(in, rt, tr)
-		for f := range prepped[i].frags {
-			queue = append(queue, task{inst: i, frag: f})
-		}
+		frags += len(prepped[i].frags)
+		remaining[i].Store(int32(len(prepped[i].frags)))
 	}
-
 	// Instances with nothing to solve (validation failures, empty
 	// plans) finish immediately; the rest finish when their fragment
 	// counter drains.
-	remaining := make([]atomic.Int32, len(ins))
+	queue := make([]task, 0, frags)
 	for i, p := range prepped {
 		if len(p.frags) == 0 {
 			out[i].Solution, out[i].Err = s.finishInstance(p, rt, tr)
-		} else {
-			remaining[i].Store(int32(len(p.frags)))
+		}
+		for f := range p.frags {
+			queue = append(queue, task{inst: i, frag: f})
 		}
 	}
 
@@ -780,40 +753,46 @@ func (s Solver) SolveBatchContext(ctx context.Context, ins []Instance) []BatchRe
 	if workers > len(queue) {
 		workers = len(queue)
 	}
+	// The calling goroutine is one of the workers, so a one-worker
+	// solve starts no goroutine at all.
 	var next atomic.Int64
+	work := func() {
+		for {
+			qi := int(next.Add(1)) - 1
+			if qi >= len(queue) {
+				return
+			}
+			tk := queue[qi]
+			p := prepped[tk.inst]
+			if !p.failed.Load() {
+				var res fragResult
+				if ctx.Err() != nil {
+					res = fragResult{err: ctxErr(ctx)}
+				} else {
+					res = s.solveFragment(rt, p.frags[tk.frag], tr)
+				}
+				p.results[tk.frag] = res
+				if res.err != nil {
+					p.failed.Store(true)
+				}
+			}
+			// The worker that drains the counter observes every
+			// sibling fragment's result (atomic Add orders the
+			// writes) and assembles the instance.
+			if remaining[tk.inst].Add(-1) == 0 {
+				out[tk.inst].Solution, out[tk.inst].Err = s.finishInstance(p, rt, tr)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				qi := int(next.Add(1)) - 1
-				if qi >= len(queue) {
-					return
-				}
-				tk := queue[qi]
-				p := prepped[tk.inst]
-				if !p.failed.Load() {
-					var res fragResult
-					if ctx.Err() != nil {
-						res = fragResult{err: ctxErr(ctx)}
-					} else {
-						res = s.solveFragment(rt, cache, p.frags[tk.frag], tr)
-					}
-					p.results[tk.frag] = res
-					if res.err != nil {
-						p.failed.Store(true)
-					}
-				}
-				// The worker that drains the counter observes every
-				// sibling fragment's result (atomic Add orders the
-				// writes) and assembles the instance.
-				if remaining[tk.inst].Add(-1) == 0 {
-					out[tk.inst].Solution, out[tk.inst].Err = s.finishInstance(p, rt, tr)
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return out
 }

@@ -3,12 +3,13 @@ package gapsched
 // Edge-case and cache tests for the fragment-level SolveBatch: mixed
 // infeasible instances, determinism across worker counts, empty
 // instances, uniform configuration errors, and the canonical-fragment
-// cache (transient, persistent, and within a single Solve).
+// cache (fresh per call, persistent, and within a single Solve).
 
 import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -38,6 +39,17 @@ func clusteredInstance(count, stride int) Instance {
 	return NewInstance(jobs)
 }
 
+// withFreshCache returns s with a new FragmentCache of the given
+// capacity, or s unchanged when size is 0. Each call gets its own
+// cache, so no entry carries over from an earlier solve and a cached
+// solve is compared with an uncached one, not with another cached one.
+func withFreshCache(s Solver, size int) Solver {
+	if size > 0 {
+		s.Cache = NewFragmentCache(size)
+	}
+	return s
+}
+
 func TestSolveBatchInfeasibleLeavesNeighborsUndisturbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var ins []Instance
@@ -48,12 +60,16 @@ func TestSolveBatchInfeasibleLeavesNeighborsUndisturbed(t *testing.T) {
 			ins = append(ins, workload.FeasibleOneInterval(rng, 1+rng.Intn(6), 1+rng.Intn(2), 12, 4))
 		}
 	}
-	for _, s := range []Solver{
-		{},
-		{CacheSize: 256},
-		{Objective: ObjectivePower, Alpha: 1.5, CacheSize: 256},
+	for _, tc := range []struct {
+		s         Solver
+		cacheSize int
+	}{
+		{Solver{}, 0},
+		{Solver{}, 256},
+		{Solver{Objective: ObjectivePower, Alpha: 1.5}, 256},
 	} {
-		batch := s.SolveBatch(ins)
+		s := tc.s
+		batch := withFreshCache(s, tc.cacheSize).SolveBatch(ins)
 		for i := range ins {
 			want, wantErr := s.Solve(ins[i])
 			if i%3 == 1 {
@@ -89,12 +105,16 @@ func TestSolveBatchInfeasibleFragmentMidInstance(t *testing.T) {
 		{Release: 2000, Deadline: 2003},
 	})
 	ins := []Instance{clusteredInstance(2, 1000), mixed, clusteredInstance(3, 1000)}
-	for _, s := range []Solver{{}, {CacheSize: 64}, {Workers: 4}} {
+	for _, tc := range []struct {
+		s         Solver
+		cacheSize int
+	}{{Solver{}, 0}, {Solver{}, 64}, {Solver{Workers: 4}, 0}} {
+		s := tc.s
 		_, solveErr := s.Solve(mixed)
 		if !errors.Is(solveErr, ErrInfeasible) {
 			t.Fatalf("Solve: want ErrInfeasible, got %v", solveErr)
 		}
-		batch := s.SolveBatch(ins)
+		batch := withFreshCache(s, tc.cacheSize).SolveBatch(ins)
 		if batch[1].Err == nil || batch[1].Err.Error() != solveErr.Error() {
 			t.Fatalf("batch err %v, Solve err %v", batch[1].Err, solveErr)
 		}
@@ -125,16 +145,19 @@ func TestSolveBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, base := range []Solver{
-		{},
-		{CacheSize: 512},
-		{Objective: ObjectivePower, Alpha: 2, CacheSize: 512},
+	for _, tc := range []struct {
+		base      Solver
+		cacheSize int
+	}{
+		{Solver{}, 0},
+		{Solver{}, 512},
+		{Solver{Objective: ObjectivePower, Alpha: 2}, 512},
 	} {
 		var ref []BatchResult
 		for wi, workers := range workerCounts {
-			s := base
+			s := tc.base
 			s.Workers = workers
-			batch := s.SolveBatch(ins)
+			batch := withFreshCache(s, tc.cacheSize).SolveBatch(ins)
 			if wi == 0 {
 				ref = batch
 				continue
@@ -235,7 +258,7 @@ func TestSolveBatchCachedMatchesUncached(t *testing.T) {
 	}
 	for _, objective := range []Objective{ObjectiveGaps, ObjectivePower} {
 		uncached := Solver{Objective: objective, Alpha: 2}.SolveBatch(ins)
-		cached := Solver{Objective: objective, Alpha: 2, CacheSize: 1024}.SolveBatch(ins)
+		cached := Solver{Objective: objective, Alpha: 2, Cache: NewFragmentCache(1024)}.SolveBatch(ins)
 		hits := 0
 		for i := range ins {
 			u, c := uncached[i], cached[i]
@@ -318,5 +341,72 @@ func TestSolveUsesCacheAcrossIdenticalFragments(t *testing.T) {
 	}
 	if err := withCache.Schedule.Validate(in); err != nil {
 		t.Fatalf("cached schedule invalid: %v", err)
+	}
+}
+
+// TestSolveMatchesOneInstanceBatch pins the one solve path: Solve of an
+// instance equals a one-instance SolveBatch at one and at four workers
+// in every Solution field but Timings, across both objectives, the
+// three modes, a fresh cache or none, and preprocessing on and off.
+// Infeasible instances fail with the same error.
+func TestSolveMatchesOneInstanceBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ins := make([]Instance, 12)
+	for i := range ins {
+		// Clusters drawn from a small pool and placed 100 apart, so prep
+		// splits the instance into fragments that often repeat (cache
+		// hits within one solve) and sometimes include an infeasible one.
+		procs := 1 + rng.Intn(2)
+		pool := []Instance{
+			workload.Multiproc(rng, 1+rng.Intn(4), procs, 6, 3),
+			workload.Multiproc(rng, 4+rng.Intn(4), procs, 8, 4),
+		}
+		if i%3 == 2 {
+			pool = append(pool, Instance{Jobs: []Job{{Release: 2, Deadline: 2}, {Release: 2, Deadline: 2}, {Release: 2, Deadline: 2}}})
+		}
+		var jobs []Job
+		for c := 0; c < 2+rng.Intn(3); c++ {
+			for _, j := range pool[rng.Intn(len(pool))].Jobs {
+				jobs = append(jobs, Job{Release: j.Release + 100*c, Deadline: j.Deadline + 100*c})
+			}
+		}
+		ins[i] = NewMultiprocInstance(jobs, procs)
+	}
+	failed := 0
+	for _, obj := range []Objective{ObjectiveGaps, ObjectivePower} {
+		for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
+			for _, raw := range []bool{false, true} {
+				for _, cacheSize := range []int{0, 1 << 10} {
+					base := Solver{Objective: obj, Alpha: 2, Mode: mode, NoPreprocess: raw}
+					if mode == ModeAuto {
+						base.StateBudget = 40
+					}
+					for i, in := range ins {
+						want, wantErr := withFreshCache(base, cacheSize).Solve(in)
+						if wantErr != nil {
+							failed++
+						}
+						want.Timings = Timings{}
+						for _, workers := range []int{1, 4} {
+							s := withFreshCache(base, cacheSize)
+							s.Workers = workers
+							got := s.SolveBatch([]Instance{in})[0]
+							if (wantErr == nil) != (got.Err == nil) || wantErr != nil && wantErr.Error() != got.Err.Error() {
+								t.Fatalf("%+v cache %d workers %d instance %d: batch err %v, Solve err %v",
+									base, cacheSize, workers, i, got.Err, wantErr)
+							}
+							got.Solution.Timings = Timings{}
+							if !reflect.DeepEqual(got.Solution, want) {
+								t.Fatalf("%+v cache %d workers %d instance %d:\nbatch %+v\nSolve %+v",
+									base, cacheSize, workers, i, got.Solution, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 || failed == 24*len(ins) {
+		t.Fatalf("%d of %d solves failed: want a mix of feasible and infeasible instances", failed, 24*len(ins))
 	}
 }

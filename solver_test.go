@@ -174,6 +174,46 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestWrappersReportSolverCounters: MinimizeGaps and MinimizePower
+// report every state counter of the Solver run they wrap, the pruned
+// and expanded counts included.
+func TestWrappersReportSolverCounters(t *testing.T) {
+	in := NewMultiprocInstance([]Job{
+		{Release: 0, Deadline: 6}, {Release: 1, Deadline: 3}, {Release: 2, Deadline: 9},
+		{Release: 4, Deadline: 5}, {Release: 7, Deadline: 12}, {Release: 8, Deadline: 8},
+		{Release: 10, Deadline: 14},
+	}, 2)
+	const alpha = 2
+	gaps, err := MinimizeGaps(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := MinimizePower(in, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                     string
+		s                        Solver
+		states, pruned, expanded int
+	}{
+		{"gaps", Solver{}, gaps.States, gaps.PrunedStates, gaps.ExpandedStates},
+		{"power", Solver{Objective: ObjectivePower, Alpha: alpha}, power.States, power.PrunedStates, power.ExpandedStates},
+	} {
+		sol, err := c.s.Solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.PrunedStates == 0 || sol.ExpandedStates == 0 {
+			t.Fatalf("%s: instance exercises no pruning (%d pruned, %d expanded)", c.name, sol.PrunedStates, sol.ExpandedStates)
+		}
+		if c.states != sol.States || c.pruned != sol.PrunedStates || c.expanded != sol.ExpandedStates {
+			t.Errorf("%s wrapper: states/pruned/expanded %d/%d/%d, Solver %d/%d/%d", c.name,
+				c.states, c.pruned, c.expanded, sol.States, sol.PrunedStates, sol.ExpandedStates)
+		}
+	}
+}
+
 func TestObjectiveString(t *testing.T) {
 	if ObjectiveGaps.String() != "gaps" || ObjectivePower.String() != "power" {
 		t.Fatal("objective names changed")
