@@ -362,6 +362,45 @@ func BenchmarkE16_BatchSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveWorkers: the sweep behind Solve's worker rule
+// (solveWorkers). Each shape and size is one instance solved as a
+// one-instance SolveBatch at one and at two workers, so both worker
+// counts are timed whatever the rule would pick. Shapes: 8-job clusters
+// on two processors, one-job fragments (StressSparse) and 64-job bursty
+// fragments (StressBursty), the last two on one processor.
+func BenchmarkSolveWorkers(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		gen  func(rng *rand.Rand, n int) Instance
+	}{
+		{"clusters", func(rng *rand.Rand, n int) Instance {
+			var jobs []Job
+			for c := 0; len(jobs) < n; c++ {
+				for _, j := range workload.FeasibleOneInterval(rng, 8, 2, 12, 4).Jobs {
+					jobs = append(jobs, Job{Release: j.Release + 100*c, Deadline: j.Deadline + 100*c})
+				}
+			}
+			return NewMultiprocInstance(jobs[:n], 2)
+		}},
+		{"sparse", func(rng *rand.Rand, n int) Instance { return workload.StressSparse(rng, n, 1) }},
+		{"bursty", func(rng *rand.Rand, n int) Instance { return workload.StressBursty(rng, n, 1) }},
+	} {
+		for _, n := range []int{32, 64, 128, 256, 512} {
+			in := shape.gen(rand.New(rand.NewSource(int64(n))), n)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", shape.name, n, workers), func(b *testing.B) {
+					s := Solver{Workers: workers}
+					for i := 0; i < b.N; i++ {
+						if r := s.SolveBatch([]Instance{in})[0]; r.Err != nil {
+							b.Fatal(r.Err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkE17_FragmentCache: a duplicate-heavy batch through the
 // fragment-level SolveBatch with the canonical-fragment cache off, on
 // per batch (a fresh cache for every call), and shared across
@@ -463,11 +502,14 @@ func BenchmarkE19_IncrementalSession(b *testing.B) {
 		b.Run(cfg.name+"/scratch", func(b *testing.B) {
 			withDelta := NewInstance(append(append([]sched.Job(nil), jobs...), delta))
 			without := NewInstance(jobs)
+			// Serial, like the session it is compared with.
+			scratch := cfg.solver
+			scratch.Workers = 1
 			for i := 0; i < b.N; i++ {
-				if _, err := cfg.solver.Solve(withDelta); err != nil {
+				if _, err := scratch.Solve(withDelta); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := cfg.solver.Solve(without); err != nil {
+				if _, err := scratch.Solve(without); err != nil {
 					b.Fatal(err)
 				}
 			}

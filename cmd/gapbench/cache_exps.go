@@ -163,6 +163,10 @@ func e17SkewScaling(cfg config) *stats.Table {
 			s.Workers = 1
 			res = s.SolveBatch(ins)
 		case "instance-level":
+			// Each instance is one serial Solve: Solve would otherwise
+			// spread a large instance's fragments over its own pool,
+			// nesting fragment parallelism inside this instance pool.
+			s.Workers = 1
 			res = make([]gapsched.BatchResult, len(ins))
 			var next atomic.Int64
 			var wg sync.WaitGroup

@@ -70,6 +70,7 @@ func e19Churn(seed int64, s gapsched.Solver, clusters, perCluster, spacing, delt
 
 	scratch := s
 	scratch.Cache = nil // from-scratch must not reuse anything
+	scratch.Workers = 1 // sessions resolve serially; so must their reference
 
 	row.match = true
 	cost := func(sol gapsched.Solution) float64 {

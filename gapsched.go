@@ -36,7 +36,7 @@
 // (FragmentCache, internal/fragcache), the solving tiers (the unified
 // exact DP engine in internal/core and the certified greedy heuristic
 // in internal/heur, selected per fragment by Solver.Mode), and this
-// facade's Solver/SolveBatch, whose batch path distributes work across
+// facade's Solver, which spreads a batch, or one large instance, over
 // the worker pool at fragment granularity — described in DESIGN.md,
 // which also documents the objective conventions and the experiment
 // tables regenerated by cmd/gapbench. For instances beyond the exact

@@ -27,20 +27,8 @@ import (
 // instead of overflowing on huge horizons. The empty instance
 // estimates 0.
 func StateEstimate(in sched.Instance) int {
-	n := len(in.Jobs)
-	if n == 0 {
-		return 0
-	}
-	p := in.Procs
-	if p > n {
-		p = n
-	}
-	g := GridSize(in)
-	est := g
-	for _, dim := range [...]int{g, n + 1, p + 1, p + 1, p + 1} {
-		est = satMul(est, dim)
-	}
-	return est
+	state, _, _ := AdmissionEstimates(in)
+	return state
 }
 
 // SingleProcEstimate is the admission signal for instances with at
@@ -52,14 +40,30 @@ func StateEstimate(in sched.Instance) int {
 // walks, where StateEstimate's G² pair space would reject dense
 // fragments from about 800 jobs on. The empty instance estimates 0.
 func SingleProcEstimate(in sched.Instance) (est int, ok bool) {
+	_, est, ok = AdmissionEstimates(in)
+	return est, ok
+}
+
+// AdmissionEstimates returns StateEstimate(in) as state and
+// SingleProcEstimate(in) as single and singleProc, from one sweep of
+// the candidate grid: the facade's ModeAuto admission reads both, and
+// the sweep's sort of the 2n anchor neighbourhoods is the estimates'
+// whole cost.
+func AdmissionEstimates(in sched.Instance) (state, single int, singleProc bool) {
 	n := len(in.Jobs)
 	if n == 0 {
-		return 0, true
+		return 0, 0, true
 	}
-	if min(in.Procs, n) > 1 {
-		return 0, false
+	p := min(in.Procs, n)
+	g := GridSize(in)
+	state = g
+	for _, dim := range [...]int{g, n + 1, p + 1, p + 1, p + 1} {
+		state = satMul(state, dim)
 	}
-	return satMul(GridSize(in), n+1), true
+	if p > 1 {
+		return state, 0, false
+	}
+	return state, satMul(g, n+1), true
 }
 
 // GridSize computes the size of the exact engine's candidate execution

@@ -176,3 +176,74 @@ func TestSingleProcEstimate(t *testing.T) {
 		}
 	})
 }
+
+// TestAdmissionEstimatesMatchSeparateCalls: the one-sweep
+// AdmissionEstimates must equal the two estimates computed separately
+// from their definitions — G²·(n+1)·(p+1)³ with p capped at n, and
+// G·(n+1) when at most one processor is effective — on random
+// multiprocessor and single-processor instances, instances with more
+// processors than jobs, the empty instance and a saturating horizon.
+func TestAdmissionEstimatesMatchSeparateCalls(t *testing.T) {
+	wantState := func(in sched.Instance) int {
+		n := len(in.Jobs)
+		if n == 0 {
+			return 0
+		}
+		g, p := GridSize(in), min(in.Procs, n)
+		return satMul(satMul(satMul(satMul(satMul(g, g), n+1), p+1), p+1), p+1)
+	}
+	wantSingle := func(in sched.Instance) (int, bool) {
+		n := len(in.Jobs)
+		if n == 0 {
+			return 0, true
+		}
+		if min(in.Procs, n) > 1 {
+			return 0, false
+		}
+		return satMul(GridSize(in), n+1), true
+	}
+	check := func(name string, in sched.Instance) {
+		t.Helper()
+		state, single, singleProc := AdmissionEstimates(in)
+		ws := wantState(in)
+		wsingle, wok := wantSingle(in)
+		if state != ws || single != wsingle || singleProc != wok {
+			t.Fatalf("%s: AdmissionEstimates = (%d, %d, %v), separate definitions (%d, %d, %v) (procs %d, jobs %v)",
+				name, state, single, singleProc, ws, wsingle, wok, in.Procs, in.Jobs)
+		}
+		if got := StateEstimate(in); got != ws {
+			t.Fatalf("%s: StateEstimate %d, want %d", name, got, ws)
+		}
+		if got, ok := SingleProcEstimate(in); got != wsingle || ok != wok {
+			t.Fatalf("%s: SingleProcEstimate (%d, %v), want (%d, %v)", name, got, ok, wsingle, wok)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		var procs int
+		switch trial % 3 {
+		case 0:
+			procs = 2 + rng.Intn(3) // p > 1
+		case 1:
+			procs = 1
+		default:
+			procs = n + 1 + rng.Intn(4) // Procs > n
+		}
+		in := workload.Multiproc(rng, n, procs, 4+rng.Intn(400), 1+rng.Intn(30))
+		check("random", in)
+	}
+	check("empty", sched.Instance{Procs: 2})
+	check("one job, many procs", sched.NewMultiprocInstance([]sched.Job{{Release: 3, Deadline: 9}}, 6))
+	jobs := make([]sched.Job, 2000)
+	for i := range jobs {
+		jobs[i] = sched.Job{Release: i * 1_000_000, Deadline: i*1_000_000 + 900_000}
+	}
+	if state, _, _ := AdmissionEstimates(sched.NewMultiprocInstance(jobs, 4)); state != math.MaxInt {
+		t.Fatalf("saturating horizon: state estimate %d, want MaxInt", state)
+	}
+	for _, procs := range []int{1, 4} {
+		check("saturating", sched.NewMultiprocInstance(jobs, procs))
+	}
+}

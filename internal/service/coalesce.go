@@ -165,7 +165,10 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 	if len(reqs) > 1 {
 		c.met.coalesced.Add(int64(len(reqs)))
 	}
-	// A lone request solves on one worker, exactly as Solve would.
+	// A lone request solves on one worker whatever its size, and a
+	// window of several shares the configured pool. This is the
+	// daemon's own rule: the library's Solve sizes its pool share by
+	// the instance instead.
 	s := c.solver(key)
 	if len(reqs) == 1 {
 		s.Workers = 1

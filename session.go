@@ -60,9 +60,10 @@ type Session struct {
 // and Workers do not apply to sessions: incrementality is the
 // decomposition, and Resolve solves its dirty fragments sequentially —
 // a delta typically dirties one fragment, so there is nothing to fan
-// out (for a bulk first solve of a huge job set, SolveBatch the
-// instance once and open the session for the churn). Configuration
-// errors are the same ones Solve reports.
+// out (for a bulk first solve of a huge job set, Solve the instance
+// once, which spreads its fragments over the worker pool, and open the
+// session for the churn). Configuration errors are the same ones Solve
+// reports.
 func (s Solver) Open(procs int) (*Session, error) {
 	rt, err := s.runtime()
 	if err != nil {

@@ -111,9 +111,9 @@ const DefaultStateBudget = 1 << 25
 // internal/prep), the solving tiers — the exact DP engine
 // (internal/core) and the certified greedy heuristic (internal/heur),
 // selected by Mode — an optional canonical-fragment solution cache,
-// and, for SolveBatch, a bounded worker pool fed at fragment
-// granularity. The zero value minimizes gaps exactly with
-// preprocessing enabled and no cache.
+// and a bounded worker pool fed at fragment granularity (all of it for
+// SolveBatch, a share sized by the instance for Solve). The zero value
+// minimizes gaps exactly with preprocessing enabled and no cache.
 type Solver struct {
 	// Objective selects the cost model. Default: ObjectiveGaps.
 	Objective Objective
@@ -124,8 +124,11 @@ type Solver struct {
 	// the DP engine in one piece. Useful for ablation; results are
 	// identical either way.
 	NoPreprocess bool
-	// Workers bounds SolveBatch concurrency. Zero or negative means
-	// GOMAXPROCS. Solve ignores it and runs on one worker.
+	// Workers bounds the worker pool. Zero or negative means
+	// GOMAXPROCS. SolveBatch uses the whole pool; Solve uses one worker
+	// per 32 jobs of its instance, at least one and at most the pool, so
+	// Workers: 1 keeps Solve serial. Neither starts more workers than
+	// there are fragments, and answers are identical for every count.
 	Workers int
 	// Cache, when non-nil, is a canonical-fragment solution cache
 	// consulted by Solve, SolveBatch and sessions and shared across
@@ -239,8 +242,9 @@ type Solution struct {
 // fragment-cache service (lookups that avoided a backend solve,
 // singleflight waits included), the two solving backends, and
 // reassembly (fragment schedules → instance schedule + validation).
-// Durations are summed over fragments/sub-steps, so on a parallel
-// SolveBatch they report aggregate work, not elapsed wall-clock.
+// Durations are summed over fragments/sub-steps, so on any parallel
+// solve — a SolveBatch, or a Solve large enough to use several
+// workers — they report aggregate work, not elapsed wall-clock.
 type Timings struct {
 	Prep    time.Duration
 	Cache   time.Duration
@@ -365,10 +369,8 @@ func (rt *objectiveRuntime) tier(fr sched.Instance) obs.Backend {
 		if rt.budget < 0 {
 			return obs.BackendHeur
 		}
-		if prep.StateEstimate(fr)/autoPruneDiscount <= rt.budget {
-			return obs.BackendDP
-		}
-		if est, ok := prep.SingleProcEstimate(fr); ok && est <= rt.budget {
+		state, single, singleProc := prep.AdmissionEstimates(fr)
+		if state/autoPruneDiscount <= rt.budget || singleProc && single <= rt.budget {
 			return obs.BackendDP
 		}
 		return obs.BackendHeur
@@ -648,18 +650,43 @@ func (s Solver) Solve(in Instance) (Solution, error) {
 }
 
 // SolveContext is Solve with cancellation and deadline support. It is a
-// one-instance SolveBatchContext on one worker, whatever s.Workers
-// says: the fragments run in order on the calling goroutine, the
-// context is observed between them, and a done context ends the solve
-// with ctx.Err() (wrapped). A fragment already running in the DP engine
-// is completed; unit fragments are fast, so cancellation latency is
-// bounded by the heaviest single fragment. A successful return is
-// always a complete, bit-identical Solve result — partial solutions are
+// one-instance SolveBatchContext on one worker per 32 jobs of in, at
+// least one and at most the pool (see Solver.Workers): small instances
+// run their fragments in order on the calling goroutine, large ones
+// spread them over the pool.
+// Either way each worker observes the context before taking a
+// fragment, and a done context ends the solve with ctx.Err() (wrapped).
+// Fragments already running — at most one per worker — are completed;
+// unit fragments are fast, so cancellation latency is bounded by the
+// heaviest single fragment. A successful return is always a complete
+// result, bit-identical for every worker count — partial solutions are
 // never returned.
 func (s Solver) SolveContext(ctx context.Context, in Instance) (Solution, error) {
-	s.Workers = 1
+	s.Workers = solveWorkers(s.pool(), len(in.Jobs))
 	r := s.SolveBatchContext(ctx, []Instance{in})[0]
 	return r.Solution, r.Err
+}
+
+// solveJobsPerWorker is how many jobs of a Solve instance pay for one
+// more worker. It comes from BenchmarkSolveWorkers on 2 vCPU: with
+// many small fragments, a second worker was no faster at 32 jobs and
+// 20–40% faster from 64 jobs on; with 64-job fragments it broke even
+// until there were four fragments to share.
+const solveJobsPerWorker = 32
+
+// solveWorkers is Solve's worker count for an instance of jobs jobs
+// under a pool of pool workers: one per solveJobsPerWorker jobs, at
+// least one and at most pool.
+func solveWorkers(pool, jobs int) int {
+	return min(pool, max(1, jobs/solveJobsPerWorker))
+}
+
+// pool resolves Workers: zero or negative means GOMAXPROCS.
+func (s Solver) pool() int {
+	if s.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return s.Workers
 }
 
 // ctxErr converts a done context into the facade's error form.
@@ -746,13 +773,7 @@ func (s Solver) SolveBatchContext(ctx context.Context, ins []Instance) []BatchRe
 		}
 	}
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queue) {
-		workers = len(queue)
-	}
+	workers := min(s.pool(), len(queue))
 	// The calling goroutine is one of the workers, so a one-worker
 	// solve starts no goroutine at all.
 	var next atomic.Int64
