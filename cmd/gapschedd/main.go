@@ -20,6 +20,8 @@
 //	DELETE /v1/session/{id}
 //	GET    /healthz
 //	GET    /metrics
+//	GET    /v1/debug/traces   recent solve traces, newest first
+//	GET    /v1/debug/slo      trailing-window SLO report
 //
 // Sessions hold a live job set whose exact solution is maintained
 // incrementally: a delta re-solves only the schedule fragments it
@@ -31,7 +33,8 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener
 // stops, open coalescing windows are flushed so buffered clients still
-// get answers, and in-flight solves complete.
+// get answers, and in-flight solves complete. It then logs one "served"
+// line at info level with the request, dispatch and cache totals.
 package main
 
 import (
@@ -59,7 +62,6 @@ type options struct {
 	pprofAddr string
 	cfg       service.Config
 	grace     time.Duration
-	verbose   bool
 	logLevel  string
 	logFormat string
 }
@@ -77,12 +79,11 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.DurationVar(&o.cfg.Window, "window", 2*time.Millisecond, "coalescing window (0 disables coalescing)")
 	fs.IntVar(&o.cfg.MaxBatch, "max-batch", service.DefaultMaxBatch, "dispatch a window early at this many requests")
 	fs.IntVar(&o.cfg.CacheCapacity, "cache", service.DefaultCacheCapacity, "fragment cache capacity (negative disables)")
-	fs.IntVar(&o.cfg.Workers, "workers", 0, "solver workers per dispatch (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "solver workers per dispatch of several requests; a lone /v1/solve runs on one (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.cfg.SolveTimeout, "timeout", 30*time.Second, "per-dispatch solve deadline (0 = none)")
 	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", service.DefaultSessionTTL, "idle incremental sessions expire after this (negative = never)")
 	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", service.DefaultMaxSessions, "bound on open incremental sessions (negative = unlimited)")
 	fs.DurationVar(&o.grace, "grace", 10*time.Second, "graceful shutdown budget before the listener is torn down")
-	fs.BoolVar(&o.verbose, "v", false, "log every dispatch summary")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text or json")
 	fs.DurationVar(&o.cfg.SlowSolve, "slow-solve", 0, "warn with the per-stage trace for solves at least this slow (0 disables)")
@@ -241,15 +242,13 @@ func serve(ctx context.Context, ln, pprofLn net.Listener, o options, logger *slo
 		logger.Warn("listener shutdown incomplete", "err", err)
 	}
 	<-closed
-	if o.verbose {
-		st := srv.Stats()
-		logger.Info("served",
-			"solveRequests", st.SolveRequests,
-			"batchRequests", st.BatchRequests,
-			"dispatches", st.Dispatches,
-			"coalesced", st.Coalesced,
-			"cacheHits", st.Cache.Hits,
-			"cacheMisses", st.Cache.Misses)
-	}
+	st := srv.Stats()
+	logger.Info("served",
+		"solveRequests", st.SolveRequests,
+		"batchRequests", st.BatchRequests,
+		"dispatches", st.Dispatches,
+		"coalesced", st.Coalesced,
+		"cacheHits", st.Cache.Hits,
+		"cacheMisses", st.Cache.Misses)
 	return <-errc
 }

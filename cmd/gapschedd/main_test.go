@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"log/slog"
@@ -50,7 +51,8 @@ func TestParseArgs(t *testing.T) {
 }
 
 // Startup/shutdown smoke test: the daemon answers /healthz and a solve
-// request, then exits cleanly when its context is canceled.
+// request, then exits cleanly when its context is canceled, logging
+// its served totals after shutdown.
 func TestServeSmoke(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -60,9 +62,14 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logs bytes.Buffer // written by serve; read only after it returns
+	logger, err := buildLogger(o.logLevel, "json", &logs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, nil, o, slog.New(slog.DiscardHandler)) }()
+	go func() { done <- serve(ctx, ln, nil, o, logger) }()
 
 	base := "http://" + ln.Addr().String()
 	awaitHealthy(t, base)
@@ -85,6 +92,19 @@ func TestServeSmoke(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+
+	// The last line is the served summary, logged after shutdown.
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	var served struct {
+		Level, Msg    string
+		SolveRequests int64
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &served); err != nil {
+		t.Fatalf("last log line %q: %v", lines[len(lines)-1], err)
+	}
+	if served.Msg != "served" || served.Level != "INFO" || served.SolveRequests != 1 {
+		t.Fatalf("last log line = %+v, want an INFO served line counting 1 solve request", served)
 	}
 }
 

@@ -144,13 +144,50 @@ func TestOracleConsistencyAcrossModels(t *testing.T) {
 	}
 }
 
+// TestSpansMultiMatchesUltraBrute certifies the multi-interval oracle,
+// the reference of the reduction, arithmetic and facade tests, against
+// an enumeration of every injective assignment of jobs to allowed
+// times, on both interval-shaped and scattered unit-time windows.
+func TestSpansMultiMatchesUltraBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	feasible, infeasible := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(6)
+		var mi sched.MultiInstance
+		if trial%2 == 0 {
+			mi = workload.MultiInterval(rng, n, 1+rng.Intn(3), 1+rng.Intn(2), 10)
+		} else {
+			mi = workload.UnitMulti(rng, n, 1+rng.Intn(4), 10)
+		}
+		a, okA := SpansMulti(mi)
+		b, okB := UltraBruteMultiSpans(mi)
+		if okA != okB {
+			t.Fatalf("trial %d: oracle feasible=%v, ultra-brute=%v (jobs %v)", trial, okA, okB, mi.Jobs)
+		}
+		if okA && a != b {
+			t.Fatalf("trial %d: oracle %d spans, ultra-brute %d (jobs %v)", trial, a, b, mi.Jobs)
+		}
+		if okA {
+			feasible++
+		} else {
+			infeasible++
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("draws cover one side only: %d feasible, %d infeasible", feasible, infeasible)
+	}
+}
+
 func TestUltraBruteLimits(t *testing.T) {
 	big := sched.NewInstance(make([]sched.Job, MaxUltraBruteJobs+1))
+	bigMulti := sched.MultiInstance{Jobs: make([]sched.MultiJob, MaxUltraBruteJobs+1)}
 	for i := range big.Jobs {
 		big.Jobs[i] = sched.Job{Release: i, Deadline: i}
+		bigMulti.Jobs[i] = sched.MultiJobFromTimes(i)
 	}
 	assertPanics(t, func() { UltraBruteSpans(big) })
 	assertPanics(t, func() { UltraBrutePower(big, 1) })
+	assertPanics(t, func() { UltraBruteMultiSpans(bigMulti) })
 	huge := sched.Instance{Jobs: make([]sched.Job, MaxOracleJobs+1), Procs: 1}
 	for i := range huge.Jobs {
 		huge.Jobs[i] = sched.Job{Release: i, Deadline: i}

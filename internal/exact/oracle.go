@@ -16,7 +16,6 @@ package exact
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sched"
 )
@@ -331,11 +330,4 @@ func popcount(x uint32) int {
 		c++
 	}
 	return c
-}
-
-// SortTimes is a small helper exposed for tests: returns sorted copy.
-func SortTimes(ts []int) []int {
-	out := append([]int(nil), ts...)
-	sort.Ints(out)
-	return out
 }

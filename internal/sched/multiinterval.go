@@ -20,11 +20,6 @@ func (iv Interval) Valid() bool { return iv.Lo <= iv.Hi }
 // Contains reports whether t lies in the interval.
 func (iv Interval) Contains(t int) bool { return iv.Lo <= t && t <= iv.Hi }
 
-// Overlaps reports whether the two intervals share an integer time.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }
 
 // MultiJob is a unit-length task executable at any integer time contained
@@ -183,16 +178,6 @@ func (mi MultiInstance) MaxIntervalsPerJob() int {
 		}
 	}
 	return m
-}
-
-// FromOneInterval converts a single-processor one-interval instance to
-// the equivalent multi-interval instance.
-func FromOneInterval(in Instance) MultiInstance {
-	jobs := make([]MultiJob, len(in.Jobs))
-	for i, j := range in.Jobs {
-		jobs[i] = MultiJob{Intervals: []Interval{{Lo: j.Release, Hi: j.Deadline}}}
-	}
-	return MultiInstance{Jobs: jobs}
 }
 
 // LayOut converts a p-processor one-interval instance into the equivalent

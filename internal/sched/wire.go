@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire objective names accepted by SolveRequest. An empty objective
@@ -21,22 +22,35 @@ const (
 )
 
 // Wire solver-mode names accepted by SolveRequest and
-// SessionCreateRequest. An empty mode means WireModeExact. They match
-// gapsched.Mode.String / gapsched.ParseMode.
+// SessionCreateRequest. An empty mode means WireModeExact.
 const (
 	WireModeExact     = "exact"
 	WireModeHeuristic = "heuristic"
 	WireModeAuto      = "auto"
 )
 
-// validMode reports whether s names a solver mode ("" included).
-func validMode(s string) error {
-	switch s {
-	case "", WireModeExact, WireModeHeuristic, WireModeAuto:
-		return nil
+// WireModes names every solver mode in gapsched.Mode order, so it is
+// indexed by a Mode: gapsched.Mode.String and gapsched.ParseMode read
+// it, and per-mode tallies are arrays of len(WireModes).
+var WireModes = [...]string{WireModeExact, WireModeHeuristic, WireModeAuto}
+
+// validConfig checks the solver configuration SolveRequest and
+// SessionCreateRequest share: a known objective, a known mode ("" is
+// the default of both) and a non-negative alpha.
+func validConfig(objective, mode string, alpha float64) error {
+	switch objective {
+	case "", WireGaps, WirePower:
+	default:
+		return fmt.Errorf("sched: unknown objective %q (want %q or %q)", objective, WireGaps, WirePower)
 	}
-	return fmt.Errorf("sched: unknown mode %q (want %q, %q or %q)",
-		s, WireModeExact, WireModeHeuristic, WireModeAuto)
+	if mode != "" && !slices.Contains(WireModes[:], mode) {
+		return fmt.Errorf("sched: unknown mode %q (want %q, %q or %q)",
+			mode, WireModeExact, WireModeHeuristic, WireModeAuto)
+	}
+	if alpha < 0 {
+		return fmt.Errorf("sched: negative alpha %v", alpha)
+	}
+	return nil
 }
 
 // Wire error codes carried by WireError. They partition every way a
@@ -56,6 +70,13 @@ const (
 	// not exist — it may have been deleted or evicted by the TTL.
 	ErrCodeNotFound = "not_found"
 )
+
+// ErrCodes lists every wire error code once, in the order the daemon
+// reports them; per-code tallies are arrays of len(ErrCodes) indexed
+// like it.
+var ErrCodes = [...]string{
+	ErrCodeBadRequest, ErrCodeInfeasible, ErrCodeCanceled, ErrCodeUnavailable, ErrCodeNotFound, ErrCodeInternal,
+}
 
 // SolveRequest is the wire form of one scheduling request, the JSON
 // body of the daemon's /v1/solve endpoint and the element of a
@@ -93,16 +114,8 @@ func (r SolveRequest) Instance() Instance {
 // Validate checks the request: a known objective, a known mode, a
 // non-negative alpha, and a structurally valid instance.
 func (r SolveRequest) Validate() error {
-	switch r.Objective {
-	case "", WireGaps, WirePower:
-	default:
-		return fmt.Errorf("sched: unknown objective %q (want %q or %q)", r.Objective, WireGaps, WirePower)
-	}
-	if err := validMode(r.Mode); err != nil {
+	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err
-	}
-	if r.Alpha < 0 {
-		return fmt.Errorf("sched: negative alpha %v", r.Alpha)
 	}
 	return r.Instance().Validate()
 }
@@ -269,16 +282,8 @@ type SessionCreateRequest struct {
 // non-negative alpha, a representable processor count, and non-empty
 // job windows.
 func (r SessionCreateRequest) Validate() error {
-	switch r.Objective {
-	case "", WireGaps, WirePower:
-	default:
-		return fmt.Errorf("sched: unknown objective %q (want %q or %q)", r.Objective, WireGaps, WirePower)
-	}
-	if err := validMode(r.Mode); err != nil {
+	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err
-	}
-	if r.Alpha < 0 {
-		return fmt.Errorf("sched: negative alpha %v", r.Alpha)
 	}
 	if r.Procs < 0 {
 		return fmt.Errorf("sched: negative processor count %d", r.Procs)

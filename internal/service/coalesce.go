@@ -15,20 +15,6 @@ import (
 // shutdown has begun.
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// solveKey identifies one solver configuration. Requests coalesce only
-// with requests of the same key, since one SolveBatch call runs under
-// one configuration; the fragment cache is still shared across keys
-// (its entries are keyed by objective, alpha, and solving tier).
-// budget is meaningful only for ModeAuto — keyFor zeroes it for the
-// other modes so an irrelevant stateBudget does not fragment the
-// coalescing windows.
-type solveKey struct {
-	objective gapsched.Objective
-	alpha     float64
-	mode      gapsched.Mode
-	budget    int
-}
-
 // pending is one buffered request. done is buffered so a dispatcher
 // never blocks on a client that stopped listening; enq timestamps the
 // buffering so the dispatch trace can report each request's queue wait.
@@ -46,16 +32,21 @@ type pending struct {
 // window therefore hit the same canonical fragments — the duplicate-
 // heavy batch shape the cache layer was built for — instead of
 // re-solving in isolation.
+//
+// Windows are keyed by the request's Solver (Server.solver): requests
+// coalesce only with requests of the same configuration, since one
+// SolveBatch call runs under one Solver; the fragment cache is still
+// shared across them (its entries are keyed by objective, alpha, and
+// solving tier).
 type coalescer struct {
 	window   time.Duration // 0 disables buffering: every request dispatches at once
 	maxBatch int           // dispatch early once a window holds this many requests
 	timeout  time.Duration // per-dispatch solve deadline (0 = none)
-	solver   func(solveKey) gapsched.Solver
 	met      *metrics
 	po       *pipelineObs // sinks for the per-dispatch trace
 
 	mu     sync.Mutex
-	groups map[solveKey]*group
+	groups map[gapsched.Solver]*group
 	closed bool
 	wg     sync.WaitGroup // in-flight dispatch goroutines
 }
@@ -66,15 +57,14 @@ type group struct {
 	timer *time.Timer
 }
 
-func newCoalescer(window time.Duration, maxBatch int, timeout time.Duration, met *metrics, po *pipelineObs, solver func(solveKey) gapsched.Solver) *coalescer {
+func newCoalescer(window time.Duration, maxBatch int, timeout time.Duration, met *metrics, po *pipelineObs) *coalescer {
 	return &coalescer{
 		window:   window,
 		maxBatch: maxBatch,
 		timeout:  timeout,
-		solver:   solver,
 		met:      met,
 		po:       po,
-		groups:   make(map[solveKey]*group),
+		groups:   make(map[gapsched.Solver]*group),
 	}
 }
 
@@ -84,7 +74,7 @@ func newCoalescer(window time.Duration, maxBatch int, timeout time.Duration, met
 // closes with no other request in it. A dispatch serving several
 // clients is bounded by the coalescer's timeout instead, so one
 // disconnecting client cannot cancel its peers' solutions.
-func (c *coalescer) enqueue(ctx context.Context, key solveKey, in gapsched.Instance) (<-chan gapsched.BatchResult, error) {
+func (c *coalescer) enqueue(ctx context.Context, s gapsched.Solver, in gapsched.Instance) (<-chan gapsched.BatchResult, error) {
 	p := &pending{ctx: ctx, in: in, done: make(chan gapsched.BatchResult, 1), enq: time.Now()}
 	c.mu.Lock()
 	if c.closed {
@@ -94,23 +84,23 @@ func (c *coalescer) enqueue(ctx context.Context, key solveKey, in gapsched.Insta
 	if c.window <= 0 || c.maxBatch <= 1 {
 		c.wg.Add(1)
 		c.mu.Unlock()
-		go c.run(key, []*pending{p})
+		go c.run(s, []*pending{p})
 		return p.done, nil
 	}
-	g := c.groups[key]
+	g := c.groups[s]
 	if g == nil {
 		g = &group{}
-		c.groups[key] = g
+		c.groups[s] = g
 		// The window opens when its first request arrives; the timer
 		// callback flushes whatever the window accumulated.
-		g.timer = time.AfterFunc(c.window, func() { c.flush(key, g) })
+		g.timer = time.AfterFunc(c.window, func() { c.flush(s, g) })
 	}
 	g.reqs = append(g.reqs, p)
 	if len(g.reqs) >= c.maxBatch {
-		c.detachLocked(key, g)
+		c.detachLocked(s, g)
 		reqs := g.reqs
 		c.mu.Unlock()
-		go c.run(key, reqs)
+		go c.run(s, reqs)
 		return p.done, nil
 	}
 	c.mu.Unlock()
@@ -119,8 +109,8 @@ func (c *coalescer) enqueue(ctx context.Context, key solveKey, in gapsched.Insta
 
 // detachLocked removes g from the open set and claims a dispatch slot.
 // Caller holds c.mu and must start run() for g's requests.
-func (c *coalescer) detachLocked(key solveKey, g *group) {
-	delete(c.groups, key)
+func (c *coalescer) detachLocked(s gapsched.Solver, g *group) {
+	delete(c.groups, s)
 	g.timer.Stop()
 	c.wg.Add(1)
 }
@@ -128,23 +118,23 @@ func (c *coalescer) detachLocked(key solveKey, g *group) {
 // flush dispatches g when its window timer fires. g may already have
 // been dispatched by the size trigger or by Close; the map identity
 // check makes the flush idempotent.
-func (c *coalescer) flush(key solveKey, g *group) {
+func (c *coalescer) flush(s gapsched.Solver, g *group) {
 	c.mu.Lock()
-	if c.groups[key] != g {
+	if c.groups[s] != g {
 		c.mu.Unlock()
 		return
 	}
-	c.detachLocked(key, g)
+	c.detachLocked(s, g)
 	reqs := g.reqs
 	c.mu.Unlock()
-	c.run(key, reqs)
+	c.run(s, reqs)
 }
 
 // run dispatches one claimed window, results demultiplexed back per
 // request. The caller must have claimed a wg slot (detachLocked or
 // enqueue). A coalesced window yields one trace with a queue-wait span
 // per buffered request.
-func (c *coalescer) run(key solveKey, reqs []*pending) {
+func (c *coalescer) run(s gapsched.Solver, reqs []*pending) {
 	defer c.wg.Done()
 	tr := obs.NewTrace("solve")
 	// Queue waits happened before the dispatch trace began; anchor them
@@ -169,7 +159,6 @@ func (c *coalescer) run(key solveKey, reqs []*pending) {
 	// window of several shares the configured pool. This is the
 	// daemon's own rule: the library's Solve sizes its pool share by
 	// the instance instead.
-	s := c.solver(key)
 	if len(reqs) == 1 {
 		s.Workers = 1
 	}
@@ -255,17 +244,17 @@ func (c *coalescer) close() {
 	}
 	c.closed = true
 	type claimed struct {
-		key  solveKey
+		s    gapsched.Solver
 		reqs []*pending
 	}
 	var flushes []claimed
-	for key, g := range c.groups {
-		c.detachLocked(key, g)
-		flushes = append(flushes, claimed{key, g.reqs})
+	for s, g := range c.groups {
+		c.detachLocked(s, g)
+		flushes = append(flushes, claimed{s, g.reqs})
 	}
 	c.mu.Unlock()
 	for _, f := range flushes {
-		go c.run(f.key, f.reqs)
+		go c.run(f.s, f.reqs)
 	}
 	c.wg.Wait()
 }

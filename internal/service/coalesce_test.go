@@ -19,9 +19,7 @@ import (
 func testCoalescer(window time.Duration) *coalescer {
 	met := &metrics{}
 	po := &pipelineObs{met: met, logger: slog.New(slog.DiscardHandler)}
-	return newCoalescer(window, 8, 0, met, po, func(solveKey) gapsched.Solver {
-		return gapsched.Solver{}
-	})
+	return newCoalescer(window, 8, 0, met, po)
 }
 
 // TestCoalescerSingleRequestWindowHonorsContext: a window that closes
@@ -39,7 +37,7 @@ func TestCoalescerSingleRequestWindowHonorsContext(t *testing.T) {
 	} {
 		c := testCoalescer(tc.window)
 		ctx, cancel := context.WithCancel(context.Background())
-		done, err := c.enqueue(ctx, solveKey{}, in)
+		done, err := c.enqueue(ctx, gapsched.Solver{}, in)
 		if err != nil {
 			t.Fatalf("%s: enqueue: %v", tc.name, err)
 		}
@@ -65,11 +63,11 @@ func TestCoalescerSharedWindowIgnoresClientContext(t *testing.T) {
 	defer c.close()
 	in := gapsched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 3}}, Procs: 1}
 	ctx, cancel := context.WithCancel(context.Background())
-	done1, err := c.enqueue(ctx, solveKey{}, in)
+	done1, err := c.enqueue(ctx, gapsched.Solver{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2, err := c.enqueue(context.Background(), solveKey{}, in)
+	done2, err := c.enqueue(context.Background(), gapsched.Solver{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,15 +37,13 @@ type metrics struct {
 	sessionsClosed  atomic.Int64 // sessions deleted by clients or shutdown
 	sessionsExpired atomic.Int64 // sessions reclaimed by the TTL
 
-	// Per-mode solve accounting: every successfully served solution —
-	// /v1/solve, each /v1/batch element, each session resolve — bumps
-	// the counter of the solver mode that produced it, and adds its
-	// certified optimality gap (cost − lowerBound, zero for exact
-	// solves) to the summed quality-gap gauge.
-	modeExact     atomic.Int64
-	modeHeuristic atomic.Int64
-	modeAuto      atomic.Int64
-	qualityGap    atomic.Uint64 // float64 bits of the summed gap
+	// Per-mode solve accounting, indexed by gapsched.Mode: every
+	// successfully served solution — /v1/solve, each /v1/batch element,
+	// each session resolve — bumps the counter of the solver mode that
+	// produced it, and adds its certified optimality gap (cost −
+	// lowerBound, zero for exact solves) to the summed quality-gap gauge.
+	modeSolves [len(sched.WireModes)]atomic.Int64
+	qualityGap atomic.Uint64 // float64 bits of the summed gap
 
 	// Per-backend fragment accounting, indexed by obs.Backend: every
 	// served solution adds its fragment counts to the backend that
@@ -66,27 +65,17 @@ type metrics struct {
 	prunedStates   atomic.Int64
 	expandedStates atomic.Int64
 
-	errBadRequest  atomic.Int64
-	errInfeasible  atomic.Int64
-	errCanceled    atomic.Int64
-	errUnavailable atomic.Int64
-	errNotFound    atomic.Int64
-	errInternal    atomic.Int64
+	// Failed requests, indexed like sched.ErrCodes.
+	errors [len(sched.ErrCodes)]atomic.Int64
 
 	// Latency histograms (lock-free, log₂-bucketed; internal/obs).
-	// Request histograms measure end-to-end handler time per endpoint;
-	// fragment histograms, indexed by obs.Backend, measure individual
+	// Fragment histograms, indexed by obs.Backend, measure individual
 	// backend solves extracted from dispatch traces; queueWait measures
 	// how long solve requests sat buffered in coalescing windows before
-	// their dispatch started.
-	reqSolve         obs.Histogram
-	reqBatch         obs.Histogram
-	reqSessionCreate obs.Histogram
-	reqSessionDelta  obs.Histogram
-	reqSessionSolve  obs.Histogram
-	reqSessionDelete obs.Histogram
-	fragSolve        [len(obs.Backends)]obs.Histogram
-	queueWait        obs.Histogram
+	// their dispatch started. Each endpoint owns its end-to-end request
+	// histogram.
+	fragSolve [len(obs.Backends)]obs.Histogram
+	queueWait obs.Histogram
 }
 
 // observeFragment records one fragment's backend solve duration under
@@ -100,24 +89,22 @@ func (m *metrics) observeFragment(backend string, d time.Duration) {
 	}
 }
 
-// countModeSolve records one successfully served solution of a key's
-// configuration: the mode that produced it, its certified optimality
-// gap (cost − lowerBound), its per-backend fragment split, and its
-// branch-and-bound state counters.
-func (m *metrics) countModeSolve(key solveKey, sol gapsched.Solution) {
+// countSolve records one successfully served solution of a solver
+// minimizing objective: the mode that produced it, its certified
+// optimality gap (cost − lowerBound), its per-backend fragment split,
+// its branch-and-bound state counters and, for online sessions, its
+// competitive ratio.
+func (m *metrics) countSolve(objective gapsched.Objective, sol gapsched.Solution) {
 	m.prunedStates.Add(int64(sol.PrunedStates))
 	m.expandedStates.Add(int64(sol.ExpandedStates))
 	m.backendSolves[obs.BackendDP].Add(int64(sol.Subinstances - sol.HeuristicFragments))
 	m.backendSolves[obs.BackendHeur].Add(int64(sol.HeuristicFragments))
-	switch sol.Mode {
-	case gapsched.ModeHeuristic:
-		m.modeHeuristic.Add(1)
-	case gapsched.ModeAuto:
-		m.modeAuto.Add(1)
-	default:
-		m.modeExact.Add(1)
+	m.modeSolves[sol.Mode].Add(1)
+	if sol.CompetitiveRatio > 0 {
+		m.onlineSolves.Add(1)
+		m.onlineRatio.Store(math.Float64bits(sol.CompetitiveRatio))
 	}
-	gap := key.objective.Cost(sol) - sol.LowerBound
+	gap := objective.Cost(sol) - sol.LowerBound
 	if !(gap > 0) { // exact solves certify themselves: gap 0
 		return
 	}
@@ -135,35 +122,39 @@ func (m *metrics) qualityGapTotal() float64 {
 	return math.Float64frombits(m.qualityGap.Load())
 }
 
-// observeOnlineRatio records one online-session solve and its measured
-// competitive ratio.
-func (m *metrics) observeOnlineRatio(ratio float64) {
-	m.onlineSolves.Add(1)
-	m.onlineRatio.Store(math.Float64bits(ratio))
-}
-
 // onlineRatioValue reads the last measured online competitive ratio
 // (0 before any online solve).
 func (m *metrics) onlineRatioValue() float64 {
 	return math.Float64frombits(m.onlineRatio.Load())
 }
 
-// bumpError increments the counter for one wire error code.
-func (m *metrics) bumpError(code string) {
-	switch code {
-	case sched.ErrCodeBadRequest:
-		m.errBadRequest.Add(1)
-	case sched.ErrCodeInfeasible:
-		m.errInfeasible.Add(1)
-	case sched.ErrCodeCanceled:
-		m.errCanceled.Add(1)
-	case sched.ErrCodeUnavailable:
-		m.errUnavailable.Add(1)
-	case sched.ErrCodeNotFound:
-		m.errNotFound.Add(1)
-	default:
-		m.errInternal.Add(1)
+// countError increments the counter of one wire error code; a code
+// outside sched.ErrCodes counts as internal.
+func (m *metrics) countError(code string) {
+	i := slices.Index(sched.ErrCodes[:], code)
+	if i < 0 {
+		i = slices.Index(sched.ErrCodes[:], sched.ErrCodeInternal)
 	}
+	m.errors[i].Add(1)
+}
+
+// byName pairs each name with the counter at its index.
+func byName(names []string, counts []atomic.Int64) map[string]int64 {
+	out := make(map[string]int64, len(names))
+	for i, name := range names {
+		out[name] = counts[i].Load()
+	}
+	return out
+}
+
+// labeled renders the label/value pairs of one counter family whose
+// series are named by names and counted at the same index of counts.
+func labeled(label string, names []string, counts []atomic.Int64) []any {
+	pairs := make([]any, 0, 2*len(names))
+	for i, name := range names {
+		pairs = append(pairs, fmt.Sprintf("%s=%q", label, name), counts[i].Load())
+	}
+	return pairs
 }
 
 // buildRevision reads the VCS revision stamped into the binary, once.
@@ -201,10 +192,10 @@ func (m *metrics) writeVitals(w io.Writer) {
 		"# TYPE gapschedd_go_heap_alloc_bytes gauge\ngapschedd_go_heap_alloc_bytes %d\n", ms.HeapAlloc)
 }
 
-// write renders the counters. buffered is the coalescer's current
-// open-window occupancy, sessionsOpen the live session count; cache
-// may be nil (caching disabled).
-func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched.FragmentCache) {
+// write renders the counters. eps is the endpoint table, buffered the
+// coalescer's current open-window occupancy, sessionsOpen the live
+// session count; cache may be nil (caching disabled).
+func (m *metrics) write(w io.Writer, eps []*endpoint, buffered, sessionsOpen int, cache *gapsched.FragmentCache) {
 	counter := func(name, help string, pairs ...any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		for i := 0; i < len(pairs); i += 2 {
@@ -215,10 +206,15 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 			}
 		}
 	}
-	counter("gapschedd_requests_total", "Requests received, by endpoint.",
-		`endpoint="solve"`, m.solveRequests.Load(),
-		`endpoint="batch"`, m.batchRequests.Load(),
-		`endpoint="session"`, m.sessionRequests.Load())
+	// Endpoints sharing a requests_total series render it once, at the
+	// first of them.
+	var reqPairs []any
+	for i, ep := range eps {
+		if !slices.ContainsFunc(eps[:i], func(prev *endpoint) bool { return prev.reqs == ep.reqs }) {
+			reqPairs = append(reqPairs, fmt.Sprintf("endpoint=%q", ep.reqLabel), ep.reqs.Load())
+		}
+	}
+	counter("gapschedd_requests_total", "Requests received, by endpoint.", reqPairs...)
 	counter("gapschedd_batch_items_total", "Requests carried inside /v1/batch envelopes.",
 		"", m.batchItems.Load())
 	counter("gapschedd_dispatches_total", "Solver dispatches (each runs one SolveBatch).",
@@ -226,22 +222,11 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 	counter("gapschedd_coalesced_requests_total", "Solve requests that shared a dispatch with at least one other request.",
 		"", m.coalesced.Load())
 	counter("gapschedd_errors_total", "Failed requests, by wire error code.",
-		`code="bad_request"`, m.errBadRequest.Load(),
-		`code="infeasible"`, m.errInfeasible.Load(),
-		`code="canceled"`, m.errCanceled.Load(),
-		`code="unavailable"`, m.errUnavailable.Load(),
-		`code="not_found"`, m.errNotFound.Load(),
-		`code="internal"`, m.errInternal.Load())
+		labeled("code", sched.ErrCodes[:], m.errors[:])...)
 	counter("gapschedd_mode_solves_total", "Successfully served solutions, by solver mode.",
-		`mode="exact"`, m.modeExact.Load(),
-		`mode="heuristic"`, m.modeHeuristic.Load(),
-		`mode="auto"`, m.modeAuto.Load())
-	backendPairs := make([]any, 0, 2*len(obs.Backends))
-	for b, name := range obs.Backends {
-		backendPairs = append(backendPairs, fmt.Sprintf("backend=%q", name), m.backendSolves[b].Load())
-	}
+		labeled("mode", sched.WireModes[:], m.modeSolves[:])...)
 	counter("gapschedd_backend_solves_total", "Fragments solved over served solutions, by backend: the exact DP engine or the greedy heuristic.",
-		backendPairs...)
+		labeled("backend", obs.Backends[:], m.backendSolves[:])...)
 	fmt.Fprintf(w, "# HELP gapschedd_quality_gap_total Summed certified optimality gap (cost minus lower bound) over served solutions.\n"+
 		"# TYPE gapschedd_quality_gap_total counter\ngapschedd_quality_gap_total %g\n", m.qualityGapTotal())
 	counter("gapschedd_dp_states_total", "Exact-tier DP subproblems over served solutions, by outcome: pruned (cut by the branch-and-bound lower bound) versus expanded.",
@@ -273,14 +258,12 @@ func (m *metrics) write(w io.Writer, buffered, sessionsOpen int, cache *gapsched
 		fmt.Fprintf(w, "# HELP gapschedd_fragcache_entries Fragment solutions currently cached.\n"+
 			"# TYPE gapschedd_fragcache_entries gauge\ngapschedd_fragcache_entries %d\n", st.Entries)
 	}
+	reqSeries := make([]obs.Series, len(eps))
+	for i, ep := range eps {
+		reqSeries[i] = obs.Series{Labels: fmt.Sprintf("endpoint=%q", ep.label), Hist: &ep.lat}
+	}
 	obs.WriteProm(w, "gapschedd_request_duration_seconds",
-		"End-to-end request handling latency, by endpoint.",
-		obs.Series{Labels: `endpoint="solve"`, Hist: &m.reqSolve},
-		obs.Series{Labels: `endpoint="batch"`, Hist: &m.reqBatch},
-		obs.Series{Labels: `endpoint="session_create"`, Hist: &m.reqSessionCreate},
-		obs.Series{Labels: `endpoint="session_delta"`, Hist: &m.reqSessionDelta},
-		obs.Series{Labels: `endpoint="session_solve"`, Hist: &m.reqSessionSolve},
-		obs.Series{Labels: `endpoint="session_delete"`, Hist: &m.reqSessionDelete})
+		"End-to-end request handling latency, by endpoint.", reqSeries...)
 	fragSeries := make([]obs.Series, len(obs.Backends))
 	for b, name := range obs.Backends {
 		fragSeries[b] = obs.Series{Labels: fmt.Sprintf("backend=%q", name), Hist: &m.fragSolve[b]}

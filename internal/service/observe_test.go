@@ -276,9 +276,9 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		t.Error("no dp fragment solve samples after exact-mode traffic")
 	}
 	// Every instrumented endpoint reports all three SLO quantile gauges.
-	for _, ep := range sloEndpointNames {
+	for _, ep := range srv.eps {
 		for _, q := range []string{"0.5", "0.9", "0.99"} {
-			key := `gapschedd_slo_latency_seconds|endpoint="` + ep + `",quantile="` + q + `"`
+			key := `gapschedd_slo_latency_seconds|endpoint="` + ep.label + `",quantile="` + q + `"`
 			if _, ok := samples[key]; !ok {
 				t.Errorf("missing SLO latency sample %s", key)
 			}

@@ -16,6 +16,8 @@
 //	DELETE /v1/session/{id}      close a session
 //	GET    /healthz              liveness probe
 //	GET    /metrics              Prometheus text exposition of the counters
+//	GET    /v1/debug/traces      recent solve traces, newest first
+//	GET    /v1/debug/slo         trailing-window SLO report
 //
 // The wire format is defined in internal/sched (wire.go); DESIGN.md §2
 // describes where this layer sits in the pipeline.
@@ -75,7 +77,10 @@ type Config struct {
 	// CacheCapacity sizes the persistent shared FragmentCache
 	// (0 = DefaultCacheCapacity; negative disables caching).
 	CacheCapacity int
-	// Workers bounds each dispatch's solver pool (0 = GOMAXPROCS).
+	// Workers bounds the solver pool of each dispatch that serves
+	// several requests — a coalesced window, a /v1/batch group
+	// (0 = GOMAXPROCS). A window holding a single /v1/solve request
+	// runs on one worker, and session resolves run sequentially.
 	Workers int
 	// SolveTimeout is the per-dispatch solve deadline. A dispatch
 	// that serves a single request additionally honors that client's
@@ -126,6 +131,7 @@ type Server struct {
 	co       *coalescer
 	sessions *sessionRegistry
 	met      metrics
+	eps      []*endpoint // the instrumented routes, in registration order
 	po       *pipelineObs
 	slo      *sloTracker
 	reqID    atomic.Uint64
@@ -159,7 +165,16 @@ func New(cfg Config) *Server {
 		cfg.SLOWindow = DefaultSLOWindow
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
-	s.slo = newSLOTracker(cfg.SLOLatencyP99, cfg.SLOErrorRate, cfg.SLOWindow, cfg.Logger)
+	m := &s.met
+	s.eps = []*endpoint{
+		{pattern: "POST /v1/solve", label: "solve", reqLabel: "solve", reqs: &m.solveRequests, serve: s.handleSolve},
+		{pattern: "POST /v1/batch", label: "batch", reqLabel: "batch", reqs: &m.batchRequests, serve: s.handleBatch},
+		{pattern: "POST /v1/session", label: "session_create", reqLabel: "session", reqs: &m.sessionRequests, serve: s.handleSessionCreate},
+		{pattern: "POST /v1/session/{id}/delta", label: "session_delta", reqLabel: "session", reqs: &m.sessionRequests, serve: s.handleSessionDelta},
+		{pattern: "POST /v1/session/{id}/solve", label: "session_solve", reqLabel: "session", reqs: &m.sessionRequests, serve: s.handleSessionSolve},
+		{pattern: "DELETE /v1/session/{id}", label: "session_delete", reqLabel: "session", reqs: &m.sessionRequests, serve: s.handleSessionDelete},
+	}
+	s.slo = newSLOTracker(s.eps, cfg.SLOLatencyP99, cfg.SLOErrorRate, cfg.SLOWindow, cfg.Logger)
 	s.met.start = time.Now()
 	if cfg.CacheCapacity > 0 {
 		s.cache = gapsched.NewFragmentCache(cfg.CacheCapacity)
@@ -169,14 +184,11 @@ func New(cfg Config) *Server {
 	if cfg.TraceRing >= 0 {
 		s.po.rec = obs.NewRecorder(cfg.TraceRing)
 	}
-	s.co = newCoalescer(cfg.Window, cfg.MaxBatch, cfg.SolveTimeout, &s.met, s.po, s.solverFor)
+	s.co = newCoalescer(cfg.Window, cfg.MaxBatch, cfg.SolveTimeout, &s.met, s.po)
 	s.sessions = newSessionRegistry(cfg.SessionTTL, cfg.MaxSessions, &s.met)
-	s.mux.HandleFunc("POST /v1/solve", s.instrument("solve", &s.met.reqSolve, s.handleSolve))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", &s.met.reqBatch, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/session", s.instrument("session_create", &s.met.reqSessionCreate, s.handleSessionCreate))
-	s.mux.HandleFunc("POST /v1/session/{id}/delta", s.instrument("session_delta", &s.met.reqSessionDelta, s.handleSessionDelta))
-	s.mux.HandleFunc("POST /v1/session/{id}/solve", s.instrument("session_solve", &s.met.reqSessionSolve, s.handleSessionSolve))
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.instrument("session_delete", &s.met.reqSessionDelete, s.handleSessionDelete))
+	for _, ep := range s.eps {
+		s.mux.HandleFunc(ep.pattern, s.instrument(ep))
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/debug/traces", s.handleTraces)
@@ -200,37 +212,70 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
+// endpoint is one instrumented route, declared once in New's table.
+// Every view of the endpoint derives from its entry: the route, the
+// requests_total series it counts under (endpoints may share one), the
+// request histogram and SLO window its label names on /metrics and
+// /v1/debug/slo, and the structured log line.
+type endpoint struct {
+	pattern  string           // ServeMux pattern
+	label    string           // endpoint label of the latency and SLO series
+	reqLabel string           // endpoint label of its requests_total series
+	reqs     *atomic.Int64    // that series' counter
+	serve    http.HandlerFunc // the handler
+	lat      obs.Histogram    // end-to-end latency since startup
+	win      sloWindow        // trailing window, set by newSLOTracker
+}
+
 // instrument wraps one endpoint handler with the request-scoped
-// observability: a fresh request id threaded through the context, the
-// endpoint's end-to-end latency histogram, and one structured log line
-// per request (id, endpoint, status, duration).
-func (s *Server) instrument(endpoint string, hist *obs.Histogram, h http.HandlerFunc) http.HandlerFunc {
+// observability: the endpoint's request counter, a fresh request id
+// threaded through the context, the endpoint's latency histogram and
+// SLO window, and one structured log line per request (id, endpoint,
+// status, duration).
+func (s *Server) instrument(ep *endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		ep.reqs.Add(1)
 		rid := s.reqID.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(context.WithValue(r.Context(), ridKey{}, rid)))
+		ep.serve(sw, r.WithContext(context.WithValue(r.Context(), ridKey{}, rid)))
 		d := time.Since(start)
-		hist.Observe(d)
-		s.slo.observe(endpoint, d, sw.status)
+		ep.lat.Observe(d)
+		s.slo.observe(ep, d, sw.status)
 		s.po.logger.Info("request",
 			slog.Uint64("id", rid),
-			slog.String("endpoint", endpoint),
+			slog.String("endpoint", ep.label),
 			slog.Int("status", sw.status),
 			slog.Duration("duration", d))
 	}
 }
 
-// solverFor binds one solve configuration to the shared pieces.
-func (s *Server) solverFor(key solveKey) gapsched.Solver {
-	return gapsched.Solver{
-		Objective:   key.objective,
-		Alpha:       key.alpha,
-		Mode:        key.mode,
-		StateBudget: key.budget,
-		Workers:     s.cfg.Workers,
-		Cache:       s.cache,
+// solver maps a validated request's configuration to the daemon's
+// Solver over the shared cache. The Solver keys the coalescing
+// windows, the /v1/batch groups and the session entries, so fields an
+// objective or mode ignores are dropped — gaps requests coalesce
+// regardless of any alpha they happen to carry, and only auto-mode
+// requests keep their stateBudget.
+func (s *Server) solver(objective string, alpha float64, mode string, budget int) gapsched.Solver {
+	sv := gapsched.Solver{Workers: s.cfg.Workers, Cache: s.cache}
+	if objective == sched.WirePower {
+		sv.Objective, sv.Alpha = gapsched.ObjectivePower, alpha
 	}
+	// Validation accepted the request, so the mode name parses.
+	sv.Mode, _ = gapsched.ParseMode(mode)
+	if sv.Mode == gapsched.ModeAuto {
+		switch sv.StateBudget = budget; {
+		case budget == 0:
+			// The solver resolves 0 to the default budget; normalizing
+			// here lets explicit-default and zero requests coalesce.
+			sv.StateBudget = gapsched.DefaultStateBudget
+		case budget < 0:
+			// All negative budgets mean "every fragment heuristic";
+			// collapse them onto one sentinel for the same reason.
+			sv.StateBudget = -1
+		}
+	}
+	return sv
 }
 
 // Close gracefully shuts the solving side down: new requests are
@@ -299,23 +344,12 @@ func (s *Server) Stats() Stats {
 		SessionsClosed:  s.met.sessionsClosed.Load(),
 		SessionsExpired: s.met.sessionsExpired.Load(),
 		SessionsOpen:    s.sessions.open(),
-		ModeSolves: map[string]int64{
-			sched.WireModeExact:     s.met.modeExact.Load(),
-			sched.WireModeHeuristic: s.met.modeHeuristic.Load(),
-			sched.WireModeAuto:      s.met.modeAuto.Load(),
-		},
-		QualityGap:   s.met.qualityGapTotal(),
-		OnlineSolves: s.met.onlineSolves.Load(),
-		OnlineRatio:  s.met.onlineRatioValue(),
-		Buffered:     s.co.buffered(),
-		Errors: map[string]int64{
-			sched.ErrCodeBadRequest:  s.met.errBadRequest.Load(),
-			sched.ErrCodeInfeasible:  s.met.errInfeasible.Load(),
-			sched.ErrCodeCanceled:    s.met.errCanceled.Load(),
-			sched.ErrCodeUnavailable: s.met.errUnavailable.Load(),
-			sched.ErrCodeNotFound:    s.met.errNotFound.Load(),
-			sched.ErrCodeInternal:    s.met.errInternal.Load(),
-		},
+		ModeSolves:      byName(sched.WireModes[:], s.met.modeSolves[:]),
+		QualityGap:      s.met.qualityGapTotal(),
+		OnlineSolves:    s.met.onlineSolves.Load(),
+		OnlineRatio:     s.met.onlineRatioValue(),
+		Buffered:        s.co.buffered(),
+		Errors:          byName(sched.ErrCodes[:], s.met.errors[:]),
 	}
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
@@ -324,38 +358,19 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// keyFor maps a validated wire request to its solver configuration.
-// Fields an objective or mode ignores are dropped from the key — gaps
-// requests coalesce regardless of any alpha they happen to carry, and
-// only auto-mode requests keep their stateBudget.
-func keyFor(req sched.SolveRequest) solveKey {
-	key := solveKey{objective: gapsched.ObjectiveGaps}
-	if req.Objective == sched.WirePower {
-		key.objective, key.alpha = gapsched.ObjectivePower, req.Alpha
-	}
-	// Validation accepted the request, so the mode name parses.
-	key.mode, _ = gapsched.ParseMode(req.Mode)
-	if key.mode == gapsched.ModeAuto {
-		switch key.budget = req.StateBudget; {
-		case key.budget == 0:
-			// The solver resolves 0 to the default budget; normalizing
-			// here lets explicit-default and zero requests coalesce.
-			key.budget = gapsched.DefaultStateBudget
-		case key.budget < 0:
-			// All negative budgets mean "every fragment heuristic";
-			// collapse them onto one sentinel for the same reason.
-			key.budget = -1
-		}
-	}
-	return key
-}
-
-// wireOutcome converts one solve result to its wire form.
-func wireOutcome(out gapsched.BatchResult) sched.SolveResponse {
+// answer turns one served result of sv into its wire response and
+// counts it: the error code on failure, the solution's mode, quality
+// gap, backend split, state counters and online ratio on success.
+// /v1/solve, every /v1/batch element and every session resolve answer
+// through it.
+func (s *Server) answer(sv gapsched.Solver, out gapsched.BatchResult) sched.SolveResponse {
 	if out.Err != nil {
-		return sched.SolveResponse{Err: wireError(out.Err)}
+		we := wireError(out.Err)
+		s.met.countError(we.Code)
+		return sched.SolveResponse{Err: we}
 	}
 	sol := out.Solution
+	s.met.countSolve(sv.Objective, sol)
 	return sched.SolveResponse{
 		Spans:              sol.Spans,
 		Gaps:               sol.Gaps,
@@ -406,9 +421,13 @@ func wireError(err error) *sched.WireError {
 	return &sched.WireError{Code: code, Message: err.Error()}
 }
 
-// httpStatus maps a wire error code to the /v1/solve response status.
-func httpStatus(code string) int {
-	switch code {
+// httpStatus maps a response's wire error to its HTTP status: 200 for
+// none, the code's status otherwise.
+func httpStatus(we *sched.WireError) int {
+	if we == nil {
+		return http.StatusOK
+	}
+	switch we.Code {
 	case sched.ErrCodeBadRequest:
 		return http.StatusBadRequest
 	case sched.ErrCodeInfeasible:
@@ -432,32 +451,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeWireError writes an error response, counting it.
 func (s *Server) writeWireError(w http.ResponseWriter, we *sched.WireError) {
-	s.met.bumpError(we.Code)
-	writeJSON(w, httpStatus(we.Code), sched.SolveResponse{Err: we})
+	s.met.countError(we.Code)
+	writeJSON(w, httpStatus(we), sched.SolveResponse{Err: we})
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.met.solveRequests.Add(1)
 	req, err := sched.DecodeSolveRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.writeWireError(w, &sched.WireError{Code: sched.ErrCodeBadRequest, Message: err.Error()})
 		return
 	}
-	key := keyFor(req)
-	done, err := s.co.enqueue(r.Context(), key, req.Instance())
+	sv := s.solver(req.Objective, req.Alpha, req.Mode, req.StateBudget)
+	done, err := s.co.enqueue(r.Context(), sv, req.Instance())
 	if err != nil {
 		s.writeWireError(w, wireError(err))
 		return
 	}
 	select {
 	case out := <-done:
-		resp := wireOutcome(out)
-		if resp.Err != nil {
-			s.writeWireError(w, resp.Err)
-			return
-		}
-		s.met.countModeSolve(key, out.Solution)
-		writeJSON(w, http.StatusOK, resp)
+		resp := s.answer(sv, out)
+		writeJSON(w, httpStatus(resp.Err), resp)
 	case <-r.Context().Done():
 		// The client is gone; its window still completes for the
 		// benefit of coalesced peers (and the done channel is buffered,
@@ -467,10 +480,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.met.batchRequests.Add(1)
 	breq, err := sched.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.met.bumpError(sched.ErrCodeBadRequest)
+		s.met.countError(sched.ErrCodeBadRequest)
 		writeJSON(w, http.StatusBadRequest, sched.BatchResponse{
 			Err: &sched.WireError{Code: sched.ErrCodeBadRequest, Message: err.Error()},
 		})
@@ -482,8 +494,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// and waits for this dispatch like any windowed one.
 	if err := s.co.acquire(); err != nil {
 		we := wireError(err)
-		s.met.bumpError(we.Code)
-		writeJSON(w, httpStatus(we.Code), sched.BatchResponse{Err: we})
+		s.met.countError(we.Code)
+		writeJSON(w, httpStatus(we), sched.BatchResponse{Err: we})
 		return
 	}
 	defer s.co.release()
@@ -493,21 +505,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// configuration, over the same shared cache. Elements fail
 	// independently, mirroring SolveBatch semantics.
 	resp := sched.BatchResponse{Responses: make([]sched.SolveResponse, len(breq.Requests))}
-	groups := make(map[solveKey][]int)
-	var order []solveKey // groups in order of first appearance
+	groups := make(map[gapsched.Solver][]int)
+	var order []gapsched.Solver // groups in order of first appearance
 	for i, req := range breq.Requests {
 		if err := req.Validate(); err != nil {
-			s.met.bumpError(sched.ErrCodeBadRequest)
+			s.met.countError(sched.ErrCodeBadRequest)
 			resp.Responses[i] = sched.SolveResponse{
 				Err: &sched.WireError{Code: sched.ErrCodeBadRequest, Message: err.Error()},
 			}
 			continue
 		}
-		key := keyFor(req)
-		if groups[key] == nil {
-			order = append(order, key)
+		sv := s.solver(req.Objective, req.Alpha, req.Mode, req.StateBudget)
+		if groups[sv] == nil {
+			order = append(order, sv)
 		}
-		groups[key] = append(groups[key], i)
+		groups[sv] = append(groups[sv], i)
 	}
 	// One deadline bounds the whole envelope: once it passes, every
 	// group not yet solved fails as canceled.
@@ -517,8 +529,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	for _, key := range order {
-		idxs := groups[key]
+	for _, sv := range order {
+		idxs := groups[sv]
 		ins := make([]gapsched.Instance, len(idxs))
 		for j, i := range idxs {
 			ins[j] = breq.Requests[i].Instance()
@@ -526,14 +538,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Each configuration group dispatches under its own trace, like
 		// a coalesced window (queue waits do not apply — client-built
 		// batches never buffer).
-		for j, br := range s.co.dispatch(ctx, obs.NewTrace("batch"), s.solverFor(key), ins) {
-			out := wireOutcome(br)
-			if out.Err != nil {
-				s.met.bumpError(out.Err.Code)
-			} else {
-				s.met.countModeSolve(key, br.Solution)
-			}
-			resp.Responses[idxs[j]] = out
+		for j, br := range s.co.dispatch(ctx, obs.NewTrace("batch"), sv, ins) {
+			resp.Responses[idxs[j]] = s.answer(sv, br)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -550,7 +556,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.co.buffered(), s.sessions.open(), s.cache)
+	s.met.write(w, s.eps, s.co.buffered(), s.sessions.open(), s.cache)
 	s.slo.writeProm(w, time.Now())
 }
 

@@ -40,7 +40,7 @@ var errSessionsFull = errors.New("service: session table full")
 type sessionEntry struct {
 	ops      sync.Mutex
 	sess     *gapsched.Session
-	key      solveKey
+	solver   gapsched.Solver
 	lastUsed time.Time // guarded by the registry mutex
 }
 
@@ -118,7 +118,7 @@ func (r *sessionRegistry) expireIdle(now time.Time) {
 // table full — the freshly opened session must be closed before
 // returning, or every rejected create would leak a live
 // gapsched.Session.
-func (r *sessionRegistry) create(open func(procs int) (*gapsched.Session, error), key solveKey, procs int) (string, *sessionEntry, error) {
+func (r *sessionRegistry) create(open func(procs int) (*gapsched.Session, error), sv gapsched.Solver, procs int) (string, *sessionEntry, error) {
 	sess, err := open(procs)
 	if err != nil {
 		return "", nil, err
@@ -137,7 +137,7 @@ func (r *sessionRegistry) create(open func(procs int) (*gapsched.Session, error)
 	}
 	r.nextID++
 	id := "s" + strconv.FormatInt(r.nextID, 10)
-	r.byID[id] = &sessionEntry{sess: sess, key: key, lastUsed: time.Now()}
+	r.byID[id] = &sessionEntry{sess: sess, solver: sv, lastUsed: time.Now()}
 	r.met.sessionsCreated.Add(1)
 	e := r.byID[id]
 	r.mu.Unlock()
@@ -216,13 +216,12 @@ func (r *sessionRegistry) close() {
 
 // handleSessionCreate serves POST /v1/session.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	req, err := sched.DecodeSessionCreateRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.writeSessionError(w, &sched.WireError{Code: sched.ErrCodeBadRequest, Message: err.Error()})
 		return
 	}
-	key := keyFor(sched.SolveRequest{Objective: req.Objective, Alpha: req.Alpha, Mode: req.Mode, StateBudget: req.StateBudget})
+	sv := s.solver(req.Objective, req.Alpha, req.Mode, req.StateBudget)
 	procs := req.Procs
 	if procs == 0 {
 		procs = 1
@@ -233,12 +232,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	solver := s.solverFor(key)
-	open := solver.Open
+	open := sv.Open
 	if req.Online {
-		open = solver.OpenOnline
+		open = sv.OpenOnline
 	}
-	id, e, err := s.sessions.create(open, key, procs)
+	id, e, err := s.sessions.create(open, sv, procs)
 	if err != nil {
 		s.writeSessionError(w, wireError(err))
 		return
@@ -280,7 +278,6 @@ func orderedArrivals(jobs []sched.Job, watermark int) error {
 // atomic: every removal id is verified against the live session before
 // any mutation, so a not_found delta leaves the session untouched.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	req, err := sched.DecodeSessionDeltaRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -339,7 +336,6 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 // incremental resolve, answered in the same wire shape as /v1/solve
 // plus the resolved/reused fragment counters.
 func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	e, ok := s.sessions.lookup(id)
 	if !ok {
@@ -362,21 +358,15 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		tr.SetAttr("reused", strconv.Itoa(sol.ReusedFragments))
 	}
 	s.po.finishTrace(tr, err)
-	if err != nil {
-		s.writeWireError(w, wireError(err))
-		return
+	if err == nil {
+		s.met.sessionSolves.Add(1)
 	}
-	s.met.sessionSolves.Add(1)
-	s.met.countModeSolve(e.key, sol)
-	if sol.CompetitiveRatio > 0 {
-		s.met.observeOnlineRatio(sol.CompetitiveRatio)
-	}
-	writeJSON(w, http.StatusOK, wireOutcome(gapsched.BatchResult{Solution: sol}))
+	resp := s.answer(e.solver, gapsched.BatchResult{Solution: sol, Err: err})
+	writeJSON(w, httpStatus(resp.Err), resp)
 }
 
 // handleSessionDelete serves DELETE /v1/session/{id}.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	if !s.sessions.remove(id) {
 		s.writeSessionError(w, noSession(id))
@@ -393,6 +383,6 @@ func noSession(id string) *sched.WireError {
 // writeSessionError writes a session-management error envelope,
 // counting it.
 func (s *Server) writeSessionError(w http.ResponseWriter, we *sched.WireError) {
-	s.met.bumpError(we.Code)
-	writeJSON(w, httpStatus(we.Code), sched.SessionResponse{Err: we})
+	s.met.countError(we.Code)
+	writeJSON(w, httpStatus(we), sched.SessionResponse{Err: we})
 }

@@ -59,7 +59,7 @@ func TestSessionCreateRejectionClosesSession(t *testing.T) {
 
 	// Fill the table to MaxSessions.
 	for i := 0; i < 2; i++ {
-		if _, _, err := r.create(op.open, solveKey{}, 1); err != nil {
+		if _, _, err := r.create(op.open, gapsched.Solver{}, 1); err != nil {
 			t.Fatalf("create %d: %v", i, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestSessionCreateRejectionClosesSession(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := r.create(op.open, solveKey{}, 1)
+			_, _, err := r.create(op.open, gapsched.Solver{}, 1)
 			if !errors.Is(err, errSessionsFull) {
 				t.Errorf("over-bound create: %v, want errSessionsFull", err)
 			}
@@ -97,7 +97,7 @@ func TestSessionCreateAfterCloseClosesSession(t *testing.T) {
 	r := newSessionRegistry(0, 0, &metrics{})
 	r.close()
 	op := &trackingOpener{}
-	if _, _, err := r.create(op.open, solveKey{}, 1); !errors.Is(err, ErrShuttingDown) {
+	if _, _, err := r.create(op.open, gapsched.Solver{}, 1); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("create after close: %v, want ErrShuttingDown", err)
 	}
 	if len(op.opened) != 1 || op.closedCount() != 1 {
@@ -122,7 +122,7 @@ func TestSessionRegistryLookupExpireRemoveRace(t *testing.T) {
 	var mu sync.Mutex
 	live := make([]string, 0, ids)
 	spawn := func() {
-		id, _, err := r.create(op.open, solveKey{}, 1)
+		id, _, err := r.create(op.open, gapsched.Solver{}, 1)
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return

@@ -1,14 +1,15 @@
 package service
 
-// The live SLO layer: every instrumented request feeds a per-endpoint
-// rolling window (latency histogram + request/error counters,
-// internal/obs Windowed rings), and an evaluator turns the trailing
-// window into sliding p50/p90/p99, an error rate, an error-budget
-// burn rate, and an ok|degraded verdict against the configured
-// objectives. The verdict is surfaced everywhere an operator looks:
-// gauges on /metrics, the JSON snapshot at GET /v1/debug/slo, the
-// status field on /healthz, and edge-triggered slog warnings when the
-// error budget starts (and stops) burning.
+// The live SLO layer: every instrumented request feeds the rolling
+// window its endpoint table entry owns (latency histogram +
+// request/error counters, internal/obs Windowed rings), and an
+// evaluator turns the trailing window into sliding p50/p90/p99, an
+// error rate, an error-budget burn rate, and an ok|degraded verdict
+// against the configured objectives. The verdict is surfaced
+// everywhere an operator looks: gauges on /metrics, the JSON snapshot
+// at GET /v1/debug/slo, the status field on /healthz, and
+// edge-triggered slog warnings when the error budget starts (and
+// stops) burning.
 
 import (
 	"fmt"
@@ -31,48 +32,36 @@ const (
 	SLOStatusDegraded = "degraded"
 )
 
-// sloEndpointNames are the instrumented endpoints tracked per window,
-// matching the endpoint labels of gapschedd_request_duration_seconds.
-var sloEndpointNames = []string{
-	"solve", "batch", "session_create", "session_delta", "session_solve", "session_delete",
-}
-
-// sloEndpoint is one endpoint's rolling window.
-type sloEndpoint struct {
+// sloWindow is one endpoint's rolling window.
+type sloWindow struct {
 	lat  *obs.Windowed
 	reqs *obs.WindowedCounter
 	errs *obs.WindowedCounter
 }
 
-// sloTracker owns the per-endpoint windows, the objectives, and the
-// burn-warning edge trigger. Built once by New; observe runs on every
-// request completion, evaluate on demand (metrics scrape, healthz,
-// debug endpoint).
+// sloTracker evaluates the endpoint table's windows against the
+// objectives and owns the burn-warning edge trigger. Built once by
+// New; observe runs on every request completion, evaluate on demand
+// (metrics scrape, healthz, debug endpoint).
 type sloTracker struct {
 	p99     time.Duration // target sliding p99; <= 0 disables the latency objective
 	errRate float64       // max windowed error fraction; <= 0 disables the error objective
 	window  time.Duration
 	logger  *slog.Logger
-	eps     map[string]*sloEndpoint
+	eps     []*endpoint
 	burning atomic.Bool // true while the error budget burns faster than earned
 }
 
-func newSLOTracker(p99 time.Duration, errRate float64, window time.Duration, logger *slog.Logger) *sloTracker {
-	t := &sloTracker{
-		p99:     p99,
-		errRate: errRate,
-		window:  window,
-		logger:  logger,
-		eps:     make(map[string]*sloEndpoint, len(sloEndpointNames)),
-	}
-	for _, name := range sloEndpointNames {
-		t.eps[name] = &sloEndpoint{
+// newSLOTracker gives every endpoint of eps its trailing window.
+func newSLOTracker(eps []*endpoint, p99 time.Duration, errRate float64, window time.Duration, logger *slog.Logger) *sloTracker {
+	for _, ep := range eps {
+		ep.win = sloWindow{
 			lat:  obs.NewWindowed(window, sloSubWindows),
 			reqs: obs.NewWindowedCounter(window, sloSubWindows),
 			errs: obs.NewWindowedCounter(window, sloSubWindows),
 		}
 	}
-	return t
+	return &sloTracker{p99: p99, errRate: errRate, window: window, logger: logger, eps: eps}
 }
 
 // observe feeds one completed request into its endpoint's window. SLO
@@ -80,16 +69,12 @@ func newSLOTracker(p99 time.Duration, errRate float64, window time.Duration, log
 // (503), and solve deadline cut-offs (504). 4xx responses are the
 // client's problem (malformed or infeasible requests) and spend no
 // error budget.
-func (t *sloTracker) observe(endpoint string, d time.Duration, status int) {
-	ep := t.eps[endpoint]
-	if ep == nil {
-		return
-	}
+func (t *sloTracker) observe(ep *endpoint, d time.Duration, status int) {
 	now := time.Now()
-	ep.lat.ObserveAt(now, d)
-	ep.reqs.AddAt(now, 1)
+	ep.win.lat.ObserveAt(now, d)
+	ep.win.reqs.AddAt(now, 1)
 	if status >= 500 {
-		ep.errs.AddAt(now, 1)
+		ep.win.errs.AddAt(now, 1)
 	}
 	t.checkBurn(now)
 }
@@ -97,8 +82,8 @@ func (t *sloTracker) observe(endpoint string, d time.Duration, status int) {
 // totalsAt sums requests and errors across all endpoint windows.
 func (t *sloTracker) totalsAt(now time.Time) (reqs, errs int64) {
 	for _, ep := range t.eps {
-		reqs += ep.reqs.TotalAt(now)
-		errs += ep.errs.TotalAt(now)
+		reqs += ep.win.reqs.TotalAt(now)
+		errs += ep.win.errs.TotalAt(now)
 	}
 	return reqs, errs
 }
@@ -193,7 +178,7 @@ func (t *sloTracker) evaluate(now time.Time) SLOReport {
 		Status:               SLOStatusOK,
 		WindowSeconds:        t.window.Seconds(),
 		ErrorBudgetRemaining: 1,
-		Endpoints:            make(map[string]SLOEndpoint, len(sloEndpointNames)),
+		Endpoints:            make(map[string]SLOEndpoint, len(t.eps)),
 	}
 	if t.p99 > 0 {
 		rep.TargetP99Seconds = t.p99.Seconds()
@@ -201,13 +186,12 @@ func (t *sloTracker) evaluate(now time.Time) SLOReport {
 	if t.errRate > 0 {
 		rep.TargetErrorRate = t.errRate
 	}
-	for _, name := range sloEndpointNames {
-		w := t.eps[name]
-		snap := w.lat.SnapshotAt(now)
+	for _, e := range t.eps {
+		snap := e.win.lat.SnapshotAt(now)
 		ep := SLOEndpoint{
 			Status:     SLOStatusOK,
-			Requests:   w.reqs.TotalAt(now),
-			Errors:     w.errs.TotalAt(now),
+			Requests:   e.win.reqs.TotalAt(now),
+			Errors:     e.win.errs.TotalAt(now),
 			P50Seconds: snap.Quantile(0.5),
 			P90Seconds: snap.Quantile(0.9),
 			P99Seconds: snap.Quantile(0.99),
@@ -222,7 +206,7 @@ func (t *sloTracker) evaluate(now time.Time) SLOReport {
 		}
 		rep.Requests += ep.Requests
 		rep.Errors += ep.Errors
-		rep.Endpoints[name] = ep
+		rep.Endpoints[e.label] = ep
 	}
 	if rep.Requests > 0 {
 		rep.ErrorRate = float64(rep.Errors) / float64(rep.Requests)
@@ -255,11 +239,11 @@ func (t *sloTracker) writeProm(w io.Writer, now time.Time) {
 		{"0.9", func(e SLOEndpoint) float64 { return e.P90Seconds }},
 		{"0.99", func(e SLOEndpoint) float64 { return e.P99Seconds }},
 	}
-	for _, name := range sloEndpointNames {
-		ep := rep.Endpoints[name]
+	for _, e := range t.eps {
+		ep := rep.Endpoints[e.label]
 		for _, q := range quantiles {
 			fmt.Fprintf(w, "gapschedd_slo_latency_seconds{endpoint=%q,quantile=%q} %g\n",
-				name, q.label, q.pick(ep))
+				e.label, q.label, q.pick(ep))
 		}
 	}
 	fmt.Fprintf(w, "# HELP gapschedd_slo_error_budget_remaining Unspent fraction of the trailing window's error budget (1 when no budget is configured or spent).\n"+

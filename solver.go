@@ -29,12 +29,13 @@ const (
 	ObjectivePower
 )
 
+// String returns the objective's wire name.
 func (o Objective) String() string {
 	switch o {
 	case ObjectiveGaps:
-		return "gaps"
+		return sched.WireGaps
 	case ObjectivePower:
-		return "power"
+		return sched.WirePower
 	}
 	return fmt.Sprintf("Objective(%d)", int(o))
 }
@@ -60,14 +61,10 @@ const (
 	ModeAuto
 )
 
+// String returns the mode's wire name, its entry in sched.WireModes.
 func (m Mode) String() string {
-	switch m {
-	case ModeExact:
-		return "exact"
-	case ModeHeuristic:
-		return "heuristic"
-	case ModeAuto:
-		return "auto"
+	if m >= 0 && int(m) < len(sched.WireModes) {
+		return sched.WireModes[m]
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -85,17 +82,19 @@ func (o Objective) Cost(sol Solution) float64 {
 }
 
 // ParseMode parses the mode names used by the CLIs and the wire format
-// — "exact", "heuristic", "auto" — with "" meaning ModeExact.
+// — sched.WireModes: "exact", "heuristic", "auto" — with "" meaning
+// ModeExact.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "exact":
+	if s == "" {
 		return ModeExact, nil
-	case "heuristic":
-		return ModeHeuristic, nil
-	case "auto":
-		return ModeAuto, nil
 	}
-	return 0, fmt.Errorf("gapsched: unknown mode %q (want exact, heuristic or auto)", s)
+	for m, name := range sched.WireModes {
+		if s == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("gapsched: unknown mode %q (want %s, %s or %s)",
+		s, sched.WireModeExact, sched.WireModeHeuristic, sched.WireModeAuto)
 }
 
 // DefaultStateBudget is the ModeAuto exact-tier admission bound used
