@@ -676,9 +676,11 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 // mirror resolve that measures the competitive ratio. Lanes cover the
 // adversarial Ω(n) family, heuristic-scale stress streams, and the
 // ski-rental power-down family; each reports the measured ratio as
-// ratio/op and fails loudly if it leaves its analytic range.
+// ratio/op and fails loudly if it leaves its analytic range. The
+// resolve-every-arrival lanes resolve after each Add instead of once,
+// so they measure the cost of a resolve as the stream grows.
 func BenchmarkE22_OnlineTier(b *testing.B) {
-	stream := func(b *testing.B, s Solver, in Instance) Solution {
+	stream := func(b *testing.B, s Solver, in Instance, every bool) Solution {
 		b.Helper()
 		jobs := append([]sched.Job(nil), in.Jobs...)
 		sort.SliceStable(jobs, func(x, y int) bool { return jobs[x].Release < jobs[y].Release })
@@ -687,14 +689,16 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer ss.Close()
-		for _, j := range jobs {
+		var sol Solution
+		for k, j := range jobs {
 			if _, err := ss.Add(j); err != nil {
 				b.Fatal(err)
 			}
-		}
-		sol, err := ss.Resolve()
-		if err != nil {
-			b.Fatal(err)
+			if every || k == len(jobs)-1 {
+				if sol, err = ss.Resolve(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 		return sol
 	}
@@ -702,7 +706,7 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 		in := workload.OnlineLowerBound(32)
 		ratio := 0.0
 		for i := 0; i < b.N; i++ {
-			sol := stream(b, Solver{}, Instance{Jobs: in.Jobs, Procs: in.Procs})
+			sol := stream(b, Solver{}, Instance{Jobs: in.Jobs, Procs: in.Procs}, false)
 			if sol.Spans != 32 {
 				b.Fatalf("online run has %d spans, want 32", sol.Spans)
 			}
@@ -719,7 +723,24 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 		b.Run("stream/"+prof+"-4k", func(b *testing.B) {
 			ratio := 0.0
 			for i := 0; i < b.N; i++ {
-				sol := stream(b, Solver{}, Instance{Jobs: in.Jobs, Procs: in.Procs})
+				sol := stream(b, Solver{}, Instance{Jobs: in.Jobs, Procs: in.Procs}, false)
+				if sol.CompetitiveRatio < 1-1e-12 {
+					b.Fatalf("measured ratio %v < 1", sol.CompetitiveRatio)
+				}
+				ratio += sol.CompetitiveRatio
+			}
+			b.ReportMetric(ratio/float64(b.N), "ratio/op")
+		})
+	}
+	for _, prof := range []string{workload.ProfileBursty, workload.ProfileSparse} {
+		in, err := workload.Stress(rand.New(rand.NewSource(22)), prof, 1500, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("resolve-every-arrival/"+prof+"-1500", func(b *testing.B) {
+			ratio := 0.0
+			for i := 0; i < b.N; i++ {
+				sol := stream(b, Solver{}, Instance{Jobs: in.Jobs, Procs: in.Procs}, true)
 				if sol.CompetitiveRatio < 1-1e-12 {
 					b.Fatalf("measured ratio %v < 1", sol.CompetitiveRatio)
 				}
@@ -735,7 +756,7 @@ func BenchmarkE22_OnlineTier(b *testing.B) {
 		bound := powerdown.CompetitiveRatio(powerdown.Threshold{Tau: 2}, 2, 5)
 		ratio := 0.0
 		for i := 0; i < b.N; i++ {
-			sol := stream(b, s, Instance{Jobs: in.Jobs, Procs: in.Procs})
+			sol := stream(b, s, Instance{Jobs: in.Jobs, Procs: in.Procs}, false)
 			if sol.CompetitiveRatio > bound+1e-9 {
 				b.Fatalf("measured ratio %v exceeds analytic bound %v", sol.CompetitiveRatio, bound)
 			}

@@ -362,8 +362,9 @@ func FuzzPrunedExact(f *testing.F) {
 
 // FuzzOnlineCommit certifies the online tier's commit contract on
 // every decodable instance fed in release order, both objectives:
-// once a slot is committed its assignment is bit-exact forever (also
-// across Resolve, which projects but must not mutate); Resolve fails
+// once a slot is committed — placed by a feasible Resolve before
+// Online()'s watermark — its assignment is bit-exact in every later
+// feasible Resolve, and CommittedJobs counts those slots; Resolve fails
 // with ErrInfeasible exactly when the revealed prefix is infeasible by
 // the Hall-condition oracle; and on feasible prefixes the online cost
 // dominates the exact offline optimum of the revealed prefix, with a
@@ -392,15 +393,28 @@ func FuzzOnlineCommit(f *testing.F) {
 			}
 			var prevSlots []sched.Assignment
 			var prevDone []bool
-			checkPrefix := func(when string) {
-				slots, done := ss.onl.CommittedPrefix()
+			checkPrefix := func(k int, sol Solution) {
+				wm, _ := ss.Online()
+				slots := sol.Schedule.Slots
+				done := make([]bool, len(slots))
+				committed := 0
+				for i, a := range slots {
+					done[i] = a.Time < wm
+					if done[i] {
+						committed++
+					}
+				}
+				if committed != sol.CommittedJobs {
+					t.Fatalf("prefix %d: CommittedJobs %d, %d slots before watermark %d (jobs %v procs %d)",
+						k, sol.CommittedJobs, committed, wm, jobs, in.Procs)
+				}
 				for i, was := range prevDone {
 					if !was {
 						continue
 					}
 					if !done[i] || slots[i] != prevSlots[i] {
-						t.Fatalf("%s: committed slot %d mutated: %+v/%v → %+v/%v (jobs %v procs %d)",
-							when, i, prevSlots[i], was, slots[i], done[i], jobs, in.Procs)
+						t.Fatalf("prefix %d: committed slot %d mutated: %+v/%v → %+v/%v (jobs %v procs %d)",
+							k, i, prevSlots[i], was, slots[i], done[i], jobs, in.Procs)
 					}
 				}
 				prevSlots, prevDone = slots, done
@@ -409,11 +423,9 @@ func FuzzOnlineCommit(f *testing.F) {
 				if _, err := ss.Add(j); err != nil {
 					t.Fatalf("Add(%v): %v", j, err)
 				}
-				checkPrefix("after add")
 				revealed := ss.Instance()
 				feasible := exact.HallFeasible(revealed)
 				sol, err := ss.Resolve()
-				checkPrefix("after resolve")
 				if feasible != (err == nil) {
 					t.Fatalf("prefix %d: oracle says feasible=%v, Resolve err %v (jobs %v procs %d)",
 						k, feasible, err, revealed.Jobs, in.Procs)
@@ -424,6 +436,7 @@ func FuzzOnlineCommit(f *testing.F) {
 					}
 					continue
 				}
+				checkPrefix(k, sol)
 				opt, err := lane.Solve(revealed)
 				if err != nil {
 					t.Fatalf("offline prefix solve: %v", err)
@@ -462,6 +475,7 @@ func FuzzWireDecode(f *testing.F) {
 		`{"responses":[{"error":{"code":"infeasible","message":"no"}}]}`,
 		`{"jobs":[]} {}`,
 		`{"jobs":[{"release":1e400}]}`,
+		`{"jobs":[]} x`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -32,6 +32,7 @@ package incr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/prep"
@@ -60,6 +61,7 @@ type Tracker[R any] struct {
 	splitWidth float64
 	nextID     int
 	jobs       map[int]sched.Job
+	ids        []int          // live ids, ascending: ids are assigned in increasing order
 	frags      []*fragment[R] // ascending by start; regions disjoint
 }
 
@@ -83,24 +85,12 @@ func (t *Tracker[R]) Job(id int) (sched.Job, bool) {
 	return j, ok
 }
 
-// IDs returns the live job ids in ascending order — the job order of
-// Instance.
-func (t *Tracker[R]) IDs() []int {
-	ids := make([]int, 0, len(t.jobs))
-	for id := range t.jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // Instance snapshots the current job set as a solver instance, jobs in
 // id order. A from-scratch solve of this instance is the reference the
 // tracker's incremental solution is bit-identical to.
 func (t *Tracker[R]) Instance() sched.Instance {
-	ids := t.IDs()
-	jobs := make([]sched.Job, len(ids))
-	for i, id := range ids {
+	jobs := make([]sched.Job, len(t.ids))
+	for i, id := range t.ids {
 		jobs[i] = t.jobs[id]
 	}
 	return sched.Instance{Jobs: jobs, Procs: t.procs}
@@ -117,6 +107,7 @@ func (t *Tracker[R]) Add(j sched.Job) int {
 	id := t.nextID
 	t.nextID++
 	t.jobs[id] = j
+	t.ids = append(t.ids, id)
 
 	// frags[lo:hi] is the run of fragments the new job merges with. At
 	// most one fragment starts at or before the job's release (regions
@@ -160,6 +151,8 @@ func (t *Tracker[R]) Remove(id int) bool {
 		return false
 	}
 	delete(t.jobs, id)
+	i, _ := slices.BinarySearch(t.ids, id)
+	t.ids = slices.Delete(t.ids, i, i+1)
 	fi := sort.Search(len(t.frags), func(i int) bool { return t.frags[i].end >= j.Release })
 	f := t.frags[fi]
 
@@ -196,6 +189,17 @@ func (t *Tracker[R]) Remove(id int) bool {
 	return true
 }
 
+// position returns the index of a live id among the live ids — its
+// job's index in Instance. While no job has been removed the live ids
+// are 0, 1, …, so the index is the id itself.
+func (t *Tracker[R]) position(id int) int {
+	if len(t.ids) == t.nextID {
+		return id
+	}
+	i, _ := slices.BinarySearch(t.ids, id)
+	return i
+}
+
 // fragmentInstance builds the solver instance of one fragment: the
 // fragment's jobs in id order, translated so the earliest release is 0
 // — byte-identical to the corresponding prep.Decompose sub-instance of
@@ -223,12 +227,7 @@ func (t *Tracker[R]) fragmentInstance(f *fragment[R]) sched.Instance {
 // stay dirty and are picked up by a later Resolve once the conflict is
 // removed.
 func (t *Tracker[R]) Resolve(solve func(sched.Instance) R, visit func(rec *R, reused bool) (sched.Schedule, error)) (sched.Schedule, error) {
-	ids := t.IDs()
-	pos := make(map[int]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
-	s := sched.Schedule{Procs: t.procs, Slots: make([]sched.Assignment, len(ids))}
+	s := sched.Schedule{Procs: t.procs, Slots: make([]sched.Assignment, len(t.ids))}
 	for _, f := range t.frags {
 		reused := !f.dirty
 		if f.dirty {
@@ -243,7 +242,7 @@ func (t *Tracker[R]) Resolve(solve func(sched.Instance) R, visit func(rec *R, re
 			return sched.Schedule{}, fmt.Errorf("incr: fragment solution has %d slots for %d jobs", len(part.Slots), len(f.ids))
 		}
 		for i, a := range part.Slots {
-			s.Slots[pos[f.ids[i]]] = sched.Assignment{Proc: a.Proc, Time: a.Time + f.start}
+			s.Slots[t.position(f.ids[i])] = sched.Assignment{Proc: a.Proc, Time: a.Time + f.start}
 		}
 	}
 	return s, nil

@@ -65,7 +65,15 @@ func checkDecomposition(t *testing.T, tr *Tracker[result], splitWidth float64) {
 	if len(pl.Subs) != len(tr.frags) {
 		t.Fatalf("tracker has %d fragments, Decompose %d (jobs %v)", len(tr.frags), len(pl.Subs), in.Jobs)
 	}
-	ids := tr.IDs()
+	ids := tr.ids
+	if len(ids) != len(tr.jobs) {
+		t.Fatalf("tracker lists %d live ids for %d jobs", len(ids), len(tr.jobs))
+	}
+	for i, id := range ids {
+		if _, ok := tr.jobs[id]; !ok || i > 0 && ids[i-1] >= id {
+			t.Fatalf("live ids %v are not the ascending job ids", ids)
+		}
+	}
 	for si, sub := range pl.Subs {
 		f := tr.frags[si]
 		if sub.Offset != f.start {

@@ -1,8 +1,14 @@
-// Package online is the online scheduling tier. Scheduler (scheduler.go)
-// commits each time unit's eager-EDF and power-down decisions
-// irrevocably as jobs are revealed in release order; the facade's
-// Solver.OpenOnline measures its competitive ratio live against the
-// offline optimum of the revealed prefix.
+// Package online is the online scheduling tier. Jobs are revealed in
+// release order, and every time unit before the latest arrival's
+// release is committed irrevocably: eager-EDF assignments, with each
+// processor's idle periods priced by the α-threshold ski-rental rule of
+// internal/powerdown (τ = α, in the spirit of Chen–Kao–Lee–Rutter–
+// Wagner's online power management). Because no later arrival can be
+// released before the latest one, that run is a pure function of the
+// revealed jobs and the watermark, and Replay derives it from one EDF
+// sweep; the facade's Solver.OpenOnline keeps the watermark and
+// measures the run's competitive ratio live against the offline
+// optimum of the revealed prefix.
 //
 // The package started as — and still contains — the paper's §1
 // demonstration that one-interval gap scheduling is bleak online: any
@@ -12,13 +18,15 @@
 // optimum needs one. That Ω(n) is intrinsic, which is why the tier
 // reports measured ratios instead of promising constant ones for gaps;
 // the power objective's idle decisions, by contrast, follow the
-// 2-competitive ski-rental threshold rule (internal/powerdown).
+// 2-competitive ski-rental threshold rule.
 package online
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/feas"
+	"repro/internal/powerdown"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -26,6 +34,11 @@ import (
 // ErrInfeasible is returned when the instance admits no feasible
 // schedule.
 var ErrInfeasible = errors.New("online: instance is infeasible")
+
+// ErrReleaseOrder rejects an arrival that violates the online
+// contract: jobs are revealed in non-decreasing release order, so no
+// arrival may be released before an earlier one.
+var ErrReleaseOrder = errors.New("online: arrival out of release order")
 
 // EDF runs the eager earliest-deadline-first rule, the canonical correct
 // online algorithm: at every time unit it executes the released,
@@ -37,6 +50,87 @@ func EDF(in sched.Instance) (sched.Schedule, error) {
 		return sched.Schedule{}, ErrInfeasible
 	}
 	return s, nil
+}
+
+// Run is the online run over a revealed prefix: the committed units
+// before the watermark together with the run-out the scheduler would
+// commit if no further job arrived.
+type Run struct {
+	// Schedule places every revealed job, slots in arrival order.
+	Schedule sched.Schedule
+	// Cost is the run's span count (gaps objective) or energy (power).
+	Cost float64
+	// CommittedJobs counts the jobs placed before the watermark, and
+	// CommittedCost is Cost's running total over their units: an idle
+	// period is priced by the busy unit that closes it, so a trailing
+	// idle run is not charged yet.
+	CommittedJobs int
+	CommittedCost float64
+}
+
+// Replay derives the online run over in, whose jobs must be listed in
+// arrival order — then EDF's (deadline, index) tie-break is the online
+// scheduler's (deadline, arrival) one. Every unit before watermark,
+// the latest arrival's release, is committed: no job revealed later is
+// released before it, so the EDF schedule of the revealed jobs already
+// holds those units. The busy units are priced in commit order, by time
+// and then processor, so the float sums are those of a run committed
+// unit by unit: a processor's first busy unit costs α + 1, a unit right
+// after a busy one costs 1, and a unit that closes an idle run of
+// length g costs the ski-rental price of g plus 1; each first unit and
+// each closing unit opens a span. power selects energy as the cost,
+// otherwise spans. An infeasible prefix returns ErrInfeasible; since
+// the job set only grows, every longer prefix does too.
+func Replay(in sched.Instance, watermark int, alpha float64, power bool) (Run, error) {
+	if len(in.Jobs) == 0 {
+		return Run{Schedule: sched.Schedule{Procs: in.Procs}}, nil
+	}
+	s, err := EDF(in)
+	if err != nil {
+		return Run{}, err
+	}
+	// EDF runs each time's units on processors 0, 1, … in priority
+	// order, so the sorted busy times are the commit order: the k-th
+	// unit at a time runs on processor k.
+	times := make([]int, len(s.Slots))
+	for i, a := range s.Slots {
+		times[i] = a.Time
+	}
+	slices.Sort(times)
+	last := make([]int, s.Procs)  // per processor, its latest busy unit
+	used := make([]bool, s.Procs) // per processor, whether it ran at all
+	spans, energy := 0, 0.0
+	cost := func() float64 {
+		if power {
+			return energy
+		}
+		return float64(spans)
+	}
+	run := Run{Schedule: s}
+	q := 0
+	for i, t := range times {
+		if i > 0 && times[i-1] == t {
+			q++
+		} else {
+			q = 0
+		}
+		switch {
+		case !used[q]:
+			spans++
+			energy += alpha + 1
+		case last[q] == t-1:
+			energy++
+		default:
+			spans++
+			energy += powerdown.SkiRental{}.Cost(t-1-last[q], alpha) + 1
+		}
+		used[q], last[q] = true, t
+		if t < watermark {
+			run.CommittedJobs, run.CommittedCost = i+1, cost()
+		}
+	}
+	run.Cost = cost()
+	return run, nil
 }
 
 // LowerBoundReport compares eager EDF against the known offline optimum

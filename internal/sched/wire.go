@@ -9,6 +9,7 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -375,13 +376,17 @@ func decodeStrict(r io.Reader, v any, what string) error {
 		return fmt.Errorf("sched: decoding %s: %w", what, err)
 	}
 	var extra json.RawMessage
-	switch err := dec.Decode(&extra); err {
-	case io.EOF:
+	err := dec.Decode(&extra)
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
 		return nil
-	case nil:
+	case err == nil, errors.As(err, &syntax), errors.Is(err, io.ErrUnexpectedEOF):
+		// A second value, malformed or cut short, after the first one:
+		// a protocol violation.
 		return fmt.Errorf("sched: decoding %s: trailing data after JSON value", what)
 	default:
-		// A real read failure (truncated body, size limit), not a
+		// A real read failure (size limit, broken connection), not a
 		// protocol violation — report it as what it is.
 		return fmt.Errorf("sched: decoding %s: %w", what, err)
 	}

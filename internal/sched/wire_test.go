@@ -3,7 +3,10 @@ package sched
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -297,5 +300,28 @@ func TestWireBatchEnvelopeError(t *testing.T) {
 		if _, err := DecodeBatchResponse(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
 		}
+	}
+}
+
+// TestWireTrailingData: whatever follows a complete request — another
+// value, a malformed one or the start of one — is reported as trailing
+// data, while a read failure behind the value keeps its own error.
+func TestWireTrailingData(t *testing.T) {
+	for _, body := range []string{`{"jobs":[]} x`, `{"jobs":[]} {`, `{"jobs":[]} {}`, `{"jobs":[]} 1`} {
+		_, err := DecodeSolveRequest(strings.NewReader(body))
+		if err == nil || !strings.Contains(err.Error(), "trailing data after JSON value") {
+			t.Errorf("%s: got %v, want trailing data", body, err)
+		}
+	}
+	if _, err := DecodeSolveRequest(strings.NewReader(`{"jobs":[]}` + "\n")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
+	// The value fits the limit; the padding behind it does not.
+	body := `{"jobs":[]}` + strings.Repeat(" ", 64)
+	limited := http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), 32)
+	_, err := DecodeSolveRequest(limited)
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) || strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("body past the limit: got %v, want http.MaxBytesError", err)
 	}
 }

@@ -323,10 +323,9 @@ type Stats struct {
 	OnlineRatio  float64
 	// Buffered is the number of requests currently waiting in open
 	// coalescing windows.
-	Buffered     int
-	Errors       map[string]int64
-	Cache        gapsched.CacheStats
-	CacheEntries int
+	Buffered int
+	Errors   map[string]int64
+	Cache    gapsched.CacheStats
 }
 
 // Stats snapshots the counters.
@@ -353,7 +352,6 @@ func (s *Server) Stats() Stats {
 	}
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
-		st.CacheEntries = st.Cache.Entries
 	}
 	return st
 }

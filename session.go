@@ -48,8 +48,11 @@ type Session struct {
 	rt     objectiveRuntime
 	solver Solver
 	tr     *incr.Tracker[fragResult]
-	onl    *online.Scheduler // non-nil for commit-only online sessions
-	closed bool
+	// commitOnly marks an online session (OpenOnline); watermark is its
+	// latest arrival's release, math.MinInt before the first Add.
+	commitOnly bool
+	watermark  int
+	closed     bool
 }
 
 // Open starts an incremental session on procs processors (0 means 1)
@@ -75,14 +78,10 @@ func (s Solver) Open(procs int) (*Session, error) {
 	if procs < 0 {
 		return nil, fmt.Errorf("gapsched: session on %d processors, need ≥ 1", procs)
 	}
-	splitWidth := 1.0
-	if s.Objective == ObjectivePower {
-		splitWidth = s.Alpha
-	}
 	return &Session{
 		rt:     rt,
 		solver: s,
-		tr:     incr.New[fragResult](procs, splitWidth),
+		tr:     incr.New[fragResult](procs, rt.splitWidth),
 	}, nil
 }
 
@@ -90,10 +89,12 @@ func (s Solver) Open(procs int) (*Session, error) {
 // (0 means 1): jobs are revealed with Add in release order, each
 // arrival irrevocably commits every time unit before its release —
 // eager-EDF assignments, with idle periods priced by the α-threshold
-// ski-rental rule for ObjectivePower (internal/online) — and Resolve
-// returns the online run's schedule over the revealed prefix together
-// with its measured competitive ratio against the prefix's offline
-// optimum. The offline mirror re-solves through this Solver in
+// ski-rental rule for ObjectivePower — and Resolve returns the online
+// run's schedule over the revealed prefix together with its measured
+// competitive ratio against the prefix's offline optimum. The session
+// keeps only the watermark: no later arrival is released before it, so
+// each Resolve derives the run from the revealed jobs with
+// online.Replay. The offline mirror re-solves through this Solver in
 // ModeAuto regardless of s.Mode, so the certificate LowerBound keeps
 // the ratio honest even when the prefix outgrows the exact tier.
 // Remove returns ErrCommitOnly: the commitments cannot be revisited.
@@ -104,17 +105,7 @@ func (s Solver) OpenOnline(procs int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if procs == 0 {
-		procs = 1
-	}
-	ss.onl, err = online.NewScheduler(online.Config{
-		Procs: procs,
-		Alpha: s.Alpha,
-		Power: s.Objective == ObjectivePower,
-	})
-	if err != nil {
-		return nil, err
-	}
+	ss.commitOnly, ss.watermark = true, math.MinInt
 	return ss, nil
 }
 
@@ -125,11 +116,12 @@ func (s Solver) OpenOnline(procs int) (*Session, error) {
 //
 // On an online session, Add is the revelation step: jobs must arrive
 // in non-decreasing release order (ErrReleaseOrder otherwise — the
-// rejected job is not admitted), and each Add first commits every time
-// unit before the job's release, irrevocably. A commitment that
-// misses a deadline makes the session permanently infeasible — Resolve
-// keeps returning ErrInfeasible — but later Adds still succeed: the
-// revealed job set remains well-defined.
+// rejected job is not admitted and the watermark stays), and each Add
+// moves the watermark to the job's release, committing every time unit
+// before it irrevocably. Once the revealed jobs miss a deadline the
+// session is permanently infeasible — Resolve keeps returning
+// ErrInfeasible — but later Adds still succeed: the revealed job set
+// remains well-defined.
 func (ss *Session) Add(j Job) (int, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -139,13 +131,12 @@ func (ss *Session) Add(j Job) (int, error) {
 	if !j.Valid() {
 		return 0, fmt.Errorf("gapsched: job has empty window [%d,%d]", j.Release, j.Deadline)
 	}
-	if ss.onl != nil {
-		if _, _, err := ss.onl.Step(j.Release, []sched.Job{j}); err != nil {
-			return 0, err
+	if ss.commitOnly {
+		if j.Release < ss.watermark {
+			return 0, fmt.Errorf("%w: step at time %d after time %d", ErrReleaseOrder, j.Release, ss.watermark)
 		}
+		ss.watermark = j.Release
 	}
-	// For online sessions the tracker mirrors the scheduler's job set;
-	// both assign sequential ids in arrival order, so the ids agree.
 	return ss.tr.Add(j), nil
 }
 
@@ -159,7 +150,7 @@ func (ss *Session) Remove(id int) error {
 	if ss.closed {
 		return ErrSessionClosed
 	}
-	if ss.onl != nil {
+	if ss.commitOnly {
 		return ErrCommitOnly
 	}
 	if !ss.tr.Remove(id) {
@@ -176,10 +167,10 @@ func (ss *Session) Remove(id int) error {
 func (ss *Session) Online() (watermark int, online bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed || ss.onl == nil {
+	if ss.closed || !ss.commitOnly {
 		return math.MinInt, false
 	}
-	return ss.onl.Watermark(), true
+	return ss.watermark, true
 }
 
 // Len returns the number of live jobs; 0 after Close.
@@ -260,10 +251,11 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	if ss.onl != nil {
-		return ss.resolveOnline(sol)
+	in := ss.tr.Instance()
+	if ss.commitOnly {
+		return ss.resolveOnline(sol, in)
 	}
-	if err := schedule.Validate(ss.tr.Instance()); err != nil {
+	if err := schedule.Validate(in); err != nil {
 		return Solution{}, err
 	}
 	sol.Schedule = schedule
@@ -271,31 +263,31 @@ func (ss *Session) ResolveContext(ctx context.Context) (Solution, error) {
 	return sol, nil
 }
 
-// resolveOnline finishes an online Resolve, with the lock held and sol
+// resolveOnline finishes an online Resolve, with the lock held, sol
 // folded from the freshly resolved offline mirror (whose Mode is
-// ModeAuto). The returned Solution carries the online run's schedule —
-// the committed prefix extended by a projected run-out over the
-// revealed jobs — its cost, and the measured competitive ratio against
-// the mirror's certified LowerBound: onlineCost ≥ OPT ≥ LowerBound, so
-// the ratio is ≥ 1 and never understated.
-func (ss *Session) resolveOnline(sol Solution) (Solution, error) {
-	proj, err := ss.onl.Project()
+// ModeAuto) and in the revealed jobs in arrival order. The returned
+// Solution carries the online run's schedule — the committed prefix
+// extended by the run-out over the revealed jobs — its cost, and the
+// measured competitive ratio against the mirror's certified
+// LowerBound: onlineCost ≥ OPT ≥ LowerBound, so the ratio is ≥ 1 and
+// never understated.
+func (ss *Session) resolveOnline(sol Solution, in Instance) (Solution, error) {
+	run, err := online.Replay(in, ss.watermark, ss.solver.Alpha, ss.solver.Objective == ObjectivePower)
 	if err != nil {
 		// By EDF's feasibility-optimality this happens only when the
 		// revealed instance itself is infeasible; report it exactly as
 		// the offline path does.
 		return Solution{}, ErrInfeasible
 	}
-	if err := proj.Schedule.Validate(ss.tr.Instance()); err != nil {
+	if err := run.Schedule.Validate(in); err != nil {
 		return Solution{}, err
 	}
-	acct := ss.onl.Accounting()
-	sol.Schedule = proj.Schedule
-	sol.CommittedJobs, sol.CommittedCost = acct.Committed, acct.Cost
+	sol.Schedule = run.Schedule
+	sol.CommittedJobs, sol.CommittedCost = run.CommittedJobs, run.CommittedCost
 	sol.CompetitiveRatio = 1
-	ss.rt.finish(&sol, proj.Cost)
+	ss.rt.finish(&sol, run.Cost)
 	if sol.LowerBound > 0 {
-		sol.CompetitiveRatio = proj.Cost / sol.LowerBound
+		sol.CompetitiveRatio = run.Cost / sol.LowerBound
 	}
 	return sol, nil
 }

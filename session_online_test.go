@@ -117,6 +117,19 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	if _, err := ss.Add(Job{Release: 3, Deadline: 9}); !errors.Is(err, ErrReleaseOrder) {
 		t.Fatalf("out-of-order Add: %v, want ErrReleaseOrder", err)
 	}
+	if wm, _ := ss.Online(); wm != 5 {
+		t.Fatalf("out-of-order Add moved the watermark to %d", wm)
+	}
+	// The window is checked first, whether the release is before the
+	// watermark or after it, and a rejected job never moves it.
+	for _, bad := range []Job{{Release: 3, Deadline: 1}, {Release: 9, Deadline: 8}} {
+		if _, err := ss.Add(bad); err == nil || errors.Is(err, ErrReleaseOrder) {
+			t.Fatalf("empty-window Add %v: %v, want a window error", bad, err)
+		}
+		if wm, _ := ss.Online(); wm != 5 {
+			t.Fatalf("empty-window Add %v moved the watermark to %d", bad, wm)
+		}
+	}
 	if ss.Len() != 1 {
 		t.Fatalf("rejected Add was admitted: Len %d", ss.Len())
 	}
@@ -152,6 +165,28 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	defer off.Close()
 	if _, online := off.Online(); online {
 		t.Fatal("offline session claims to be online")
+	}
+}
+
+// TestOpenOnlineValidation: OpenOnline rejects the configurations Open
+// rejects — a negative processor count, a negative transition cost —
+// and defaults 0 processors to 1.
+func TestOpenOnlineValidation(t *testing.T) {
+	if _, err := (Solver{}).OpenOnline(-1); err == nil {
+		t.Error("OpenOnline(-1) accepted")
+	}
+	for _, s := range []Solver{{Alpha: -1}, {Objective: ObjectivePower, Alpha: -1}} {
+		if _, err := s.OpenOnline(1); err == nil {
+			t.Errorf("%+v.OpenOnline accepted", s)
+		}
+	}
+	ss, err := Solver{Objective: ObjectivePower, Alpha: 3}.OpenOnline(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if ss.Instance().Procs != 1 {
+		t.Fatalf("OpenOnline(0) runs on %d processors, want 1", ss.Instance().Procs)
 	}
 }
 

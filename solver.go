@@ -325,8 +325,8 @@ type fragResult struct {
 const heurTag = 0x80
 
 // objectiveRuntime binds the objective- and mode-specific pieces of
-// the pipeline after the configuration has been validated once: how to
-// decompose an instance, how to solve one fragment on each backend,
+// the pipeline after the configuration has been validated once: where
+// to split an instance, how to solve one fragment on each backend,
 // which backend a fragment goes to, and how to interpret the
 // accumulated cost. Sharing it between Solve and SolveBatch is what
 // makes their validation and results uniform.
@@ -335,9 +335,13 @@ type objectiveRuntime struct {
 	alpha  float64
 	mode   Mode
 	budget int // resolved ModeAuto exact-tier admission bound
-	plan   func(sched.Instance) *prep.Plan
-	solve  [len(obs.Backends)]func(sched.Instance) fragResult // indexed by backend
-	finish func(*Solution, float64)
+	// splitWidth is the narrowest forced-idle run that splits an
+	// instance into fragments: 1 for gaps, α for power (the widths of
+	// prep.ForGaps and prep.ForPower). The one-shot plan and every
+	// session's tracker decompose with it.
+	splitWidth float64
+	solve      [len(obs.Backends)]func(sched.Instance) fragResult // indexed by backend
+	finish     func(*Solution, float64)
 }
 
 // autoPruneDiscount scales ModeAuto's admission estimate to reflect
@@ -405,10 +409,10 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	switch s.Objective {
 	case ObjectiveGaps:
 		return objectiveRuntime{
-			tag:    byte(ObjectiveGaps),
-			mode:   s.Mode,
-			budget: budget,
-			plan:   prep.ForGaps,
+			tag:        byte(ObjectiveGaps),
+			mode:       s.Mode,
+			budget:     budget,
+			splitWidth: 1,
 			solve: [...]func(sched.Instance) fragResult{
 				obs.BackendDP: func(fr sched.Instance) fragResult {
 					res, err := core.SolveGaps(fr)
@@ -429,11 +433,11 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 	case ObjectivePower:
 		alpha := s.Alpha
 		return objectiveRuntime{
-			tag:    byte(ObjectivePower),
-			alpha:  alpha,
-			mode:   s.Mode,
-			budget: budget,
-			plan:   func(in sched.Instance) *prep.Plan { return prep.ForPower(in, alpha) },
+			tag:        byte(ObjectivePower),
+			alpha:      alpha,
+			mode:       s.Mode,
+			budget:     budget,
+			splitWidth: alpha,
 			solve: [...]func(sched.Instance) fragResult{
 				obs.BackendDP: func(fr sched.Instance) fragResult {
 					res, err := core.SolvePower(fr, alpha)
@@ -538,7 +542,7 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 			p.err = err
 			return p
 		}
-		p.plan = rt.plan(in)
+		p.plan = prep.Decompose(in, rt.splitWidth)
 		p.frags = make([]sched.Instance, len(p.plan.Subs))
 		for i, sub := range p.plan.Subs {
 			p.frags[i] = sub.Instance
