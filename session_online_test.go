@@ -117,19 +117,6 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	if _, err := ss.Add(Job{Release: 3, Deadline: 9}); !errors.Is(err, ErrReleaseOrder) {
 		t.Fatalf("out-of-order Add: %v, want ErrReleaseOrder", err)
 	}
-	if wm, _ := ss.Online(); wm != 5 {
-		t.Fatalf("out-of-order Add moved the watermark to %d", wm)
-	}
-	// The window is checked first, whether the release is before the
-	// watermark or after it, and a rejected job never moves it.
-	for _, bad := range []Job{{Release: 3, Deadline: 1}, {Release: 9, Deadline: 8}} {
-		if _, err := ss.Add(bad); err == nil || errors.Is(err, ErrReleaseOrder) {
-			t.Fatalf("empty-window Add %v: %v, want a window error", bad, err)
-		}
-		if wm, _ := ss.Online(); wm != 5 {
-			t.Fatalf("empty-window Add %v moved the watermark to %d", bad, wm)
-		}
-	}
 	if ss.Len() != 1 {
 		t.Fatalf("rejected Add was admitted: Len %d", ss.Len())
 	}
@@ -165,6 +152,43 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	defer off.Close()
 	if _, online := off.Online(); online {
 		t.Fatal("offline session claims to be online")
+	}
+}
+
+// TestOnlineSessionStepMisuse: an arrival released before the
+// watermark is rejected with ErrReleaseOrder, an empty window is
+// rejected as a window error whether its release is before the
+// watermark or after it, and no rejected Add is admitted or moves the
+// watermark.
+func TestOnlineSessionStepMisuse(t *testing.T) {
+	ss, err := Solver{}.OpenOnline(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if _, err := ss.Add(Job{Release: 5, Deadline: 6}); err != nil {
+		t.Fatal(err)
+	}
+	for _, early := range []Job{{Release: 3, Deadline: 9}, {Release: 4, Deadline: 5}} {
+		if _, err := ss.Add(early); !errors.Is(err, ErrReleaseOrder) {
+			t.Fatalf("pre-watermark Add %v: %v, want ErrReleaseOrder", early, err)
+		}
+		if wm, _ := ss.Online(); wm != 5 {
+			t.Fatalf("pre-watermark Add %v moved the watermark to %d", early, wm)
+		}
+	}
+	// The window is checked first, so an empty window is never reported
+	// as a release-order error.
+	for _, bad := range []Job{{Release: 3, Deadline: 1}, {Release: 9, Deadline: 8}} {
+		if _, err := ss.Add(bad); err == nil || errors.Is(err, ErrReleaseOrder) {
+			t.Fatalf("empty-window Add %v: %v, want a window error", bad, err)
+		}
+		if wm, _ := ss.Online(); wm != 5 {
+			t.Fatalf("empty-window Add %v moved the watermark to %d", bad, wm)
+		}
+	}
+	if ss.Len() != 1 {
+		t.Fatalf("rejected Adds were admitted: Len %d", ss.Len())
 	}
 }
 
