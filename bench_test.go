@@ -517,6 +517,74 @@ func BenchmarkE19_IncrementalSession(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionApply: one atomic delta through Session.Apply. The
+// create lane opens a session with 40,000 overlapping jobs — one
+// fragment — in one Apply, without solving it; a job-at-a-time create
+// costs quadratic time there. The delta lane alternates two 5-op
+// deltas on E19's many-fragment instance (add three jobs and remove
+// two, then the reverse), each followed by an incremental Resolve, and
+// reports the fragments re-solved per delta as fragments/op.
+func BenchmarkSessionApply(b *testing.B) {
+	b.Run("create/overlapping-40k", func(b *testing.B) {
+		jobs := make([]Job, 40_000)
+		for i := range jobs {
+			jobs[i] = Job{Release: i / 2, Deadline: i/2 + 1 + i%7}
+		}
+		for i := 0; i < b.N; i++ {
+			sess, err := Solver{}.Open(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := sess.Apply(jobs, nil); err != nil {
+				b.Fatal(err)
+			}
+			sess.Close()
+		}
+	})
+	b.Run("delta/5-op", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(19))
+		const clusters, perCluster, spacing = 12, 8, 40
+		var jobs []Job
+		for c := 0; c < clusters; c++ {
+			for k := 0; k < perCluster; k++ {
+				r := spacing*c + k + rng.Intn(3)
+				jobs = append(jobs, Job{Release: r, Deadline: r + 2 + rng.Intn(3)})
+			}
+		}
+		sess, err := Solver{}.Open(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sess.Close()
+		ids, _, err := sess.Apply(jobs, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Resolve(); err != nil {
+			b.Fatal(err)
+		}
+		// out holds the two jobs the next delta removes; in the three.
+		out := []Job{jobs[20], jobs[70]}
+		outIDs := []int{ids[20], ids[70]}
+		in := []Job{{Release: 2*spacing + 3, Deadline: 2*spacing + 9}, {Release: 5 * spacing, Deadline: 5*spacing + 6}, {Release: 9*spacing + 1, Deadline: 9*spacing + 4}}
+		resolved := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			added, _, err := sess.Apply(in, outIDs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, out, outIDs = out, in, added
+			sol, err := sess.Resolve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			resolved += sol.ResolvedFragments
+		}
+		b.ReportMetric(float64(resolved)/float64(b.N), "fragments/op")
+	})
+}
+
 // BenchmarkE20_HeuristicTier: the heuristic tier on instances the
 // exact DP cannot serve — 100k-job stress profiles through the full
 // ModeHeuristic pipeline, the ModeAuto mixed-instance path, and the

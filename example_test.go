@@ -119,3 +119,35 @@ func ExampleSolveArithmetic() {
 	// Output:
 	// spans: 1 period: 10
 }
+
+// ExampleSession_Apply keeps a session's solution current under one
+// atomic delta: the delta re-solves only the fragment it touches, and
+// a rejected delta changes nothing.
+func ExampleSession_Apply() {
+	sess, err := gapsched.Solver{Objective: gapsched.ObjectivePower, Alpha: 2}.Open(1)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer sess.Close()
+	ids, _, _ := sess.Apply([]gapsched.Job{
+		{Release: 0, Deadline: 3},
+		{Release: 1, Deadline: 4},   // same cluster
+		{Release: 40, Deadline: 44}, // far away: own fragment
+	}, nil)
+	sol, _ := sess.Resolve()
+	fmt.Println("power", sol.Power, "resolved", sol.ResolvedFragments, "reused", sol.ReusedFragments)
+
+	// Drop the first job and add one next to it, in one delta.
+	_, live, _ := sess.Apply([]gapsched.Job{{Release: 2, Deadline: 5}}, []int{ids[0]})
+	sol, _ = sess.Resolve()
+	fmt.Println("jobs", live, "power", sol.Power, "resolved", sol.ResolvedFragments, "reused", sol.ReusedFragments)
+
+	// The first job is gone, so this delta is rejected whole.
+	_, _, err = sess.Apply([]gapsched.Job{{Release: 9, Deadline: 9}}, []int{ids[0]})
+	fmt.Println(err, "- jobs", sess.Len())
+	// Output:
+	// power 7 resolved 2 reused 0
+	// jobs 3 power 7 resolved 1 reused 1
+	// gapsched: session has no job 0 - jobs 3
+}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -131,17 +132,22 @@ func checkFuzzAgreement(t *testing.T, s Solver, in Instance, cost func(Solution)
 	}
 }
 
-// FuzzSessionDeltas decodes bytes as a bounded add/remove delta
-// sequence and replays it through incremental sessions — both
-// objectives, each with and without a shared fragment cache — checking
-// after every delta that Session.Resolve agrees exactly with a
-// from-scratch Solve of the session's snapshot instance under the
-// same configuration: same feasibility verdict, equal cost, valid
-// schedule, and fragment counters that cover the decomposition.
+// FuzzSessionDeltas decodes bytes as a bounded sequence of multi-op
+// deltas and applies each with one Session.Apply on four incremental
+// sessions — both objectives, each with and without a shared fragment
+// cache — checking after every delta that Session.Resolve agrees
+// exactly with a from-scratch Solve of the session's snapshot instance
+// under the same configuration: same feasibility verdict, equal cost,
+// valid schedule, and fragment counters that cover the decomposition.
+// A delta header byte gives 1–4 ops of three bytes each: an add, a
+// removal of a live id, or a removal of an id that is not live (never
+// assigned or already removed). Such a delta, or one naming a live id
+// twice, must be rejected whole on every lane with the snapshot
+// unchanged.
 func FuzzSessionDeltas(f *testing.F) {
-	f.Add([]byte{2, 1, 1, 0, 2, 1, 5, 1, 0, 0, 0, 1, 9, 3})
-	f.Add([]byte{0, 2, 1, 10, 0, 1, 10, 0, 1, 10, 0, 0, 1, 0})
-	f.Add([]byte{7, 0, 1, 0, 5, 1, 30, 5, 1, 12, 2, 0, 0, 0, 1, 3, 3})
+	f.Add([]byte{2, 1, 1, 1, 0, 2, 2, 1, 5, 1, 1, 0, 0, 0, 0, 1, 9, 3})
+	f.Add([]byte{0, 2, 3, 1, 10, 0, 1, 10, 0, 1, 10, 0, 0, 0, 0, 1, 0, 1, 4, 1, 0})
+	f.Add([]byte{7, 0, 2, 1, 0, 5, 1, 30, 5, 1, 12, 2, 1, 0, 0, 0, 1, 3, 3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip()
@@ -167,34 +173,57 @@ func FuzzSessionDeltas(f *testing.F) {
 			lanes = append(lanes, lane{cfg, sess})
 		}
 
-		var live []int
+		var live, gone []int
 		deltas := 0
-		for i := 2; i+2 < len(data) && deltas < 12; i += 3 {
-			deltas++
-			if data[i]%4 == 0 && len(live) > 0 {
-				k := int(data[i+1]) % len(live)
-				for _, l := range lanes {
-					if err := l.sess.Remove(live[k]); err != nil {
-						t.Fatalf("Remove(%d): %v", live[k], err)
-					}
+		for i := 2; i+3 < len(data) && deltas < 12; deltas++ {
+			var add []Job
+			var remove []int
+			ops := 1 + int(data[i]%4)
+			for i++; ops > 0 && i+2 < len(data); ops, i = ops-1, i+3 {
+				kind, a, b := data[i]%8, int(data[i+1]), int(data[i+2])
+				switch {
+				case kind == 0 && len(live) > 0:
+					remove = append(remove, live[a%len(live)])
+				case kind == 4 && len(gone) > 0 && b%2 == 0:
+					remove = append(remove, gone[a%len(gone)])
+				case kind == 4:
+					remove = append(remove, -1-a%3)
+				default:
+					r := a % fuzzMaxRelease
+					add = append(add, Job{Release: r, Deadline: r + b%fuzzMaxSlack})
 				}
-				live = append(live[:k], live[k+1:]...)
-			} else {
-				r := int(data[i+1] % fuzzMaxRelease)
-				j := Job{Release: r, Deadline: r + int(data[i+2]%fuzzMaxSlack)}
-				var id int
-				for li, l := range lanes {
-					got, err := l.sess.Add(j)
-					if err != nil {
-						t.Fatalf("Add(%v): %v", j, err)
-					}
-					if li == 0 {
-						id = got
-					} else if got != id {
-						t.Fatalf("lanes assigned different ids %d and %d", id, got)
-					}
+			}
+			valid := true
+			for k, id := range remove {
+				if !slices.Contains(live, id) || slices.Contains(remove[:k], id) {
+					valid = false
 				}
-				live = append(live, id)
+			}
+			var ids []int
+			for li, l := range lanes {
+				before := l.sess.Instance()
+				got, n, err := l.sess.Apply(add, remove)
+				if !valid {
+					var unknown *UnknownJobError
+					if !errors.As(err, &unknown) || !reflect.DeepEqual(l.sess.Instance(), before) {
+						t.Fatalf("delta add %v remove %v (live %v): err %v, instance changed %v",
+							add, remove, live, err, !reflect.DeepEqual(l.sess.Instance(), before))
+					}
+					continue
+				}
+				if err != nil || n != l.sess.Len() {
+					t.Fatalf("Apply(%v, %v): %v (live %d, Len %d)", add, remove, err, n, l.sess.Len())
+				}
+				if li == 0 {
+					ids = got
+				} else if !slices.Equal(got, ids) {
+					t.Fatalf("lanes assigned different ids %v and %v", ids, got)
+				}
+			}
+			if valid {
+				live = slices.DeleteFunc(live, func(id int) bool { return slices.Contains(remove, id) })
+				gone = append(gone, remove...)
+				live = append(live, ids...)
 			}
 			for _, l := range lanes {
 				snapshot := l.sess.Instance()
@@ -362,13 +391,13 @@ func FuzzPrunedExact(f *testing.F) {
 
 // FuzzOnlineCommit certifies the online tier's commit contract on
 // every decodable instance fed in release order, both objectives:
-// once a slot is committed — placed by a feasible Resolve before
-// Online()'s watermark — its assignment is bit-exact in every later
-// feasible Resolve, and CommittedJobs counts those slots; Resolve fails
-// with ErrInfeasible exactly when the revealed prefix is infeasible by
-// the Hall-condition oracle; and on feasible prefixes the online cost
-// dominates the exact offline optimum of the revealed prefix, with a
-// measured CompetitiveRatio ≥ 1.
+// once a slot is committed — placed by a feasible Resolve before the
+// watermark, the latest arrival's release — its assignment is
+// bit-exact in every later feasible Resolve, and CommittedJobs counts
+// those slots; Resolve fails with ErrInfeasible exactly when the
+// revealed prefix is infeasible by the Hall-condition oracle; and on
+// feasible prefixes the online cost dominates the exact offline
+// optimum of the revealed prefix, with a measured CompetitiveRatio ≥ 1.
 func FuzzOnlineCommit(f *testing.F) {
 	seedFuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -394,7 +423,7 @@ func FuzzOnlineCommit(f *testing.F) {
 			var prevSlots []sched.Assignment
 			var prevDone []bool
 			checkPrefix := func(k int, sol Solution) {
-				wm, _ := ss.Online()
+				wm := jobs[k].Release
 				slots := sol.Schedule.Slots
 				done := make([]bool, len(slots))
 				committed := 0

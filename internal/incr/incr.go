@@ -17,20 +17,23 @@
 // Why deltas stay local (both directions follow from Decompose's sweep,
 // whose running coverage end only ever grows within a fragment):
 //
+//   - Removing a window never merges fragments — coverage only shrinks,
+//     so every old boundary still splits — and can only split the
+//     fragment that contained the job, which is re-decomposed locally.
 //   - Adding a window never splits an existing fragment — extra windows
 //     can only extend coverage, so every old in-fragment boundary still
-//     fails the split test. The new job merges into at most one fragment
-//     on its left (the one whose coverage its release fails to split
-//     from) and then absorbs a run of fragments on its right whose
-//     starts the extended coverage reaches.
-//   - Removing a window never merges fragments — coverage only shrinks,
-//     so every old boundary still splits — and can only split the one
-//     fragment that contained the job, which is re-decomposed locally.
+//     fails the split test. Decompose's sweep over the new job set
+//     therefore sees each old fragment as one block [start, end], and
+//     the added jobs merge with the blocks their coverage reaches: a
+//     job joins the fragment whose coverage its release fails to split
+//     from, and the extended coverage absorbs a run of fragments on its
+//     right.
 //
 // Everything outside the touched fragments keeps its solved result.
 package incr
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -79,12 +82,6 @@ func (t *Tracker[R]) Len() int { return len(t.jobs) }
 // decomposition.
 func (t *Tracker[R]) Fragments() int { return len(t.frags) }
 
-// Job returns the live job with the given id.
-func (t *Tracker[R]) Job(id int) (sched.Job, bool) {
-	j, ok := t.jobs[id]
-	return j, ok
-}
-
 // Instance snapshots the current job set as a solver instance, jobs in
 // id order. A from-scratch solve of this instance is the reference the
 // tracker's incremental solution is bit-identical to.
@@ -96,86 +93,96 @@ func (t *Tracker[R]) Instance() sched.Instance {
 	return sched.Instance{Jobs: jobs, Procs: t.procs}
 }
 
-// Add inserts a job and returns its id (ids are assigned in arrival
-// order and never reused). The job merges into the decomposition as
-// Decompose's sweep would place it: it joins the fragment whose
-// coverage its release cannot split from, then absorbs the run of
-// later fragments reached by the extended coverage. Exactly the
-// touched fragments (at least the one now containing the job) become
-// dirty.
-func (t *Tracker[R]) Add(j sched.Job) int {
-	id := t.nextID
-	t.nextID++
-	t.jobs[id] = j
-	t.ids = append(t.ids, id)
+// UnknownJobError rejects a delta that removes an id that is not live
+// (never assigned or already removed) or that names one id twice.
+type UnknownJobError struct{ ID int }
 
-	// frags[lo:hi] is the run of fragments the new job merges with. At
-	// most one fragment starts at or before the job's release (regions
-	// are disjoint); it merges iff the idle run between its coverage
-	// end and the release fails the split test — in particular always
-	// when the release lands inside it. Fragments to the right then
-	// merge while the combined coverage end reaches them the same way.
-	lo := sort.Search(len(t.frags), func(i int) bool { return t.frags[i].start > j.Release })
-	hi := lo
-	start, end := j.Release, j.Deadline
-	if lo > 0 && !prep.Splits(j.Release-t.frags[lo-1].end-1, t.splitWidth) {
-		lo--
-		start = t.frags[lo].start
-		if t.frags[lo].end > end {
-			end = t.frags[lo].end
+func (e *UnknownJobError) Error() string { return fmt.Sprintf("session has no job %d", e.ID) }
+
+// Apply applies one delta: it removes the jobs with the given ids, then
+// adds the given jobs and returns their ids in order (ids are assigned
+// in arrival order and never reused). A removal id that is not live, or
+// that repeats, rejects the whole delta with *UnknownJobError before
+// anything changes. Exactly the touched fragments become dirty: the
+// pieces of every fragment that lost a job, and every fragment an added
+// job joined. A delta of k jobs costs O(k log k) plus the fragments it
+// touches.
+func (t *Tracker[R]) Apply(add []sched.Job, remove []int) ([]int, error) {
+	for _, id := range remove {
+		if _, live := t.jobs[id]; !live {
+			return nil, &UnknownJobError{ID: id}
 		}
 	}
-	for hi < len(t.frags) && !prep.Splits(t.frags[hi].start-end-1, t.splitWidth) {
-		if t.frags[hi].end > end {
-			end = t.frags[hi].end
+	gone := slices.Sorted(slices.Values(remove))
+	for i := 1; i < len(gone); i++ {
+		if gone[i] == gone[i-1] {
+			return nil, &UnknownJobError{ID: gone[i]}
 		}
-		hi++
 	}
-
-	merged := &fragment[R]{ids: []int{id}, start: start, end: end, dirty: true}
-	for _, f := range t.frags[lo:hi] {
-		merged.ids = append(merged.ids, f.ids...)
-	}
-	sort.Ints(merged.ids)
-	t.frags = append(t.frags[:lo], append([]*fragment[R]{merged}, t.frags[hi:]...)...)
-	return id
+	t.remove(gone)
+	return t.add(add), nil
 }
 
-// Remove deletes the job with the given id, reporting whether it was
-// live. The containing fragment is re-decomposed locally — it may
-// shrink or split, and every piece is dirty; no other fragment is
-// touched.
-func (t *Tracker[R]) Remove(id int) bool {
-	j, ok := t.jobs[id]
-	if !ok {
-		return false
+// remove deletes the given live ids, ascending, and re-decomposes every
+// fragment that held one, once, however many of its jobs left.
+func (t *Tracker[R]) remove(ids []int) {
+	if len(ids) == 0 {
+		return
 	}
-	delete(t.jobs, id)
-	i, _ := slices.BinarySearch(t.ids, id)
-	t.ids = slices.Delete(t.ids, i, i+1)
-	fi := sort.Search(len(t.frags), func(i int) bool { return t.frags[i].end >= j.Release })
-	f := t.frags[fi]
+	// A job lies in the first fragment whose coverage reaches its
+	// release: fragments are disjoint and ascending.
+	hit := make([]int, len(ids))
+	for i, id := range ids {
+		r := t.jobs[id].Release
+		hit[i] = sort.Search(len(t.frags), func(k int) bool { return t.frags[k].end >= r })
+		delete(t.jobs, id)
+	}
+	slices.Sort(hit)
+	hit = slices.Compact(hit)
 
-	rest := make([]int, 0, len(f.ids)-1)
-	for _, fid := range f.ids {
-		if fid != id {
-			rest = append(rest, fid)
+	// Drop the removed ids from the live list in one merge pass, starting
+	// at the first of them.
+	w, _ := slices.BinarySearch(t.ids, ids[0])
+	for _, id := range t.ids[w:] {
+		if len(ids) > 0 && id == ids[0] {
+			ids = ids[1:]
+			continue
+		}
+		t.ids[w] = id
+		w++
+	}
+	t.ids = t.ids[:w]
+
+	first := hit[0]
+	tail := make([]*fragment[R], 0, len(t.frags)-first)
+	for fi, f := range t.frags[first:] {
+		if len(hit) > 0 && hit[0] == first+fi {
+			tail = append(tail, t.pieces(f)...)
+			hit = hit[1:]
+		} else {
+			tail = append(tail, f)
 		}
 	}
-	if len(rest) == 0 {
-		t.frags = append(t.frags[:fi], t.frags[fi+1:]...)
-		return true
-	}
-	// Re-decompose the survivors. rest is ascending, so each sub's
-	// index list maps back to an ascending id list; fragment instances
-	// are rebuilt from absolute windows at Resolve, so only the ids and
-	// the covered region carry over.
-	jobs := make([]sched.Job, len(rest))
-	for i, fid := range rest {
-		jobs[i] = t.jobs[fid]
+	t.frags = append(t.frags[:first], tail...)
+}
+
+// pieces re-decomposes a fragment that lost jobs: its surviving jobs
+// split as Decompose splits them, and every piece is dirty. The
+// survivors are ascending, so each sub's index list maps back to an
+// ascending id list; fragment instances are rebuilt from absolute
+// windows at Resolve, so only the ids and the covered region carry
+// over.
+func (t *Tracker[R]) pieces(f *fragment[R]) []*fragment[R] {
+	rest := make([]int, 0, len(f.ids))
+	jobs := make([]sched.Job, 0, len(f.ids))
+	for _, id := range f.ids {
+		if j, live := t.jobs[id]; live {
+			rest = append(rest, id)
+			jobs = append(jobs, j)
+		}
 	}
 	pl := prep.Decompose(sched.Instance{Jobs: jobs, Procs: t.procs}, t.splitWidth)
-	pieces := make([]*fragment[R], len(pl.Subs))
+	out := make([]*fragment[R], len(pl.Subs))
 	for si, sub := range pl.Subs {
 		nf := &fragment[R]{ids: make([]int, len(sub.Jobs)), dirty: true}
 		for i, local := range sub.Jobs {
@@ -183,10 +190,70 @@ func (t *Tracker[R]) Remove(id int) bool {
 		}
 		lo, hi := sub.Instance.TimeHorizon()
 		nf.start, nf.end = sub.Offset+lo, sub.Offset+hi
-		pieces[si] = nf
+		out[si] = nf
 	}
-	t.frags = append(t.frags[:fi], append(pieces, t.frags[fi+1:]...)...)
-	return true
+	return out
+}
+
+// add assigns the added jobs their ids and merges them into the
+// fragment list in one pass of Decompose's sweep: the jobs in release
+// order (ties by id, as Decompose breaks them) interleaved with the
+// existing fragments by start, each item joining the fragment before it
+// unless the idle run between them splits. The pass starts at the
+// fragment the earliest job joins and stops once every job is placed
+// and the coverage no longer reaches the next fragment. A fragment
+// nothing joined is kept as it was; one that absorbed items is dirty.
+func (t *Tracker[R]) add(add []sched.Job) []int {
+	ids := make([]int, len(add))
+	order := make([]int, len(add))
+	for i, j := range add {
+		ids[i], order[i] = t.nextID, i
+		t.jobs[t.nextID] = j
+		t.nextID++
+	}
+	t.ids = append(t.ids, ids...)
+	if len(add) == 0 {
+		return ids
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(add[a].Release, add[b].Release) })
+
+	// At most one fragment starts at or before the earliest release
+	// (regions are disjoint); the pass starts there iff the job joins it.
+	r0 := add[order[0]].Release
+	lo := sort.Search(len(t.frags), func(i int) bool { return t.frags[i].start > r0 })
+	if lo > 0 && !prep.Splits(r0-t.frags[lo-1].end-1, t.splitWidth) {
+		lo--
+	}
+	var built []*fragment[R]
+	hi := lo
+	for len(order) > 0 || hi < len(t.frags) && !prep.Splits(t.frags[hi].start-built[len(built)-1].end-1, t.splitWidth) {
+		var f *fragment[R] // the next item when it is an existing fragment
+		var start, end int
+		var itemIDs []int
+		if len(order) > 0 && (hi == len(t.frags) || add[order[0]].Release < t.frags[hi].start) {
+			i := order[0]
+			start, end, itemIDs, order = add[i].Release, add[i].Deadline, ids[i:i+1], order[1:]
+		} else {
+			f, hi = t.frags[hi], hi+1
+			start, end, itemIDs = f.start, f.end, f.ids
+		}
+		switch n := len(built); {
+		case n > 0 && !prep.Splits(start-built[n-1].end-1, t.splitWidth):
+			g := built[n-1]
+			g.ids, g.end, g.dirty = append(g.ids, itemIDs...), max(g.end, end), true
+		case f != nil:
+			built = append(built, f)
+		default:
+			built = append(built, &fragment[R]{ids: slices.Clone(itemIDs), start: start, end: end, dirty: true})
+		}
+	}
+	for _, f := range built {
+		if f.dirty {
+			slices.Sort(f.ids)
+		}
+	}
+	t.frags = slices.Replace(t.frags, lo, hi, built...)
+	return ids
 }
 
 // position returns the index of a live id among the live ids — its

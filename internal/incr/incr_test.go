@@ -2,7 +2,10 @@ package incr
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -53,6 +56,21 @@ func resolve(tr *Tracker[result], solve func(sched.Instance) result) (tally, sch
 		return r.schedule, r.err
 	})
 	return c, s, err
+}
+
+// addOne and removeOne apply one-op deltas.
+func addOne(t *testing.T, tr *Tracker[result], j sched.Job) int {
+	t.Helper()
+	ids, err := tr.Apply([]sched.Job{j}, nil)
+	if err != nil {
+		t.Fatalf("add %v: %v", j, err)
+	}
+	return ids[0]
+}
+
+func removeOne(tr *Tracker[result], id int) bool {
+	_, err := tr.Apply(nil, []int{id})
+	return err == nil
 }
 
 // checkDecomposition asserts the tracker's fragment list is identical
@@ -136,14 +154,14 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				if len(live) > 0 && rng.Intn(3) == 0 {
 					i := rng.Intn(len(live))
-					if !tr.Remove(live[i]) {
+					if !removeOne(tr, live[i]) {
 						t.Fatalf("live id %d not found", live[i])
 					}
 					live = append(live[:i], live[i+1:]...)
 				} else {
 					r := rng.Intn(40)
 					j := sched.Job{Release: r, Deadline: r + rng.Intn(5)}
-					live = append(live, tr.Add(j))
+					live = append(live, addOne(t, tr, j))
 				}
 				checkDecomposition(t, tr, cfg.splitWidth)
 
@@ -180,8 +198,8 @@ func TestTrackerMatchesDecompose(t *testing.T) {
 func TestTrackerDeltaLocality(t *testing.T) {
 	tr := New[result](1, 1)
 	for _, r := range []int{0, 10, 20} { // three clusters of two jobs
-		tr.Add(sched.Job{Release: r, Deadline: r + 2})
-		tr.Add(sched.Job{Release: r + 1, Deadline: r + 3})
+		addOne(t, tr, sched.Job{Release: r, Deadline: r + 2})
+		addOne(t, tr, sched.Job{Release: r + 1, Deadline: r + 3})
 	}
 	if tr.Fragments() != 3 {
 		t.Fatalf("fragments = %d, want 3", tr.Fragments())
@@ -191,11 +209,11 @@ func TestTrackerDeltaLocality(t *testing.T) {
 	}
 
 	// A job inside the middle cluster dirties only it.
-	mid := tr.Add(sched.Job{Release: 11, Deadline: 12})
+	mid := addOne(t, tr, sched.Job{Release: 11, Deadline: 12})
 	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 1 || c.reused != 2 {
 		t.Fatalf("middle add: counts %+v err %v, want 1 resolved 2 reused", c, err)
 	}
-	if !tr.Remove(mid) {
+	if !removeOne(tr, mid) {
 		t.Fatal("middle job not removed")
 	}
 	if c, _, err := resolve(tr, gapSolve); err != nil || c.resolved != 1 || c.reused != 2 {
@@ -204,7 +222,7 @@ func TestTrackerDeltaLocality(t *testing.T) {
 
 	// A wide bridge merges the first two clusters into one dirty
 	// fragment; the third is reused.
-	bridge := tr.Add(sched.Job{Release: 2, Deadline: 11})
+	bridge := addOne(t, tr, sched.Job{Release: 2, Deadline: 11})
 	if tr.Fragments() != 2 {
 		t.Fatalf("after bridge: fragments = %d, want 2", tr.Fragments())
 	}
@@ -214,7 +232,7 @@ func TestTrackerDeltaLocality(t *testing.T) {
 
 	// Removing the bridge splits the merged fragment back into two,
 	// both dirty; the untouched third cluster is still reused.
-	if !tr.Remove(bridge) {
+	if !removeOne(tr, bridge) {
 		t.Fatal("bridge not removed")
 	}
 	if tr.Fragments() != 3 {
@@ -236,16 +254,16 @@ func TestTrackerDeltaLocality(t *testing.T) {
 // survive.
 func TestTrackerInfeasibleAndRecover(t *testing.T) {
 	tr := New[result](1, 1)
-	tr.Add(sched.Job{Release: 0, Deadline: 1})
-	tr.Add(sched.Job{Release: 10, Deadline: 10})
+	addOne(t, tr, sched.Job{Release: 0, Deadline: 1})
+	addOne(t, tr, sched.Job{Release: 10, Deadline: 10})
 	if _, _, err := resolve(tr, gapSolve); err != nil {
 		t.Fatalf("feasible resolve failed: %v", err)
 	}
-	clash := tr.Add(sched.Job{Release: 10, Deadline: 10}) // two point jobs, one slot
+	clash := addOne(t, tr, sched.Job{Release: 10, Deadline: 10}) // two point jobs, one slot
 	if _, _, err := resolve(tr, gapSolve); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if !tr.Remove(clash) {
+	if !removeOne(tr, clash) {
 		t.Fatal("clash not removed")
 	}
 	c, s, err := resolve(tr, gapSolve)
@@ -267,18 +285,18 @@ func TestTrackerInfeasibleAndRecover(t *testing.T) {
 // unknown ids, resolving an empty tracker, and draining to empty.
 func TestTrackerEmptyAndUnknown(t *testing.T) {
 	tr := New[result](2, 1)
-	if tr.Remove(7) {
+	if removeOne(tr, 7) {
 		t.Fatal("removed a job that was never added")
 	}
 	c, s, err := resolve(tr, gapSolve)
 	if err != nil || c.cost != 0 || len(s.Slots) != 0 || c.resolved != 0 {
 		t.Fatalf("empty resolve: schedule %+v counts %+v err %v", s, c, err)
 	}
-	id := tr.Add(sched.Job{Release: 3, Deadline: 5})
-	if !tr.Remove(id) || tr.Len() != 0 || tr.Fragments() != 0 {
+	id := addOne(t, tr, sched.Job{Release: 3, Deadline: 5})
+	if !removeOne(tr, id) || tr.Len() != 0 || tr.Fragments() != 0 {
 		t.Fatalf("drain failed: len %d frags %d", tr.Len(), tr.Fragments())
 	}
-	if tr.Remove(id) {
+	if removeOne(tr, id) {
 		t.Fatal("double remove succeeded")
 	}
 }
@@ -297,7 +315,7 @@ func TestTrackerArrivalOrderedDeltas(t *testing.T) {
 		release := 0
 		for k := 0; k < 12; k++ {
 			release += rng.Intn(6) // non-decreasing, sometimes equal
-			tr.Add(sched.Job{Release: release, Deadline: release + rng.Intn(9)})
+			addOne(t, tr, sched.Job{Release: release, Deadline: release + rng.Intn(9)})
 			checkDecomposition(t, tr, 1)
 			c, _, err := resolve(tr, gapSolve)
 			if err != nil {
@@ -309,6 +327,105 @@ func TestTrackerArrivalOrderedDeltas(t *testing.T) {
 			if c.resolved != 1 || c.reused != tr.Fragments()-1 {
 				t.Fatalf("arrival-ordered add resolved %d fragments, reused %d of %d — the delta was not local (jobs %v)",
 					c.resolved, c.reused, tr.Fragments(), tr.Instance().Jobs)
+			}
+		}
+	}
+}
+
+// sameState reports the first difference between two trackers' live
+// ids, id counters and fragment lists (boundaries, ids, dirty flags
+// and clean fragments' stored records), or "" when they agree.
+func sameState(a, b *Tracker[result]) string {
+	if !slices.Equal(a.ids, b.ids) || a.nextID != b.nextID || len(a.jobs) != len(b.jobs) {
+		return fmt.Sprintf("live ids %v (next %d), want %v (next %d)", a.ids, a.nextID, b.ids, b.nextID)
+	}
+	if len(a.frags) != len(b.frags) {
+		return fmt.Sprintf("%d fragments, want %d", len(a.frags), len(b.frags))
+	}
+	for i, f := range a.frags {
+		g := b.frags[i]
+		if f.start != g.start || f.end != g.end || f.dirty != g.dirty || !f.dirty && f.rec.cost != g.rec.cost || !slices.Equal(f.ids, g.ids) {
+			return fmt.Sprintf("fragment %d: %+v, want %+v", i, *f, *g)
+		}
+	}
+	return ""
+}
+
+// TestTrackerApplyMatchesSequential: a multi-op delta applied in one
+// Apply leaves the same fragment list, dirty flags, stored records and
+// ids as the same ops applied one at a time (removals first, then
+// additions, each in order), at every split width. Before each delta a
+// random subset of fragments is marked clean with a distinct record, so
+// the comparison sees which fragments a delta touched. A delta naming
+// an unknown or repeated removal id is rejected whole.
+func TestTrackerApplyMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, w := range []float64{1, 0.5, 3.5, 6} {
+		for trial := 0; trial < 30; trial++ {
+			procs := 1 + rng.Intn(3)
+			bulk, seq := New[result](procs, w), New[result](procs, w)
+			var live []int
+			for step := 0; step < 25; step++ {
+				for i, f := range bulk.frags {
+					if rng.Intn(2) == 0 {
+						f.dirty, f.rec.cost = false, float64(100*step+i)
+						seq.frags[i].dirty, seq.frags[i].rec.cost = false, f.rec.cost
+					}
+				}
+				var add []sched.Job
+				for k := rng.Intn(5); k > 0; k-- {
+					r := rng.Intn(60)
+					add = append(add, sched.Job{Release: r, Deadline: r + rng.Intn(6)})
+				}
+				var remove []int
+				for _, i := range rng.Perm(len(live))[:min(len(live), rng.Intn(4))] {
+					remove = append(remove, live[i])
+				}
+				if rng.Intn(8) == 0 {
+					bad := bulk.nextID + rng.Intn(3) // never assigned
+					if len(remove) > 0 && rng.Intn(2) == 0 {
+						bad = remove[0] // repeated
+					}
+					remove = append(remove, bad)
+					before := New[result](procs, w)
+					before.nextID, before.ids, before.jobs = bulk.nextID, slices.Clone(bulk.ids), maps.Clone(bulk.jobs)
+					for _, f := range bulk.frags {
+						g := *f
+						g.ids = slices.Clone(f.ids)
+						before.frags = append(before.frags, &g)
+					}
+					var unknown *UnknownJobError
+					if _, err := bulk.Apply(add, remove); !errors.As(err, &unknown) || unknown.ID != bad {
+						t.Fatalf("delta removing %v: err %v, want UnknownJobError for %d", remove, err, bad)
+					}
+					if diff := sameState(bulk, before); diff != "" {
+						t.Fatalf("rejected delta changed the tracker: %s", diff)
+					}
+					continue
+				}
+
+				got, err := bulk.Apply(add, remove)
+				if err != nil {
+					t.Fatalf("Apply(%v, %v): %v", add, remove, err)
+				}
+				var want []int
+				for _, id := range remove {
+					if !removeOne(seq, id) {
+						t.Fatalf("sequential remove %d failed", id)
+					}
+				}
+				for _, j := range add {
+					want = append(want, addOne(t, seq, j))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("Apply assigned ids %v, sequential %v", got, want)
+				}
+				if diff := sameState(bulk, seq); diff != "" {
+					t.Fatalf("w=%v step %d, delta add %v remove %v: %s", w, step, add, remove, diff)
+				}
+				checkDecomposition(t, bulk, w)
+				live = slices.DeleteFunc(live, func(id int) bool { return slices.Contains(remove, id) })
+				live = append(live, got...)
 			}
 		}
 	}

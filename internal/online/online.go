@@ -97,8 +97,11 @@ func Replay(in sched.Instance, watermark int, alpha float64, power bool) (Run, e
 		times[i] = a.Time
 	}
 	slices.Sort(times)
-	last := make([]int, s.Procs)  // per processor, its latest busy unit
-	used := make([]bool, s.Procs) // per processor, whether it ran at all
+	// No time runs more units than there are jobs, so only the first
+	// min(Procs, n) processors can run at all.
+	procs := min(s.Procs, len(times))
+	last := make([]int, procs)  // per processor, its latest busy unit
+	used := make([]bool, procs) // per processor, whether it ran at all
 	spans, energy := 0, 0.0
 	cost := func() float64 {
 		if power {

@@ -143,7 +143,7 @@ func EvaluateEDF(in sched.Instance, alpha float64, p Policy) (Report, bool) {
 func EvaluateSchedule(s sched.Schedule, alpha float64, p Policy) Report {
 	rep := Report{Policy: p.Name()}
 	off := Offline{}
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.BusyRows() {
 		if len(ts) == 0 {
 			continue
 		}

@@ -44,7 +44,7 @@ func GapLengths(ts []int) []int {
 // processors. This is the primitive minimization objective (DESIGN.md §1).
 func (s Schedule) Spans() int {
 	total := 0
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.BusyRows() {
 		total += SpansOfTimes(ts)
 	}
 	return total
@@ -97,7 +97,7 @@ func SpansOfProfile(profile map[int]int) int {
 // is free.
 func (s Schedule) PowerCost(alpha float64) float64 {
 	total := 0.0
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.BusyRows() {
 		if len(ts) == 0 {
 			continue
 		}
@@ -113,7 +113,7 @@ func (s Schedule) PowerCost(alpha float64) float64 {
 // sleep during every gap (no bridging): n + α·spans.
 func (s Schedule) PowerCostSleepOnly(alpha float64) float64 {
 	busy := 0
-	for _, ts := range s.BusyTimes() {
+	for _, ts := range s.BusyRows() {
 		busy += distinct(ts)
 	}
 	return float64(busy) + alpha*float64(s.Spans())

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -277,6 +278,26 @@ func TestUnitIntervals(t *testing.T) {
 	}
 	if NewMultiJob(Interval{0, 1}).UnitIntervals() {
 		t.Fatal("length-2 interval reported unit")
+	}
+}
+
+// TestBusyRowsSkipsIdleProcessors: BusyRows lists only the processors
+// that run a job, in ascending order, whether their ids fit the slot
+// count or not, and the costs summed over it do not depend on Procs.
+func TestBusyRowsSkipsIdleProcessors(t *testing.T) {
+	dense := Schedule{Procs: 4, Slots: []Assignment{{3, 1}, {0, 2}, {3, 0}}}
+	if got := dense.BusyRows(); !reflect.DeepEqual(got, [][]int{{2}, {0, 1}}) {
+		t.Fatalf("dense BusyRows = %v", got)
+	}
+	sparse := Schedule{Procs: 1 << 50, Slots: []Assignment{{0, 5}, {1 << 49, 3}, {0, 1}, {2, 7}}}
+	if got := sparse.BusyRows(); !reflect.DeepEqual(got, [][]int{{1, 5}, {7}, {3}}) {
+		t.Fatalf("sparse BusyRows = %v", got)
+	}
+	small := Schedule{Procs: 3, Slots: []Assignment{{0, 5}, {2, 3}, {0, 1}, {1, 7}}}
+	if sparse.Spans() != small.Spans() || sparse.PowerCost(2.5) != small.PowerCost(2.5) ||
+		sparse.PowerCostSleepOnly(2.5) != small.PowerCostSleepOnly(2.5) {
+		t.Fatalf("costs depend on Procs: spans %d/%d power %v/%v",
+			sparse.Spans(), small.Spans(), sparse.PowerCost(2.5), small.PowerCost(2.5))
 	}
 }
 

@@ -16,7 +16,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -163,8 +165,46 @@ func (s Schedule) Profile() map[int]int {
 	return prof
 }
 
-// BusyTimes returns the sorted distinct times at which at least one job
-// runs, per processor: result[q] lists processor q's busy times.
+// BusyRows returns the sorted busy times of each processor that runs a
+// job, in ascending processor order: BusyTimes without its idle rows.
+// Its size follows the slots, not Procs, so the cost functions that sum
+// over it stay bounded however many processors a schedule declares.
+func (s Schedule) BusyRows() [][]int {
+	hi := 0
+	for _, a := range s.Slots {
+		hi = max(hi, a.Proc+1)
+	}
+	if hi > len(s.Slots) {
+		// Processor ids beyond the slot count: group by sorting instead
+		// of by index.
+		slots := slices.Clone(s.Slots)
+		slices.SortFunc(slots, func(a, b Assignment) int {
+			return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Time, b.Time))
+		})
+		var rows [][]int
+		for i, a := range slots {
+			if i == 0 || a.Proc != slots[i-1].Proc {
+				rows = append(rows, nil)
+			}
+			rows[len(rows)-1] = append(rows[len(rows)-1], a.Time)
+		}
+		return rows
+	}
+	rows := make([][]int, hi)
+	for _, a := range s.Slots {
+		rows[a.Proc] = append(rows[a.Proc], a.Time)
+	}
+	rows = slices.DeleteFunc(rows, func(ts []int) bool { return len(ts) == 0 })
+	for _, ts := range rows {
+		slices.Sort(ts)
+	}
+	return rows
+}
+
+// BusyTimes returns the sorted busy times per processor: result[q]
+// lists processor q's busy times, one row for each of Procs processors.
+// It is for rendering a schedule processor by processor; BusyRows
+// serves computations.
 func (s Schedule) BusyTimes() [][]int {
 	per := make([][]int, s.Procs)
 	for _, a := range s.Slots {

@@ -312,8 +312,8 @@ type SessionDeltaRequest struct {
 
 // Validate checks the delta: it must carry at least one operation,
 // every added job needs a non-empty window, and no id is removed
-// twice. (Whether removal ids are live is checked against the session
-// by the service, not here.)
+// twice. (Whether removal ids are live, and an online session's
+// arrival order, are checked by gapsched.Session.Apply, not here.)
 func (r SessionDeltaRequest) Validate() error {
 	if len(r.Add) == 0 && len(r.Remove) == 0 {
 		return fmt.Errorf("sched: session delta carries no operations")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -418,5 +419,37 @@ func TestCloseFlushesPendingWindow(t *testing.T) {
 	benv, err := sched.DecodeBatchResponse(bresp.Body)
 	if bresp.StatusCode != http.StatusServiceUnavailable || err != nil || benv.Err == nil || benv.Err.Code != sched.ErrCodeUnavailable {
 		t.Errorf("batch after Close: status %d payload %+v err %v, want 503 unavailable", bresp.StatusCode, benv, err)
+	}
+}
+
+// TestSolveHugeProcs: a 62-byte /v1/solve on 1<<50 processors is served
+// like the same jobs on one processor per job — not a per-processor
+// allocation that panics in the coalescer and ends the process.
+func TestSolveHugeProcs(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	solve := func(body string) sched.SolveResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := decodeSolve(t, resp)
+		if resp.StatusCode != http.StatusOK || out.Err != nil {
+			t.Fatalf("%s: status %d error %+v", body, resp.StatusCode, out.Err)
+		}
+		return out
+	}
+	got := solve(`{"procs":1125899906842624,"jobs":[{"release":0,"deadline":1}]}`)
+	want := solve(`{"procs":1,"jobs":[{"release":0,"deadline":1}]}`)
+	if got.Schedule.Procs != 1<<50 {
+		t.Fatalf("schedule on %d processors, want 1<<50", got.Schedule.Procs)
+	}
+	got.Schedule.Procs, got.Timings, want.Timings = 1, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("procs 1<<50: %+v; procs 1: %+v", got, want)
 	}
 }

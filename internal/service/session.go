@@ -18,7 +18,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -33,12 +32,11 @@ import (
 // it maps to the unavailable wire code (retry later or elsewhere).
 var errSessionsFull = errors.New("service: session table full")
 
-// sessionEntry is one live session plus its bookkeeping. ops
-// serializes whole endpoint operations (a delta's validate+apply, a
-// solve) so deltas are atomic even though the facade Session also
-// locks per call.
+// sessionEntry is one live session plus its bookkeeping. The facade
+// Session serializes its own operations, and Apply checks a whole
+// delta before changing anything, so deltas are atomic without a lock
+// here.
 type sessionEntry struct {
-	ops      sync.Mutex
 	sess     *gapsched.Session
 	solver   gapsched.Solver
 	lastUsed time.Time // guarded by the registry mutex
@@ -112,36 +110,28 @@ func (r *sessionRegistry) expireIdle(now time.Time) {
 	}
 }
 
-// create opens a session via open and registers it. The session is
-// opened before taking the lock (opening validates configuration and
-// may allocate), so on the rejection paths — registry shutting down,
-// table full — the freshly opened session must be closed before
-// returning, or every rejected create would leak a live
-// gapsched.Session.
-func (r *sessionRegistry) create(open func(procs int) (*gapsched.Session, error), sv gapsched.Solver, procs int) (string, *sessionEntry, error) {
-	sess, err := open(procs)
-	if err != nil {
-		return "", nil, err
-	}
+// create registers an opened session and returns its id. On the
+// rejection paths — registry shutting down, table full — it closes the
+// session, so a rejected create leaves no live gapsched.Session behind.
+func (r *sessionRegistry) create(sess *gapsched.Session, sv gapsched.Solver) (string, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		sess.Close()
-		return "", nil, ErrShuttingDown
+		return "", ErrShuttingDown
 	}
 	if r.max > 0 && len(r.byID) >= r.max {
 		n := len(r.byID)
 		r.mu.Unlock()
 		sess.Close()
-		return "", nil, fmt.Errorf("%w: %d sessions open", errSessionsFull, n)
+		return "", fmt.Errorf("%w: %d sessions open", errSessionsFull, n)
 	}
 	r.nextID++
 	id := "s" + strconv.FormatInt(r.nextID, 10)
 	r.byID[id] = &sessionEntry{sess: sess, solver: sv, lastUsed: time.Now()}
 	r.met.sessionsCreated.Add(1)
-	e := r.byID[id]
 	r.mu.Unlock()
-	return id, e, nil
+	return id, nil
 }
 
 // lookup returns the live entry for id, refreshing its TTL clock. A
@@ -214,7 +204,10 @@ func (r *sessionRegistry) close() {
 	<-r.done
 }
 
-// handleSessionCreate serves POST /v1/session.
+// handleSessionCreate serves POST /v1/session: open, apply the initial
+// jobs as one delta, then register. A rejected job list (an online
+// session's arrival order) fails the create before anything is
+// registered.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	req, err := sched.DecodeSessionCreateRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -222,61 +215,31 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sv := s.solver(req.Objective, req.Alpha, req.Mode, req.StateBudget)
-	procs := req.Procs
-	if procs == 0 {
-		procs = 1
-	}
-	if req.Online {
-		if err := orderedArrivals(req.Jobs, math.MinInt); err != nil {
-			s.writeSessionError(w, wireError(err))
-			return
-		}
-	}
 	open := sv.Open
 	if req.Online {
 		open = sv.OpenOnline
 	}
-	id, e, err := s.sessions.create(open, sv, procs)
+	sess, err := open(req.Procs)
 	if err != nil {
 		s.writeSessionError(w, wireError(err))
 		return
 	}
-	resp := sched.SessionResponse{Session: id, Jobs: len(req.Jobs)}
-	e.ops.Lock()
-	for _, j := range req.Jobs {
-		jid, err := e.sess.Add(j)
-		if err != nil {
-			// Unreachable after wire validation and the arrival-order
-			// pre-check; fail the create whole.
-			e.ops.Unlock()
-			s.sessions.remove(id)
-			s.writeSessionError(w, wireError(err))
-			return
-		}
-		resp.JobIDs = append(resp.JobIDs, jid)
+	ids, live, err := sess.Apply(req.Jobs, nil)
+	if err != nil {
+		sess.Close()
+		s.writeSessionError(w, wireError(err))
+		return
 	}
-	e.ops.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	id, err := s.sessions.create(sess, sv)
+	if err != nil {
+		s.writeSessionError(w, wireError(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, sched.SessionResponse{Session: id, JobIDs: ids, Jobs: live})
 }
 
-// orderedArrivals rejects job lists an online session cannot admit:
-// arrivals must carry non-decreasing releases, starting no earlier
-// than the session's watermark. Checking up front keeps creates and
-// deltas atomic — nothing is admitted from a rejected list.
-func orderedArrivals(jobs []sched.Job, watermark int) error {
-	prev := watermark
-	for i, j := range jobs {
-		if j.Release < prev {
-			return fmt.Errorf("%w: job %d [%d,%d] arrives after time %d", gapsched.ErrReleaseOrder, i, j.Release, j.Deadline, prev)
-		}
-		prev = j.Release
-	}
-	return nil
-}
-
-// handleSessionDelta serves POST /v1/session/{id}/delta. The delta is
-// atomic: every removal id is verified against the live session before
-// any mutation, so a not_found delta leaves the session untouched.
+// handleSessionDelta serves POST /v1/session/{id}/delta as one
+// Session.Apply: a rejected delta leaves the session untouched.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	req, err := sched.DecodeSessionDeltaRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -289,47 +252,18 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeSessionError(w, noSession(id))
 		return
 	}
-	e.ops.Lock()
-	defer e.ops.Unlock()
-	if wm, online := e.sess.Online(); online {
-		// Commit-only sessions: reject removals and out-of-order
-		// arrivals before mutating anything, keeping the delta atomic.
-		if len(req.Remove) > 0 {
-			s.writeSessionError(w, wireError(gapsched.ErrCommitOnly))
-			return
+	ids, live, err := e.sess.Apply(req.Add, req.Remove)
+	if err != nil {
+		we := wireError(err)
+		var unknown *gapsched.UnknownJobError
+		if errors.As(err, &unknown) {
+			we = &sched.WireError{Code: sched.ErrCodeNotFound, Message: fmt.Sprintf("session %s has no job %d", id, unknown.ID)}
 		}
-		if err := orderedArrivals(req.Add, wm); err != nil {
-			s.writeSessionError(w, wireError(err))
-			return
-		}
-	}
-	for _, jid := range req.Remove {
-		if _, live := e.sess.Job(jid); !live {
-			s.writeSessionError(w, &sched.WireError{
-				Code:    sched.ErrCodeNotFound,
-				Message: fmt.Sprintf("session %s has no job %d", id, jid),
-			})
-			return
-		}
-	}
-	resp := sched.SessionResponse{Session: id}
-	for _, jid := range req.Remove {
-		if err := e.sess.Remove(jid); err != nil {
-			s.writeSessionError(w, wireError(err))
-			return
-		}
-	}
-	for _, j := range req.Add {
-		jid, err := e.sess.Add(j)
-		if err != nil {
-			s.writeSessionError(w, wireError(err))
-			return
-		}
-		resp.JobIDs = append(resp.JobIDs, jid)
+		s.writeSessionError(w, we)
+		return
 	}
 	s.met.sessionDeltas.Add(1)
-	resp.Jobs = e.sess.Len()
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, sched.SessionResponse{Session: id, JobIDs: ids, Jobs: live})
 }
 
 // handleSessionSolve serves POST /v1/session/{id}/solve: an
@@ -350,9 +284,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	if rid, ok := r.Context().Value(ridKey{}).(uint64); ok {
 		tr.SetAttr("requestId", strconv.FormatUint(rid, 10))
 	}
-	e.ops.Lock()
 	sol, err := e.sess.ResolveContext(obs.With(r.Context(), tr))
-	e.ops.Unlock()
 	if err == nil {
 		tr.SetAttr("resolved", strconv.Itoa(sol.ResolvedFragments))
 		tr.SetAttr("reused", strconv.Itoa(sol.ReusedFragments))

@@ -2,8 +2,8 @@ package service
 
 // Registry-level tests that exercise sessionRegistry directly, below
 // the HTTP layer: the rejected-create leak regression and the
-// lookup/expire/remove race. Both rely on create taking the opener as
-// a parameter, so tests can observe every session it opens.
+// lookup/expire/remove race. Every session handed to create comes from
+// a tracking opener, so tests can observe what became of each.
 
 import (
 	"errors"
@@ -22,15 +22,15 @@ type trackingOpener struct {
 	opened []*gapsched.Session
 }
 
-func (o *trackingOpener) open(procs int) (*gapsched.Session, error) {
-	s, err := gapsched.Solver{}.Open(procs)
+func (o *trackingOpener) open() *gapsched.Session {
+	s, err := gapsched.Solver{}.Open(1)
 	if err != nil {
-		return nil, err
+		panic(err) // the zero Solver on one processor is a valid configuration
 	}
 	o.mu.Lock()
 	o.opened = append(o.opened, s)
 	o.mu.Unlock()
-	return s, nil
+	return s
 }
 
 // closedCount reports how many tracked sessions have been closed,
@@ -59,7 +59,7 @@ func TestSessionCreateRejectionClosesSession(t *testing.T) {
 
 	// Fill the table to MaxSessions.
 	for i := 0; i < 2; i++ {
-		if _, _, err := r.create(op.open, gapsched.Solver{}, 1); err != nil {
+		if _, err := r.create(op.open(), gapsched.Solver{}); err != nil {
 			t.Fatalf("create %d: %v", i, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestSessionCreateRejectionClosesSession(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := r.create(op.open, gapsched.Solver{}, 1)
+			_, err := r.create(op.open(), gapsched.Solver{})
 			if !errors.Is(err, errSessionsFull) {
 				t.Errorf("over-bound create: %v, want errSessionsFull", err)
 			}
@@ -97,7 +97,7 @@ func TestSessionCreateAfterCloseClosesSession(t *testing.T) {
 	r := newSessionRegistry(0, 0, &metrics{})
 	r.close()
 	op := &trackingOpener{}
-	if _, _, err := r.create(op.open, gapsched.Solver{}, 1); !errors.Is(err, ErrShuttingDown) {
+	if _, err := r.create(op.open(), gapsched.Solver{}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("create after close: %v, want ErrShuttingDown", err)
 	}
 	if len(op.opened) != 1 || op.closedCount() != 1 {
@@ -122,7 +122,7 @@ func TestSessionRegistryLookupExpireRemoveRace(t *testing.T) {
 	var mu sync.Mutex
 	live := make([]string, 0, ids)
 	spawn := func() {
-		id, _, err := r.create(op.open, gapsched.Solver{}, 1)
+		id, err := r.create(op.open(), gapsched.Solver{})
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return

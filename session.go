@@ -24,13 +24,13 @@ import (
 // ErrSessionClosed is returned by every operation on a closed Session.
 var ErrSessionClosed = errors.New("gapsched: session closed")
 
-// ErrCommitOnly is returned by Remove on online sessions: commitments
-// are irrevocable, so the live job set only ever grows.
+// ErrCommitOnly is returned by any removal on an online session:
+// commitments are irrevocable, so the live job set only ever grows.
 var ErrCommitOnly = errors.New("gapsched: online session is commit-only")
 
-// ErrReleaseOrder is returned by Add on online sessions when a job
-// arrives out of release order (its release precedes an earlier
-// arrival's). It is internal/online's sentinel, re-exported.
+// ErrReleaseOrder is returned on online sessions when a job arrives
+// out of release order (its release precedes an earlier arrival's).
+// It is internal/online's sentinel, re-exported.
 var ErrReleaseOrder = online.ErrReleaseOrder
 
 // Session is a stateful incremental solver: a live job set plus its
@@ -49,7 +49,7 @@ type Session struct {
 	solver Solver
 	tr     *incr.Tracker[fragResult]
 	// commitOnly marks an online session (OpenOnline); watermark is its
-	// latest arrival's release, math.MinInt before the first Add.
+	// latest arrival's release, math.MinInt before the first arrival.
 	commitOnly bool
 	watermark  int
 	closed     bool
@@ -86,7 +86,7 @@ func (s Solver) Open(procs int) (*Session, error) {
 }
 
 // OpenOnline starts a commit-only online session on procs processors
-// (0 means 1): jobs are revealed with Add in release order, each
+// (0 means 1): jobs are revealed with Apply in release order, each
 // arrival irrevocably commits every time unit before its release —
 // eager-EDF assignments, with idle periods priced by the α-threshold
 // ski-rental rule for ObjectivePower — and Resolve returns the online
@@ -97,7 +97,7 @@ func (s Solver) Open(procs int) (*Session, error) {
 // online.Replay. The offline mirror re-solves through this Solver in
 // ModeAuto regardless of s.Mode, so the certificate LowerBound keeps
 // the ratio honest even when the prefix outgrows the exact tier.
-// Remove returns ErrCommitOnly: the commitments cannot be revisited.
+// Removals return ErrCommitOnly: the commitments cannot be revisited.
 func (s Solver) OpenOnline(procs int) (*Session, error) {
 	mirror := s
 	mirror.Mode = ModeAuto
@@ -109,68 +109,77 @@ func (s Solver) OpenOnline(procs int) (*Session, error) {
 	return ss, nil
 }
 
-// Add inserts a job into the live instance and returns its id, the
-// handle Remove takes. Ids are assigned in arrival order and never
-// reused. Only the fragments whose covered regions the job touches or
-// bridges are marked dirty.
+// UnknownJobError is returned by Apply and Remove when a removal id is
+// not live: never assigned, already removed, or named twice in one
+// delta. ID is the offending id.
+type UnknownJobError = incr.UnknownJobError
+
+// Apply applies one delta atomically: it removes the jobs with the
+// given ids, then adds the given jobs, and returns the added jobs' ids
+// (assigned in order, never reused) and the live job count after the
+// delta. The whole delta is checked before anything changes; the first
+// failing check, in this order, rejects it and leaves the session as
+// it was:
 //
-// On an online session, Add is the revelation step: jobs must arrive
-// in non-decreasing release order (ErrReleaseOrder otherwise — the
-// rejected job is not admitted and the watermark stays), and each Add
-// moves the watermark to the job's release, committing every time unit
-// before it irrevocably. Once the revealed jobs miss a deadline the
-// session is permanently infeasible — Resolve keeps returning
-// ErrInfeasible — but later Adds still succeed: the revealed job set
-// remains well-defined.
-func (ss *Session) Add(j Job) (int, error) {
+//   - ErrSessionClosed on a closed session;
+//   - ErrCommitOnly for any removal on an online session;
+//   - an error naming the first added job with an empty window;
+//   - ErrReleaseOrder on an online session, for the first arrival
+//     released before the watermark or before an earlier arrival;
+//   - *UnknownJobError for a removal id that is not live, or for one
+//     named twice.
+//
+// Each fragment that lost a job is re-decomposed once, and the added
+// jobs merge with the fragments they reach in one sweep, so a delta of
+// k jobs costs O(k log k) plus the fragments it touches; only those are
+// re-solved by the next Resolve. On an online session Apply is the
+// revelation step: the watermark moves to the latest arrival's release,
+// committing every time unit before it. Once the revealed jobs miss a
+// deadline, Resolve keeps returning ErrInfeasible, but later arrivals
+// are still admitted.
+func (ss *Session) Apply(add []Job, remove []int) (ids []int, live int, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
-		return 0, ErrSessionClosed
+		return nil, 0, ErrSessionClosed
 	}
-	if !j.Valid() {
-		return 0, fmt.Errorf("gapsched: job has empty window [%d,%d]", j.Release, j.Deadline)
+	if ss.commitOnly && len(remove) > 0 {
+		return nil, 0, ErrCommitOnly
 	}
-	if ss.commitOnly {
-		if j.Release < ss.watermark {
-			return 0, fmt.Errorf("%w: step at time %d after time %d", ErrReleaseOrder, j.Release, ss.watermark)
+	for i, j := range add {
+		if !j.Valid() {
+			return nil, 0, fmt.Errorf("gapsched: added job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
 		}
-		ss.watermark = j.Release
 	}
-	return ss.tr.Add(j), nil
-}
-
-// Remove deletes the job with the given id. Only the fragment that
-// contained the job is re-decomposed (it may split); everything else
-// keeps its solved result. Online sessions are commit-only and return
-// ErrCommitOnly.
-func (ss *Session) Remove(id int) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return ErrSessionClosed
-	}
+	watermark := ss.watermark
 	if ss.commitOnly {
-		return ErrCommitOnly
+		for i, j := range add {
+			if j.Release < watermark {
+				return nil, 0, fmt.Errorf("%w: job %d [%d,%d] arrives after time %d", ErrReleaseOrder, i, j.Release, j.Deadline, watermark)
+			}
+			watermark = j.Release
+		}
 	}
-	if !ss.tr.Remove(id) {
-		return fmt.Errorf("gapsched: session has no job %d", id)
+	if ids, err = ss.tr.Apply(add, remove); err != nil {
+		return nil, 0, fmt.Errorf("gapsched: %w", err)
 	}
-	return nil
+	ss.watermark = watermark
+	return ids, ss.tr.Len(), nil
 }
 
-// Online reports whether the session is commit-only (opened with
-// OpenOnline) and, if so, the arrival watermark: the earliest release
-// the next Add may carry (math.MinInt before the first Add). Callers
-// that need a delta to apply atomically pre-validate arrival order
-// against it.
-func (ss *Session) Online() (watermark int, online bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed || !ss.commitOnly {
-		return math.MinInt, false
+// Add inserts one job, a one-job Apply, and returns its id.
+func (ss *Session) Add(j Job) (int, error) {
+	ids, _, err := ss.Apply([]Job{j}, nil)
+	if err != nil {
+		return 0, err
 	}
-	return ss.watermark, true
+	return ids[0], nil
+}
+
+// Remove deletes the job with the given id, a one-removal Apply.
+func (ss *Session) Remove(id int) error {
+	_, _, err := ss.Apply(nil, []int{id})
+	return err
 }
 
 // Len returns the number of live jobs; 0 after Close.
@@ -181,18 +190,6 @@ func (ss *Session) Len() int {
 		return 0
 	}
 	return ss.tr.Len()
-}
-
-// Job returns the live job with the given id. Callers that need a
-// whole delta to apply atomically (the daemon's /v1/session endpoints)
-// use it to verify every removal before mutating anything.
-func (ss *Session) Job(id int) (Job, bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return Job{}, false
-	}
-	return ss.tr.Job(id)
 }
 
 // Instance snapshots the current job set (jobs in id order) — the
@@ -293,8 +290,8 @@ func (ss *Session) resolveOnline(sol Solution, in Instance) (Solution, error) {
 }
 
 // Close releases the session: every later mutating or solving call
-// returns ErrSessionClosed and the accessors (Len, Instance, Job)
-// report an empty session. Close waits for an in-flight operation to
+// returns ErrSessionClosed and the accessors (Len, Instance) report an
+// empty session. Close waits for an in-flight operation to
 // finish and is idempotent.
 func (ss *Session) Close() {
 	ss.mu.Lock()

@@ -2,7 +2,6 @@ package gapsched
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -95,17 +94,35 @@ func TestOnlineSessionRatioHonest(t *testing.T) {
 	}
 }
 
-// TestOnlineSessionCommitOnly: Remove is rejected, out-of-order Adds
-// are rejected without being admitted, and the watermark tracks the
-// last arrival.
+// expectWatermark checks an online session's watermark through
+// behaviour: an arrival released just before wm is rejected with
+// ErrReleaseOrder and not admitted, and one released at wm is admitted
+// (which leaves the watermark at wm).
+func expectWatermark(t *testing.T, ss *Session, wm int) {
+	t.Helper()
+	n := ss.Len()
+	if _, err := ss.Add(Job{Release: wm - 1, Deadline: wm + 2}); !errors.Is(err, ErrReleaseOrder) {
+		t.Fatalf("arrival at %d: %v, want ErrReleaseOrder (watermark %d)", wm-1, err, wm)
+	}
+	if _, err := ss.Add(Job{Release: wm, Deadline: wm + 2}); err != nil {
+		t.Fatalf("arrival at the watermark %d: %v", wm, err)
+	}
+	if ss.Len() != n+1 {
+		t.Fatalf("watermark probes admitted %d jobs, want 1", ss.Len()-n)
+	}
+}
+
+// TestOnlineSessionCommitOnly: removals are rejected from the start,
+// out-of-order Adds are rejected without being admitted, and the
+// watermark tracks the last arrival.
 func TestOnlineSessionCommitOnly(t *testing.T) {
 	ss, err := Solver{}.OpenOnline(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if wm, online := ss.Online(); !online || wm != math.MinInt {
-		t.Fatalf("Online() = (%d, %v) before first Add", wm, online)
+	if err := ss.Remove(0); !errors.Is(err, ErrCommitOnly) {
+		t.Fatalf("Remove before the first arrival: %v, want ErrCommitOnly", err)
 	}
 	id, err := ss.Add(Job{Release: 5, Deadline: 7})
 	if err != nil {
@@ -120,9 +137,6 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	if ss.Len() != 1 {
 		t.Fatalf("rejected Add was admitted: Len %d", ss.Len())
 	}
-	if wm, online := ss.Online(); !online || wm != 5 {
-		t.Fatalf("Online() = (%d, %v), want (5, true)", wm, online)
-	}
 	sol, err := ss.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +148,7 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	if sol.CommittedJobs != 0 || sol.CommittedCost != 0 {
 		t.Fatalf("nothing is committed yet: %d jobs / cost %v", sol.CommittedJobs, sol.CommittedCost)
 	}
+	expectWatermark(t, ss, 5) // admits a second job released at 5
 	if _, err := ss.Add(Job{Release: 40, Deadline: 41}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +156,25 @@ func TestOnlineSessionCommitOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.CommittedJobs != 1 {
-		t.Fatalf("first job should be committed after time advanced: %+v", sol.CommittedJobs)
+	if sol.CommittedJobs != 2 {
+		t.Fatalf("both jobs released at 5 should be committed after time advanced: %+v", sol.CommittedJobs)
 	}
-	// An offline session reports not-online.
+	// An offline session is not commit-only: it admits arrivals in any
+	// order and removes them.
 	off, err := Solver{}.Open(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer off.Close()
-	if _, online := off.Online(); online {
-		t.Fatal("offline session claims to be online")
+	late, err := off.Add(Job{Release: 5, Deadline: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := off.Add(Job{Release: 3, Deadline: 9}); err != nil {
+		t.Fatalf("offline out-of-order Add: %v", err)
+	}
+	if err := off.Remove(late); err != nil {
+		t.Fatalf("offline Remove: %v", err)
 	}
 }
 
@@ -173,9 +196,6 @@ func TestOnlineSessionStepMisuse(t *testing.T) {
 		if _, err := ss.Add(early); !errors.Is(err, ErrReleaseOrder) {
 			t.Fatalf("pre-watermark Add %v: %v, want ErrReleaseOrder", early, err)
 		}
-		if wm, _ := ss.Online(); wm != 5 {
-			t.Fatalf("pre-watermark Add %v moved the watermark to %d", early, wm)
-		}
 	}
 	// The window is checked first, so an empty window is never reported
 	// as a release-order error.
@@ -183,13 +203,11 @@ func TestOnlineSessionStepMisuse(t *testing.T) {
 		if _, err := ss.Add(bad); err == nil || errors.Is(err, ErrReleaseOrder) {
 			t.Fatalf("empty-window Add %v: %v, want a window error", bad, err)
 		}
-		if wm, _ := ss.Online(); wm != 5 {
-			t.Fatalf("empty-window Add %v moved the watermark to %d", bad, wm)
-		}
 	}
 	if ss.Len() != 1 {
 		t.Fatalf("rejected Adds were admitted: Len %d", ss.Len())
 	}
+	expectWatermark(t, ss, 5)
 }
 
 // TestOpenOnlineValidation: OpenOnline rejects the configurations Open
@@ -256,7 +274,11 @@ func TestOnlineSessionEmptyAndClosed(t *testing.T) {
 	if _, err := ss.Add(Job{Release: 0, Deadline: 1}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Add after Close: %v", err)
 	}
-	if _, online := ss.Online(); online {
-		t.Fatal("closed session claims to be online")
+	// Closing is checked before the commit-only rule.
+	if err := ss.Remove(0); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("Remove after Close: %v, want ErrSessionClosed", err)
+	}
+	if ss.Len() != 0 || len(ss.Instance().Jobs) != 0 {
+		t.Fatal("closed online session still reports live state")
 	}
 }

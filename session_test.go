@@ -3,6 +3,9 @@ package gapsched
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -240,8 +243,8 @@ func TestSessionErrors(t *testing.T) {
 	if sess.Len() != 0 || len(sess.Instance().Jobs) != 0 {
 		t.Fatal("closed session still reports live state")
 	}
-	if _, ok := sess.Job(0); ok {
-		t.Fatal("closed session still serves jobs")
+	if _, _, err := sess.Apply([]Job{{Release: 1, Deadline: 2}}, []int{0}); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("Apply after Close: %v", err)
 	}
 	if _, err := sess.Add(Job{}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Add after Close: %v", err)
@@ -255,8 +258,9 @@ func TestSessionErrors(t *testing.T) {
 }
 
 // TestSessionConcurrentUse hammers one session from several goroutines
-// (deltas, resolves, snapshots) to give the race detector a surface;
-// the final resolve must still match a from-scratch solve.
+// (single-op and multi-op deltas, resolves, snapshots) to give the race
+// detector a surface; the final resolve must still match a
+// from-scratch solve.
 func TestSessionConcurrentUse(t *testing.T) {
 	cfg := Solver{Cache: NewFragmentCache(1 << 10)}
 	sess, err := cfg.Open(2)
@@ -281,7 +285,15 @@ func TestSessionConcurrentUse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if i == 2 {
+				switch i {
+				case 1:
+					// Swap the job just added for two others in one delta.
+					swap := []Job{in.Jobs[(3*w+i+1)%len(in.Jobs)], in.Jobs[(3*w+i+2)%len(in.Jobs)]}
+					if _, _, err := sess.Apply(swap, []int{id}); err != nil {
+						t.Error(err)
+						return
+					}
+				case 2:
 					if err := sess.Remove(id); err != nil {
 						t.Error(err)
 					}
@@ -298,5 +310,127 @@ func TestSessionConcurrentUse(t *testing.T) {
 	}
 	if gotErr == nil && (got.Spans != want.Spans || got.Power != want.Power) {
 		t.Fatalf("after concurrent churn: session %d/%v, scratch %d/%v", got.Spans, got.Power, want.Spans, want.Power)
+	}
+}
+
+// TestSessionApplyAtomic: on offline and online sessions, every
+// rejecting delta — mixed ones whose first op is legal included —
+// returns its documented error and leaves the session exactly as an
+// untouched twin with the same history: the same Instance, Len, next
+// assigned id and next Resolve (every field but Timings). An accepted
+// multi-op delta equals the same ops applied one at a time, removals
+// first, down to the resolved/reused fragment split.
+func TestSessionApplyAtomic(t *testing.T) {
+	windowErr := func(err error) bool {
+		return err != nil && !errors.Is(err, ErrReleaseOrder) && strings.Contains(err.Error(), "empty window")
+	}
+	unknown := func(id int) func(error) bool {
+		return func(err error) bool {
+			var u *UnknownJobError
+			return errors.As(err, &u) && u.ID == id
+		}
+	}
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	type delta struct {
+		name   string
+		add    []Job
+		remove []int
+		want   func(error) bool
+	}
+	for _, tc := range []struct {
+		online  bool
+		rejects []delta
+		accept  delta
+	}{{
+		rejects: []delta{
+			{"empty window after a legal add", []Job{{Release: 30, Deadline: 31}, {Release: 5, Deadline: 4}}, nil, windowErr},
+			{"unknown id after a legal removal", []Job{{Release: 30, Deadline: 31}}, []int{0, 99}, unknown(99)},
+			{"repeated id", nil, []int{1, 2, 1}, unknown(1)},
+			{"empty window before an unknown id", []Job{{Release: 5, Deadline: 4}}, []int{99}, windowErr},
+		},
+		accept: delta{"mixed", []Job{{Release: 11, Deadline: 13}, {Release: 2, Deadline: 9}, {Release: 40, Deadline: 41}}, []int{3, 0}, nil},
+	}, {
+		online: true,
+		rejects: []delta{
+			{"removal after a legal arrival", []Job{{Release: 25, Deadline: 26}}, []int{0}, is(ErrCommitOnly)},
+			{"removal of an unknown id", nil, []int{99}, is(ErrCommitOnly)},
+			{"arrival before the watermark", []Job{{Release: 19, Deadline: 30}}, nil, is(ErrReleaseOrder)},
+			{"out of order after a legal arrival", []Job{{Release: 30, Deadline: 31}, {Release: 26, Deadline: 40}}, nil, is(ErrReleaseOrder)},
+			{"empty window before the watermark", []Job{{Release: 30, Deadline: 31}, {Release: 19, Deadline: 18}}, nil, windowErr},
+		},
+		accept: delta{"arrivals", []Job{{Release: 20, Deadline: 22}, {Release: 21, Deadline: 30}, {Release: 21, Deadline: 21}}, nil, nil},
+	}} {
+		open := func() *Session {
+			s, err := Solver{}.Open(2)
+			if tc.online {
+				s, err = Solver{}.OpenOnline(2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := []Job{{Release: 0, Deadline: 3}, {Release: 1, Deadline: 4}, {Release: 10, Deadline: 12}, {Release: 20, Deadline: 25}}
+			if _, _, err := s.Apply(seed, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Resolve(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		sess, twin := open(), open()
+		same := func(when string) {
+			t.Helper()
+			if !reflect.DeepEqual(sess.Instance(), twin.Instance()) || sess.Len() != twin.Len() {
+				t.Fatalf("online=%v, %s: instance %v, twin %v", tc.online, when, sess.Instance().Jobs, twin.Instance().Jobs)
+			}
+			got, gotErr := sess.Resolve()
+			want, wantErr := twin.Resolve()
+			got.Timings, want.Timings = Timings{}, Timings{}
+			if !reflect.DeepEqual(got, want) || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("online=%v, %s: resolve %+v (err %v), twin %+v (err %v)", tc.online, when, got, gotErr, want, wantErr)
+			}
+		}
+		for _, d := range tc.rejects {
+			if ids, live, err := sess.Apply(d.add, d.remove); !d.want(err) || ids != nil || live != 0 {
+				t.Fatalf("online=%v, %s: Apply = %v, %d, %v", tc.online, d.name, ids, live, err)
+			}
+			same("after rejecting " + d.name)
+			probe := []Job{{Release: 20, Deadline: 23}}
+			got, _, err := sess.Apply(probe, nil)
+			want, _, twinErr := twin.Apply(probe, nil)
+			if err != nil || twinErr != nil || !slices.Equal(got, want) {
+				t.Fatalf("online=%v, after rejecting %s: next id %v (%v), twin %v (%v)", tc.online, d.name, got, err, want, twinErr)
+			}
+		}
+
+		ids, live, err := sess.Apply(tc.accept.add, tc.accept.remove)
+		if err != nil {
+			t.Fatalf("online=%v: accepted delta: %v", tc.online, err)
+		}
+		var want []int
+		for _, id := range tc.accept.remove {
+			if err := twin.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, j := range tc.accept.add {
+			id, err := twin.Add(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, id)
+		}
+		if !slices.Equal(ids, want) || live != twin.Len() {
+			t.Fatalf("online=%v: Apply ids %v live %d, one at a time %v live %d", tc.online, ids, live, want, twin.Len())
+		}
+		same("after the accepted delta")
+
+		sess.Close()
+		if _, _, err := sess.Apply([]Job{{Release: 5, Deadline: 4}}, []int{99}); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("online=%v: Apply on a closed session: %v, want ErrSessionClosed", tc.online, err)
+		}
+		twin.Close()
 	}
 }
