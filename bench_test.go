@@ -664,8 +664,13 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 // E20 exact-wall dense class. The bounded lanes are the production
 // default (greedy incumbent + admissible node bounds); the unpruned
 // lanes ablate pruning via Options.NoPrune and must report the same
-// cost. The auto-admitted lanes are workloads the default StateBudget
-// sends to the exact tier: a dense n=400 fragment admitted by the
+// cost. Two bounded lanes time the engine's memo table where it is
+// largest: a random-window fragment (120 jobs on 2 processors, windows
+// up to 60 long), whose 263k states make about 30 lookups per
+// expansion, and the dense 192-job power fragment on 3 processors, the
+// heaviest shape of perfbench's exact-batch workload, whose table grows
+// to 131,072 slots. The auto-admitted lanes are workloads the default
+// StateBudget sends to the exact tier: a dense n=400 fragment admitted by the
 // pruning-discounted index-space estimate, and a mixed instance whose
 // dense single-processor n=2000 fragment is admitted by the
 // single-processor estimate G·(n+1). Both assert the certificate (zero
@@ -699,6 +704,30 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 			}
 		})
 	}
+	memoLane := func(name string, solve func() (states, expanded int, err error)) {
+		b.Run(name, func(b *testing.B) {
+			states, expanded := 0, 0
+			for i := 0; i < b.N; i++ {
+				s, x, err := solve()
+				if err != nil {
+					b.Fatal(err)
+				}
+				states, expanded = states+s, expanded+x
+			}
+			b.ReportMetric(float64(states)/float64(b.N), "states/op")
+			b.ReportMetric(float64(expanded)/float64(b.N), "expanded/op")
+		})
+	}
+	window := workload.FeasibleOneInterval(rand.New(rand.NewSource(1)), 120, 2, 120, 60)
+	memoLane("bounded/random-window/n=120", func() (int, int, error) {
+		res, err := core.SolveGaps(window)
+		return res.States, res.ExpandedStates, err
+	})
+	dense := workload.StressDense(rand.New(rand.NewSource(21)), 192, 3)
+	memoLane("bounded/power-dense-p3/n=192", func() (int, int, error) {
+		res, err := core.SolvePower(dense, 2)
+		return res.States, res.ExpandedStates, err
+	})
 	b.Run("auto-admitted/dense/n=400", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(21))
 		in := NewInstance(workload.StressDense(rng, 400, 1).Jobs)

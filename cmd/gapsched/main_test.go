@@ -368,3 +368,27 @@ func TestRunTrace(t *testing.T) {
 		t.Fatalf("untraced algorithm printed a trace:\n%s", quiet.String())
 	}
 }
+
+// TestRunHugeMachine: a file declaring 2^50 processors for two jobs
+// solves and renders with either exact algorithm, timeline and span
+// summary included, with rows for the first processors and one line
+// counting the idle rest, instead of sizing the rendering by procs.
+func TestRunHugeMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.json")
+	const file = `{"kind":"one-interval","instance":{"procs":1125899906842624,"jobs":[{"release":0,"deadline":1},{"release":0,"deadline":1}]}}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"gaps", "power"} {
+		var b strings.Builder
+		if err := run(options{input: path, algo: algo, alpha: -1, mode: "exact"}, &b); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		out := b.String()
+		for _, want := range []string{"P0  |", "energy = ", "P0 :", "(+1125899906842616 more processors, idle throughout)"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: output lacks %q:\n%s", algo, want, out)
+			}
+		}
+	}
+}

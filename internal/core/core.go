@@ -204,8 +204,9 @@ type solution struct {
 // empty-instance and infeasibility shortcuts (the EDF sweep decides
 // Hall's condition, independently of the greedy), the greedy
 // incumbent (priced by price) that seeds the branch-and-bound budget,
-// the engine run with its defensive unbounded retry, and reassembly
-// plus validation of the schedule. model builds the objective's cost
+// the engine run with its defensive unbounded retry (after which the
+// memo table goes back to its pool), and reassembly plus validation of
+// the schedule. model builds the objective's cost
 // model from the engine's processor count (capped at n).
 func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, price func(sched.Schedule) float64) (solution, error) {
 	if err := in.Validate(); err != nil {
@@ -238,6 +239,7 @@ func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, pr
 		// unbounded rather than misreport infeasibility.
 		cost, placed, states, ok = e.run(n, infinite)
 	}
+	e.memo.release()
 	if !ok {
 		// Cannot happen after the feasibility pre-check; defensive.
 		return solution{}, ErrInfeasible

@@ -189,11 +189,11 @@ func (e *engine[M]) dp(nd node, budget float64) float64 {
 	if nd.l1 < 0 || nd.l1 > e.p || nd.l2 < 0 || nd.l2 > e.p || nd.c2 < 0 || nd.c2 > e.p {
 		return infinite
 	}
-	if r, ok := e.memo.get(nd); ok {
-		if r.choice != choicePruned {
-			return r.cost
+	if cost, marker, ok := e.memo.lookup(nd); ok {
+		if !marker {
+			return cost
 		}
-		if budget <= r.cost {
+		if budget <= cost {
 			e.pruned++
 			return infinite
 		}

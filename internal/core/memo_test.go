@@ -85,3 +85,29 @@ func TestMemoSparseFallbackMatchesDense(t *testing.T) {
 		}
 	}
 }
+
+// TestHashSpreadsHighKeyBits: keys that agree in their low 16 bits must
+// still spread over the table. Half-filling a 4096-slot table with such
+// keys, probing linearly from hash(key) & mask as memoTable does, must
+// take at most 3 probes per key on average, which is also the mean
+// probe length of looking each key up afterwards. A slot taken from the
+// low bits of the product alone puts every key in one home slot.
+func TestHashSpreadsHighKeyBits(t *testing.T) {
+	const slots = 4096
+	mask := uint64(slots - 1)
+	used := make([]bool, slots)
+	probes := 0
+	for i := 1; i <= slots/2; i++ {
+		key := int64(i)<<16 | 0x5A5A
+		for s := hash(key) & mask; ; s = (s + 1) & mask {
+			probes++
+			if !used[s] {
+				used[s] = true
+				break
+			}
+		}
+	}
+	if mean := float64(probes) / (slots / 2); mean > 3 {
+		t.Fatalf("%.1f probes per key, want at most 3", mean)
+	}
+}

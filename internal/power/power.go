@@ -9,7 +9,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sched"
@@ -60,8 +59,15 @@ type Breakdown struct {
 // Timeline is the simulated state matrix of a schedule.
 type Timeline struct {
 	Start, End int // inclusive time range simulated
-	// States[q][t−Start] is processor q's state at time t.
+	// States[r][t−Start] is processor Procs[r]'s state at time t. The
+	// rows are those of Schedule.BusyTimes: every processor of a small
+	// machine, and on one with more processors than jobs, the first few
+	// plus every busy one.
 	States [][]State
+	Procs  []int
+	// Idle counts the schedule's processors without a row; none of them
+	// runs a job, so each sleeps throughout.
+	Idle   int
 	Energy Breakdown
 }
 
@@ -69,7 +75,7 @@ type Timeline struct {
 // schedule: each processor stays awake through a gap iff the gap is
 // shorter than alpha (cost len < α), matching Schedule.PowerCost.
 func Simulate(s sched.Schedule, alpha float64) Timeline {
-	per := s.BusyTimes()
+	procs, per := s.BusyTimes()
 	lo, hi, any := 0, 0, false
 	for _, ts := range per {
 		for _, t := range ts {
@@ -84,16 +90,15 @@ func Simulate(s sched.Schedule, alpha float64) Timeline {
 			}
 		}
 	}
-	tl := Timeline{Start: lo, End: hi, Energy: Breakdown{Alpha: alpha}}
+	tl := Timeline{Start: lo, End: hi, Procs: procs, Idle: s.Procs - len(procs), Energy: Breakdown{Alpha: alpha}}
+	tl.States = make([][]State, len(procs))
 	if !any {
-		tl.States = make([][]State, s.Procs)
 		return tl
 	}
 	width := hi - lo + 1
-	tl.States = make([][]State, s.Procs)
-	for q := range tl.States {
+	for r := range tl.States {
 		row := make([]State, width)
-		ts := per[q]
+		ts := per[r]
 		for _, t := range ts {
 			row[t-lo] = Busy
 		}
@@ -106,7 +111,7 @@ func Simulate(s sched.Schedule, alpha float64) Timeline {
 				}
 			}
 		}
-		tl.States[q] = row
+		tl.States[r] = row
 	}
 	tl.tally()
 	return tl
@@ -147,27 +152,31 @@ func (tl *Timeline) tally() {
 // Render draws the timeline, one row per processor:
 //
 //	P0 |##~~#....#|  (# busy, ~ idle-active, . asleep)
+//
+// followed, when some processors have no row, by one line counting them.
 func (tl Timeline) Render() string {
 	var b strings.Builder
-	for q, row := range tl.States {
-		fmt.Fprintf(&b, "P%-2d |", q)
+	for r, row := range tl.States {
+		fmt.Fprintf(&b, "P%-2d |", tl.Procs[r])
 		for _, st := range row {
 			b.WriteRune(st.Rune())
 		}
 		b.WriteString("|\n")
 	}
+	writeIdle(&b, tl.Idle)
 	fmt.Fprintf(&b, "t = [%d, %d]   energy = %d busy + %d idle-active + %d×α wake-ups = %.2f (α=%.2f)\n",
 		tl.Start, tl.End, tl.Energy.BusyUnits, tl.Energy.IdleActiveUnits, tl.Energy.Transitions,
 		tl.Energy.Total, tl.Energy.Alpha)
 	return b.String()
 }
 
-// SpanSummary lists, per processor, the busy spans of the schedule.
+// SpanSummary lists, per processor, the busy spans of the schedule, with
+// the rows of Schedule.BusyTimes and the idle line of Render.
 func SpanSummary(s sched.Schedule) string {
 	var b strings.Builder
-	for q, ts := range s.BusyTimes() {
-		sort.Ints(ts)
-		fmt.Fprintf(&b, "P%-2d:", q)
+	procs, times := s.BusyTimes()
+	for r, ts := range times {
+		fmt.Fprintf(&b, "P%-2d:", procs[r])
 		for i := 0; i < len(ts); {
 			j := i
 			for j+1 < len(ts) && ts[j+1] <= ts[j]+1 {
@@ -178,5 +187,13 @@ func SpanSummary(s sched.Schedule) string {
 		}
 		b.WriteString("\n")
 	}
+	writeIdle(&b, s.Procs-len(procs))
 	return b.String()
+}
+
+// writeIdle counts the processors a rendering leaves out.
+func writeIdle(b *strings.Builder, idle int) {
+	if idle > 0 {
+		fmt.Fprintf(b, "(+%d more processors, idle throughout)\n", idle)
+	}
 }

@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,6 +93,49 @@ func TestSpanSummary(t *testing.T) {
 	out := SpanSummary(s)
 	if !strings.Contains(out, "[1,2]") || !strings.Contains(out, "[7,7]") {
 		t.Fatalf("span summary wrong:\n%s", out)
+	}
+}
+
+// TestSimulateHugeMachine: a schedule that declares far more processors
+// than it has jobs renders in space that follows its slots. Timeline
+// and SpanSummary show the first eight processors and every busy one,
+// then one line counting the idle rest, and the energy matches
+// PowerCost; a machine no larger than its job count renders every
+// processor, exactly as before the rows were bounded.
+func TestSimulateHugeMachine(t *testing.T) {
+	const procs, far = 1 << 50, 1 << 40
+	s := sched.Schedule{Procs: procs, Slots: []sched.Assignment{
+		{Proc: 0, Time: 0}, {Proc: 0, Time: 2}, {Proc: far, Time: 1},
+	}}
+	tl := Simulate(s, 3)
+	wantProcs := []int{0, 1, 2, 3, 4, 5, 6, 7, far}
+	if !reflect.DeepEqual(tl.Procs, wantProcs) || len(tl.States) != len(wantProcs) || tl.Idle != procs-len(wantProcs) {
+		t.Fatalf("rows for processors %v (%d state rows), %d idle", tl.Procs, len(tl.States), tl.Idle)
+	}
+	if want := s.PowerCost(3); tl.Energy.Total != want {
+		t.Fatalf("simulated %v, accounting %v", tl.Energy.Total, want)
+	}
+	idle := "(+1125899906842615 more processors, idle throughout)\n"
+	for _, want := range []string{"P0  |#~#|\n", "P7  |...|\n", "P1099511627776 |.#.|\n" + idle} {
+		if out := tl.Render(); !strings.Contains(out, want) {
+			t.Fatalf("render lacks %q:\n%s", want, out)
+		}
+	}
+	for _, want := range []string{"P0 : [0,0] [2,2]\n", "P7 :\n", "P1099511627776: [1,1]\n" + idle} {
+		if out := SpanSummary(s); !strings.Contains(out, want) {
+			t.Fatalf("span summary lacks %q:\n%s", want, out)
+		}
+	}
+
+	small := sched.Schedule{Procs: 2, Slots: []sched.Assignment{
+		{Proc: 0, Time: 0}, {Proc: 0, Time: 2}, {Proc: 1, Time: 1},
+	}}
+	want := "P0  |#~#|\nP1  |.#.|\nt = [0, 2]   energy = 3 busy + 1 idle-active + 2×α wake-ups = 10.00 (α=3.00)\n"
+	if got := Simulate(small, 3).Render(); got != want {
+		t.Fatalf("small machine renders\n%s\nwant\n%s", got, want)
+	}
+	if got, want := SpanSummary(small), "P0 : [0,0] [2,2]\nP1 : [1,1]\n"; got != want {
+		t.Fatalf("small machine summary\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -303,7 +303,7 @@ func TestBusyRowsSkipsIdleProcessors(t *testing.T) {
 
 func TestBusyTimesSorted(t *testing.T) {
 	s := Schedule{Procs: 2, Slots: []Assignment{{0, 5}, {0, 1}, {1, 3}}}
-	per := s.BusyTimes()
+	_, per := s.BusyTimes()
 	if !sort.IntsAreSorted(per[0]) || !sort.IntsAreSorted(per[1]) {
 		t.Fatal("busy times unsorted")
 	}

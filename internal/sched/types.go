@@ -201,17 +201,41 @@ func (s Schedule) BusyRows() [][]int {
 	return rows
 }
 
-// BusyTimes returns the sorted busy times per processor: result[q]
-// lists processor q's busy times, one row for each of Procs processors.
-// It is for rendering a schedule processor by processor; BusyRows
-// serves computations.
-func (s Schedule) BusyTimes() [][]int {
-	per := make([][]int, s.Procs)
+// minShownProcs is the fewest processors BusyTimes shows, busy or not,
+// on a machine that has them: a small machine renders in full even
+// when it runs fewer jobs than it has processors.
+const minShownProcs = 8
+
+// BusyTimes returns the rows for rendering a schedule processor by
+// processor: times[r] lists the sorted busy times of processor
+// procs[r], in ascending processor order. The rows are the first
+// min(Procs, max(n, 8)) processors of an n-job schedule and every other
+// processor that runs a job, so there are at most 2n of them however
+// many processors the schedule declares; the Procs − len(procs)
+// processors left out run nothing. BusyRows serves computations.
+func (s Schedule) BusyTimes() (procs []int, times [][]int) {
+	shown := min(s.Procs, max(len(s.Slots), minShownProcs))
+	procs = make([]int, shown)
+	for q := range procs {
+		procs[q] = q
+	}
 	for _, a := range s.Slots {
-		per[a.Proc] = append(per[a.Proc], a.Time)
+		if a.Proc >= shown {
+			procs = append(procs, a.Proc)
+		}
 	}
-	for q := range per {
-		sort.Ints(per[q])
+	slices.Sort(procs[shown:])
+	procs = slices.Compact(procs)
+	times = make([][]int, len(procs))
+	for _, a := range s.Slots {
+		r := a.Proc
+		if r >= shown {
+			r, _ = slices.BinarySearch(procs, a.Proc)
+		}
+		times[r] = append(times[r], a.Time)
 	}
-	return per
+	for _, ts := range times {
+		slices.Sort(ts)
+	}
+	return procs, times
 }

@@ -25,18 +25,25 @@ func testCoalescer(window time.Duration) *coalescer {
 // TestCoalescerSingleRequestWindowHonorsContext: a window that closes
 // holding only one request serves only that client, so the client's
 // canceled context must cancel the solve — including the timer-flushed
-// path, not just the window-disabled immediate path.
+// path, not just the window-disabled immediate path. Immediate dispatch
+// starts the solve inside enqueue, where a one-job solve could finish
+// before a later cancel, so that case cancels first: the solve checks
+// the context before its fragment and must come back canceled.
 func TestCoalescerSingleRequestWindowHonorsContext(t *testing.T) {
 	in := gapsched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 3}}, Procs: 1}
 	for _, tc := range []struct {
-		name   string
-		window time.Duration
+		name        string
+		window      time.Duration
+		cancelFirst bool
 	}{
-		{"immediate dispatch", 0},
-		{"timer-flushed window", 30 * time.Millisecond},
+		{"immediate dispatch", 0, true},
+		{"timer-flushed window", 30 * time.Millisecond, false},
 	} {
 		c := testCoalescer(tc.window)
 		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancelFirst {
+			cancel()
+		}
 		done, err := c.enqueue(ctx, gapsched.Solver{}, in)
 		if err != nil {
 			t.Fatalf("%s: enqueue: %v", tc.name, err)
