@@ -64,6 +64,11 @@ type costModel interface {
 // the engine only adds child costs that compare strictly below it.
 var infinite = math.Inf(1)
 
+// noBound is the node bound dp hands compute when the budget is
+// infinite and no bound is computed: no cost is ≤ it, so the scan's
+// early exit never fires and the unbounded recursion runs in full.
+var noBound = math.Inf(-1)
+
 // scratch holds one compute call's buffers: the right-child cache
 // evalSplit fills per candidate (width p+1) and the pending counts of
 // the node's case-B range. compute recurses through dp, so the buffers
@@ -171,8 +176,10 @@ func (e *engine[M]) run(n int, budget float64) (cost float64, placed map[int]int
 // dp returns the minimum cost of the node's subproblem, memoized, or
 // infinite when that cost is at least budget (pruning). A finite return
 // is always the exact optimum: candidates are only ever discarded once
-// they provably meet the caller's threshold, so pruning changes which
-// states are expanded but never a reported cost or placement.
+// they provably meet the caller's threshold, or once the running best
+// meets the node's own bound and so cannot be improved on, so pruning
+// changes which states are expanded but never a reported cost or
+// placement. The bound is computed only under a finite budget.
 //
 // Memoized entries come in two kinds. Exact entries (choice other than
 // choicePruned) are budget-independent and served to every caller.
@@ -198,16 +205,21 @@ func (e *engine[M]) dp(nd node, budget float64) float64 {
 			return infinite
 		}
 	}
-	if lb := e.model.nodeLB(nd.k, nd.l1, nd.l2, nd.c2, e.t1val[nd.i1], e.t2val[nd.i2]); lb >= budget {
-		e.pruned++
-		// The admissible bound holds unconditionally, so the marker can
-		// record cost ≥ lb — stronger than the triggering budget — and
-		// absorb future visits up to lb without recomputing the bound.
-		e.memo.put(nd, entry{cost: lb, choice: choicePruned})
-		return infinite
+	lb := noBound
+	if budget < infinite {
+		lb = e.model.nodeLB(nd.k, nd.l1, nd.l2, nd.c2, e.t1val[nd.i1], e.t2val[nd.i2])
+		if lb >= budget {
+			e.pruned++
+			// The admissible bound holds unconditionally, so the marker
+			// can record cost ≥ lb — stronger than the triggering budget
+			// — and absorb future visits up to lb without recomputing
+			// the bound.
+			e.memo.put(nd, entry{cost: lb, choice: choicePruned})
+			return infinite
+		}
 	}
 	e.expanded++
-	r := e.compute(nd, budget)
+	r := e.compute(nd, budget, lb)
 	if r.cost < budget || budget >= infinite {
 		// Exact: every candidate either evaluated exactly or proved ≥ the
 		// running threshold. (Under an infinite budget nothing prunes, so
@@ -236,7 +248,14 @@ func (e *engine[M]) dp(nd node, budget float64) float64 {
 // time strictly exceeds the optimum, hence exceeds both children's true
 // costs — they evaluate exactly, the candidate is accepted, and later
 // candidates never displace it (strict < comparison).
-func (e *engine[M]) compute(nd node, budget float64) entry {
+//
+// lb is the node's own admissible bound (noBound under an infinite
+// budget). The candidate scan ends as soon as best reaches it: best is
+// a feasible cost, so best ≥ optimum ≥ lb, and best ≤ lb makes best the
+// optimum — and, under the strict-< rule, the first candidate attaining
+// it. No later candidate can replace it, so the early exit changes the
+// states visited but not the cost, the choice or the memo entry.
+func (e *engine[M]) compute(nd node, budget, lb float64) entry {
 	t1, t2 := e.t1val[nd.i1], e.t2val[nd.i2]
 	k, l1, l2, c2 := nd.k, nd.l1, nd.l2, nd.c2
 	inf := entry{cost: infinite, choice: choiceNone}
@@ -280,14 +299,17 @@ func (e *engine[M]) compute(nd node, budget float64) entry {
 			}
 		}
 	}
+	if best.cost <= lb {
+		return best
+	}
 
 	// Case B: j_k at a grid time t′ with t1 ≤ t′ < t2.
 	giLo, giHi := e.splitRange(job, t1, t2)
 	if giLo < giHi {
 		s := getScratch(e.p, giHi-giLo)
 		e.pendingCounts(list, k, giLo, giHi, s.pending)
-		for gi := giLo; gi < giHi; gi++ {
-			best = e.evalSplit(nd, gi, s.pending[gi-giLo], t1, t2, budget, best, s.rights)
+		for gi := giLo; gi < giHi && best.cost > lb; gi++ {
+			best = e.evalSplit(nd, gi, s.pending[gi-giLo], t1, t2, budget, lb, best, s.rights)
 		}
 		scratchPool.Put(s)
 	}
@@ -315,12 +337,16 @@ func (e *engine[M]) splitRange(job sched.Job, t1, t2 int) (int, int) {
 // thr0 is the caller's branch-and-bound budget; children are
 // evaluated under min(thr0, best so far). Under an infinite thr0
 // pruning is disabled outright — children inherit the infinite budget
-// rather than the running best, reproducing the unbounded recursion
-// exactly (and keeping PrunedStates at 0, as NoPrune promises).
-func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0 float64, best entry, rs []float64) entry {
+// rather than the running best, and no bound is computed, reproducing
+// the unbounded recursion exactly (and keeping PrunedStates at 0, as
+// NoPrune promises). lb is the node's own bound: an improvement that
+// reaches it is the node optimum and ends the scan at once (see
+// compute).
+func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0, lb float64, best entry, rs []float64) entry {
 	k, l1, l2, c2 := nd.k, nd.l1, nd.l2, nd.c2
+	bounded := thr0 < infinite
 	thr := func() float64 {
-		if thr0 >= infinite {
+		if !bounded {
 			return infinite
 		}
 		if best.cost < thr0 {
@@ -331,6 +357,7 @@ func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0 float64, best ent
 
 	tp := e.grid[gi]
 	kL := k - 1 - i
+	rt1, rt2 := e.t1val[gi+1], e.t2val[nd.i2] // the right child's interval
 
 	// The right child of a split at t′ = grid[gi] does not depend on the
 	// profile height busy at t′, so its dp value is shared by every busy
@@ -362,60 +389,61 @@ func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0 float64, best ent
 	// attained at next = p, as nodeLB is non-increasing in l1 — and the
 	// per-busy left bound is computed in the loop.
 	rLB := 0.0
-	if thr0 < infinite {
-		rLB = e.model.nodeLB(i, e.p, l2, c2, e.t1val[gi+1], e.t2val[nd.i2])
+	if bounded {
+		rLB = e.model.nodeLB(i, e.p, l2, c2, rt1, rt2)
 	}
 
+	// One left child per profile height busy at t′ (j_k included) —
+	// or, when t′ = t1, the single point-left child: j_k and the kL
+	// left jobs all sit at t1, with j_k as context.
+	busyLo, busyHi := 1, e.p
 	if tp == t1 {
-		// j_k and the kL left jobs all sit at t1; the left child is
-		// the single-point base with j_k as context.
-		pl1, pl2, ok := e.model.pointLeft(l1, kL)
-		if !ok {
-			return best
-		}
-		if thr0 < infinite && e.model.nodeLB(kL, pl1, pl2, 1, e.t1val[nd.i1], e.t2val[gi])+rLB >= thr() {
-			return best
-		}
-		left := e.dp(node{nd.i1, gi, kL, pl1, pl2, 1}, thr())
-		if left >= infinite {
-			return best
-		}
-		for next := 0; next <= e.p; next++ {
-			right := rs[next]
-			if right < 0 {
-				right = e.dp(node{gi + 1, nd.i2, i, next, l2, c2}, thr())
-				rs[next] = right
-			}
-			if right >= infinite {
-				continue
-			}
-			if c := left + right + e.model.boundary(l1, next, ctx); c < best.cost {
-				best = entry{cost: c, choice: choiceB, tp: int32(gi), lp: -1, lpp: int16(next)}
-			}
-		}
-		return best
+		busyLo, busyHi = 0, 0
 	}
-
-	for busy := 1; busy <= e.p; busy++ { // profile height at t′, including j_k
-		lv := e.model.leftLevel(busy)
-		if thr0 < infinite && e.model.nodeLB(kL, l1, lv, 1, e.t1val[nd.i1], e.t2val[gi])+rLB >= thr() {
+	for busy := busyLo; busy <= busyHi; busy++ {
+		left, level, lp := node{nd.i1, gi, kL, l1, 0, 1}, busy, int16(0)
+		if tp == t1 {
+			pl1, pl2, ok := e.model.pointLeft(l1, kL)
+			if !ok {
+				return best
+			}
+			left.l1, left.l2, level, lp = pl1, pl2, l1, -1
+		} else {
+			left.l2 = e.model.leftLevel(busy)
+			lp = int16(left.l2)
+		}
+		if bounded && e.model.nodeLB(kL, left.l1, left.l2, 1, e.t1val[nd.i1], e.t2val[gi])+rLB >= thr() {
 			continue
 		}
-		left := e.dp(node{nd.i1, gi, kL, l1, lv, 1}, thr())
-		if left >= infinite {
+		lc := e.dp(left, thr())
+		if lc >= infinite {
 			continue
 		}
 		for next := 0; next <= e.p; next++ {
+			bc := e.model.boundary(level, next, ctx)
 			right := rs[next]
 			if right < 0 {
+				// The pair cut: the exact left cost, the right child's
+				// bound at next and the boundary charge already meet
+				// the threshold. The check adds the candidate's three
+				// terms in the candidate's order, so rounding cannot
+				// put the candidate below it; like the candidate cut
+				// it writes no memo state, and the skipped child stays
+				// unevaluated in rs.
+				if bounded && lc+e.model.nodeLB(i, next, l2, c2, rt1, rt2)+bc >= thr() {
+					continue
+				}
 				right = e.dp(node{gi + 1, nd.i2, i, next, l2, c2}, thr())
 				rs[next] = right
 			}
 			if right >= infinite {
 				continue
 			}
-			if c := left + right + e.model.boundary(busy, next, ctx); c < best.cost {
-				best = entry{cost: c, choice: choiceB, tp: int32(gi), lp: int16(lv), lpp: int16(next)}
+			if c := lc + right + bc; c < best.cost {
+				best = entry{cost: c, choice: choiceB, tp: int32(gi), lp: lp, lpp: int16(next)}
+				if c <= lb {
+					return best // the node optimum (see compute)
+				}
 			}
 		}
 	}

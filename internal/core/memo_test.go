@@ -111,3 +111,27 @@ func TestHashSpreadsHighKeyBits(t *testing.T) {
 		t.Fatalf("%.1f probes per key, want at most 3", mean)
 	}
 }
+
+// each calls f with every memoized node and its entry, decoding the
+// dense index back into the node it encodes.
+func (m *memoTable) each(f func(nd node, e entry)) {
+	if m.sparse != nil {
+		for nd, e := range m.sparse {
+			f(nd, e)
+		}
+		return
+	}
+	for i, h := range m.tab.hot {
+		if h.key == 0 {
+			continue
+		}
+		x := (h.key &^ markerBit) - 1
+		var nd node
+		x, nd.c2 = x/m.d3, int(x%m.d3)
+		x, nd.l2 = x/m.d3, int(x%m.d3)
+		x, nd.l1 = x/m.d3, int(x%m.d3)
+		x, nd.k = x/m.d2, int(x%m.d2)
+		nd.i1, nd.i2 = int(x/m.d1), int(x%m.d1)
+		f(nd, m.at(uint64(i)))
+	}
+}

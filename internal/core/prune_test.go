@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -112,4 +113,86 @@ func TestPruningShrinksDenseSolve(t *testing.T) {
 	}
 	t.Logf("dense n=120: expanded %d vs %d unpruned (pruned %d cuts), %v vs %v",
 		pruned.ExpandedStates, plain.ExpandedStates, pruned.PrunedStates, prunedDur, plainDur)
+}
+
+// TestPruningShrinksDensePowerSolve is the power objective's
+// counterpart. Its continuous costs leave few prune markers reusable,
+// so the cut must come from inside the scan: a node stops at the first
+// candidate that meets its own bound, and a right child is skipped
+// when the left cost plus its bound already meets the threshold. The
+// bounded run must expand at most 3/4 of what the unbounded one does.
+func TestPruningShrinksDensePowerSolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense instance")
+	}
+	in := workload.StressDense(rand.New(rand.NewSource(64)), 96, 3)
+	pruned, err := SolvePower(in, 2)
+	if err != nil {
+		t.Fatalf("SolvePower: %v", err)
+	}
+	plain, err := SolvePowerOpt(in, 2, Options{NoPrune: true})
+	if err != nil {
+		t.Fatalf("SolvePowerOpt: %v", err)
+	}
+	if pruned.Power != plain.Power || !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
+		t.Fatalf("pruned power %v differs from unpruned %v (or the schedules differ)", pruned.Power, plain.Power)
+	}
+	if 4*pruned.ExpandedStates > 3*plain.ExpandedStates {
+		t.Fatalf("bounded run expanded %d states, unpruned %d: more than 3/4",
+			pruned.ExpandedStates, plain.ExpandedStates)
+	}
+	t.Logf("dense power n=96 p=3: expanded %d vs %d unpruned (%.0f%%)", pruned.ExpandedStates,
+		plain.ExpandedStates, 100*float64(pruned.ExpandedStates)/float64(plain.ExpandedStates))
+}
+
+// TestNodeLBAdmissible: every exact memo entry of an unbounded solve
+// costs at least its node's bound, for both models and a spread of
+// transition costs. The node and candidate cuts and the scan's early
+// exit all trust costModel.nodeLB at every node, and they compare the
+// bound as computed, in floating point, so the check does too.
+func TestNodeLBAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	checked := 0
+	for trial := 0; trial < 120; trial++ {
+		n, p := 1+rng.Intn(10), 1+rng.Intn(3)
+		in := workload.FeasibleOneInterval(rng, n, p, 2+rng.Intn(2*n), 1+rng.Intn(6))
+		if trial%4 == 0 {
+			in = workload.StressDense(rng, 4+rng.Intn(12), p)
+		}
+		checked += checkNodeLB(t, in, func(p int) gapModel { return gapModel{p: p} })
+		for _, alpha := range []float64{0, 0.5, 2, 3.7} {
+			checked += checkNodeLB(t, in, func(p int) powerModel { return powerModel{p: p, alpha: alpha} })
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no memo entry checked")
+	}
+}
+
+// checkNodeLB solves in unbounded under model and checks every finite
+// memo entry against the model's bound at its node, returning the
+// number checked.
+func checkNodeLB[M costModel](t *testing.T, in sched.Instance, model func(p int) M) int {
+	t.Helper()
+	b := newBase(in, false)
+	e := newEngine(b, model(b.p))
+	defer e.memo.release()
+	if _, _, _, ok := e.run(len(in.Jobs), infinite); !ok {
+		t.Fatalf("%T: unbounded solve found no schedule (jobs %v procs %d)", e.model, in.Jobs, in.Procs)
+	}
+	checked := 0
+	e.memo.each(func(nd node, r entry) {
+		if r.choice == choicePruned {
+			t.Fatalf("%T: unbounded solve memoized a prune marker at %+v", e.model, nd)
+		}
+		if r.cost >= infinite {
+			return
+		}
+		if lb := e.model.nodeLB(nd.k, nd.l1, nd.l2, nd.c2, e.t1val[nd.i1], e.t2val[nd.i2]); lb > r.cost {
+			t.Fatalf("%+v: nodeLB %v exceeds the exact cost %v (jobs %v procs %d)",
+				e.model, lb, r.cost, in.Jobs, in.Procs)
+		}
+		checked++
+	})
+	return checked
 }
