@@ -631,7 +631,7 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 		budget := 0
 		for _, sub := range prep.ForGaps(in).Subs {
 			if len(sub.Instance.Jobs) < 100 {
-				budget = max(budget, prep.StateEstimate(sub.Instance))
+				budget = max(budget, prep.AdmissionEstimate(sub.Instance))
 			}
 		}
 		auto := Solver{Mode: ModeAuto, StateBudget: budget}
@@ -670,12 +670,13 @@ func BenchmarkE20_HeuristicTier(b *testing.B) {
 // expansion, and the dense 192-job power fragment on 3 processors, the
 // heaviest shape of perfbench's exact-batch workload, whose table grows
 // to 131,072 slots. The auto-admitted lanes are workloads the default
-// StateBudget sends to the exact tier: a dense n=400 fragment admitted by the
-// pruning-discounted index-space estimate, and a mixed instance whose
-// dense single-processor n=2000 fragment is admitted by the
-// single-processor estimate G·(n+1). Both assert the certificate (zero
-// heuristic fragments) so a regression in admission fails loudly
-// rather than silently benching the heuristic.
+// StateBudget sends to the exact tier: a dense n=400 fragment, which
+// prep.AdmissionEstimate's pruning-discounted index-space shape alone
+// would admit, and a mixed instance whose dense single-processor n=2000
+// fragment only the estimate's single-processor shape G·(n+1) admits.
+// Both assert the certificate (zero heuristic fragments) so a
+// regression in admission fails loudly rather than silently benching
+// the heuristic.
 func BenchmarkE21_BoundedExact(b *testing.B) {
 	for _, n := range []int{400, 800} {
 		rng := rand.New(rand.NewSource(21))

@@ -10,11 +10,11 @@ package main
 //
 //  2. The exact wall — single-fragment dense instances solved by both
 //     tiers. The exact DP's wall-clock grows steeply with fragment
-//     size (its a-priori estimate, prep.StateEstimate, alongside),
+//     size (its admission estimate, prep.AdmissionEstimate, alongside),
 //     while the heuristic stays near-linear: by n = 800 the greedy is
-//     already orders of magnitude faster, and extrapolating the exact
-//     trend to n = 10^5 exceeds any bench budget — which is exactly
-//     why table 1 has no exact column.
+//     already over an order of magnitude faster, and extrapolating the
+//     exact trend to n = 10^5 exceeds any bench budget — which is
+//     exactly why table 1 has no exact column.
 //
 //  3. Auto — ModeAuto on a mixed instance (many small clusters plus
 //     one oversized fragment). Under the default StateBudget the small
@@ -46,11 +46,6 @@ func runE20(cfg config) []*stats.Table {
 	}
 }
 
-// e20Cost extracts the configured objective's cost.
-func e20Cost(s gapsched.Solver, sol gapsched.Solution) float64 {
-	return s.Objective.Cost(sol)
-}
-
 func e20Scale(cfg config) *stats.Table {
 	sizes := []int{10_000, 100_000}
 	if cfg.quick {
@@ -78,7 +73,7 @@ func e20Scale(cfg config) *stats.Table {
 				if err != nil {
 					panic(err)
 				}
-				cost := e20Cost(m.solver, sol)
+				cost := m.solver.Objective.Cost(sol)
 				tb.AddRow(profile, m.name, n, sol.Subinstances,
 					float64(el.Microseconds())/1000, cost, sol.LowerBound, cost/sol.LowerBound,
 					boolMark(sol.Schedule.Validate(in) == nil))
@@ -93,12 +88,12 @@ func e20ExactWall(cfg config) *stats.Table {
 	if cfg.quick {
 		sizes = []int{100, 200}
 	}
-	tb := stats.NewTable("dense n", "state estimate", "exact ms", "DP states",
+	tb := stats.NewTable("dense n", "admission estimate", "exact ms", "DP states",
 		"heur ms", "speedup", "exact cost", "heur cost", "cost/LB")
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(cfg.seed))
 		in := workload.StressDense(rng, n, 2)
-		est := prep.StateEstimate(in)
+		est := prep.AdmissionEstimate(in)
 
 		t0 := time.Now()
 		ex, err := gapsched.Solver{}.Solve(in)
@@ -161,7 +156,7 @@ func e20Auto(cfg config) *stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		exCost := e20Cost(m.base, ex)
+		exCost := m.base.Objective.Cost(ex)
 		tb.AddRow(m.name, "exact", "", float64(exEl.Microseconds())/1000,
 			ex.HeuristicFragments, ex.Subinstances, exCost, ex.LowerBound, exCost/ex.LowerBound, boolMark(true))
 
@@ -180,7 +175,7 @@ func e20Auto(cfg config) *stats.Table {
 			if err != nil {
 				panic(err)
 			}
-			cost := e20Cost(s, sol)
+			cost := s.Objective.Cost(sol)
 			tb.AddRow(m.name, "auto", cfg.label, float64(el.Microseconds())/1000,
 				sol.HeuristicFragments, sol.Subinstances, cost, sol.LowerBound, cost/sol.LowerBound,
 				boolMark(cost == exCost))

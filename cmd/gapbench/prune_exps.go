@@ -22,15 +22,16 @@ package main
 //     27,627 there and runs 1.1–1.5× faster than the ablation.
 //
 //  2. Admission — ModeAuto under the default budget on mixed instances
-//     whose oversized fragment sits on either side of the
-//     pruning-discounted index-space bound. The n=400 dense class,
-//     which the raw estimate used to send to the heuristic, is admitted
-//     to the (bounded) exact tier and comes back certified optimal:
-//     cost/LB = 1.00 with zero heuristic fragments. The n=800 and
-//     n=2000 classes exceed the discounted bound, but their big
-//     fragment is single-processor and its single-processor estimate
-//     G·(n+1) fits the same budget, so the engine solves them exactly
-//     too. The n=2000 row runs outside -quick only.
+//     whose oversized dense fragment has one processor, with the
+//     fragment's prep.AdmissionEstimate alongside. The n=400 dense
+//     class, which the raw index-space shape used to send to the
+//     heuristic, is admitted to the (bounded) exact tier and comes back
+//     certified optimal: cost/LB = 1.00 with zero heuristic fragments.
+//     The n=800 and n=2000 classes would exceed the pruning-discounted
+//     index-space shape, but on one processor the estimate is the
+//     smaller single-processor shape G·(n+1), which fits the same
+//     budget, so the engine solves them exactly too. The n=2000 row
+//     runs outside -quick only.
 
 import (
 	"math/rand"
@@ -134,18 +135,18 @@ func e21Mixed(seed int64, bigN int) (gapsched.Instance, sched.Instance) {
 
 func e21Admission(cfg config) *stats.Table {
 	// n=400 and n=800 run even in quick mode: the table needs one
-	// fragment on each side of the discounted index-space bound, and
+	// fragment on each side of the discounted index-space shape, and
 	// both solves are quick precisely because of the pruning this
 	// experiment certifies. n=2000 takes seconds.
 	bigNs := []int{400, 800}
 	if !cfg.quick {
 		bigNs = append(bigNs, 2000)
 	}
-	tb := stats.NewTable("big fragment", "state estimate", "discounted", "single-proc est",
+	tb := stats.NewTable("big fragment", "admission estimate",
 		"ms", "heur frags", "of", "cost", "lower bound", "cost/LB", "certified exact")
 	for _, bigN := range bigNs {
 		in, big := e21Mixed(cfg.seed, bigN)
-		est := prep.StateEstimate(big)
+		est := prep.AdmissionEstimate(big)
 		auto := gapsched.Solver{Mode: gapsched.ModeAuto}
 		t0 := time.Now()
 		sol, err := auto.Solve(in)
@@ -157,12 +158,9 @@ func e21Admission(cfg config) *stats.Table {
 		certified := sol.HeuristicFragments == 0 && cost == sol.LowerBound
 		// "Certified exact" says yes when the solve's verdict matches the
 		// admission rule: the exact tier takes the fragment when its
-		// discounted estimate, or (single-processor fragments only) its
-		// single-processor estimate, fits the state budget.
-		single, ok := prep.SingleProcEstimate(big)
-		expectExact := est/32 <= gapsched.DefaultStateBudget ||
-			ok && single <= gapsched.DefaultStateBudget
-		tb.AddRow("dense n="+strconv.Itoa(bigN), est, est/32, single,
+		// admission estimate fits the state budget.
+		expectExact := est <= gapsched.DefaultStateBudget
+		tb.AddRow("dense n="+strconv.Itoa(bigN), est,
 			float64(el.Microseconds())/1000,
 			sol.HeuristicFragments, sol.Subinstances, cost, sol.LowerBound, cost/sol.LowerBound,
 			boolMark(certified == expectExact))

@@ -26,8 +26,9 @@
 // -state-budget, selecting the solving tier per fragment: heuristic
 // runs the near-linear greedy with a certified lower bound (printed
 // with the cost as an optimality-gap ratio), auto solves each fragment
-// exactly when its estimated DP size fits the budget and heuristically
-// otherwise. Both flags also apply to -stream sessions.
+// exactly when its admission estimate (prep.AdmissionEstimate) fits the
+// budget and heuristically otherwise. Both flags also apply to -stream
+// sessions.
 //
 // Stream mode (-stream, gaps and power only) drives an incremental
 // scheduling session instead of a one-shot solve: the input is a
@@ -46,8 +47,9 @@
 // ratio — the committed-run cost over the certified lower bound of
 // the revealed prefix's offline optimum.
 //
-// Unknown flags and stray positional arguments exit with status 2 and
-// the usage text, matching the other CLIs.
+// Unknown flags, bad flag values (a NaN or infinite -alpha among them)
+// and stray positional arguments exit with status 2 and the usage
+// text, matching the other CLIs.
 package main
 
 import (
@@ -57,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -85,8 +88,9 @@ type options struct {
 
 // parseArgs parses the command line with the shared CLI conventions
 // (internal/cli), without touching global state: flag.ErrHelp passes
-// through for -h, and unknown flags, bad values, and stray positional
-// arguments error after printing the usage text to stderr.
+// through for -h, and unknown flags, bad values (a NaN or infinite
+// -alpha among them), and stray positional arguments error after
+// printing the usage text to stderr.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("gapsched", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -97,13 +101,20 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.budget, "budget", 2, "span budget for -algo throughput")
 	fs.IntVar(&o.procs, "procs", 1, "processor count for -stream sessions")
 	fs.StringVar(&o.mode, "mode", "exact", "solver tier for gaps/power: exact | heuristic | auto")
-	fs.IntVar(&o.stateBudget, "state-budget", 0, "auto-mode exact-tier budget on estimated DP states per fragment (0 = default)")
+	fs.IntVar(&o.stateBudget, "state-budget", 0, "auto mode solves a fragment exactly when its admission estimate is at most this (0 = default, negative = never)")
 	fs.BoolVar(&o.stream, "stream", false, "read job deltas line by line and resolve incrementally")
 	fs.BoolVar(&o.online, "online", false, "commit-only online session with measured competitive ratio (requires -stream)")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress the timeline rendering")
 	fs.BoolVar(&o.trace, "trace", false, "print the per-stage solve trace (gaps and power)")
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
+	}
+	// A negative -alpha defers to the file's alpha; no other value can
+	// stand for "unset", so a NaN or infinite one is a bad value.
+	if math.IsNaN(o.alpha) || math.IsInf(o.alpha, 0) {
+		fmt.Fprintf(stderr, "invalid value %v for flag -alpha: not finite\n", o.alpha)
+		fs.Usage()
+		return options{}, fmt.Errorf("gapsched: -alpha %v is not finite", o.alpha)
 	}
 	return o, nil
 }

@@ -24,6 +24,9 @@ func TestGapschedRejectsBadCommandLines(t *testing.T) {
 		{"positional argument", []string{"extra"}},
 		{"trailing argument", []string{"-algo", "gaps", "extra"}},
 		{"bad value", []string{"-budget", "many"}},
+		{"NaN alpha", []string{"-algo", "power", "-alpha", "NaN"}},
+		{"infinite alpha", []string{"-algo", "power", "-alpha", "Inf"}},
+		{"negative infinite alpha", []string{"-stream", "-algo", "power", "-alpha", "-Inf"}},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer
@@ -213,6 +216,16 @@ func TestRunRejections(t *testing.T) {
 	}
 	if err := run(options{input: path, algo: "approx", alpha: -1, budget: 2, quiet: true}, &strings.Builder{}); err != nil {
 		t.Fatalf("one-interval should lay out for approx: %v", err)
+	}
+	// A negative -alpha defers to the file's alpha, which the decoder
+	// rejects when negative.
+	negative := writeInstance(t, sched.File{
+		Kind:     sched.KindOneInterval,
+		Alpha:    -1,
+		Instance: &sched.Instance{Procs: 1, Jobs: []sched.Job{{Release: 0, Deadline: 0}}},
+	})
+	if err := run(options{input: negative, algo: "power", alpha: -1, quiet: true}, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "alpha") {
+		t.Fatalf("file alpha -1: got %v, want an invalid-alpha error", err)
 	}
 }
 

@@ -5,15 +5,12 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/prep"
 	"repro/internal/sched"
 )
 
 // TestCandidateGridIsAnchorUnion: the engine's candidate grid is
 // exactly the union of the ±n neighbourhoods of every release and
-// deadline, clipped to the horizon, brute-forced pointwise; and
-// prep.GridSize, the admission estimates' grid measure, counts that
-// same set.
+// deadline, clipped to the horizon, brute-forced pointwise.
 func TestCandidateGridIsAnchorUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dist := func(a, b int) int { return max(a-b, b-a) }
@@ -38,9 +35,6 @@ func TestCandidateGridIsAnchorUnion(t *testing.T) {
 		}
 		if got := newBase(in, false).grid; !slices.Equal(got, want) {
 			t.Fatalf("trial %d: grid %v, anchor union %v (jobs %v)", trial, got, want, jobs)
-		}
-		if got := prep.GridSize(in); got != len(want) {
-			t.Fatalf("trial %d: GridSize %d, anchor union has %d points (jobs %v)", trial, got, len(want), jobs)
 		}
 	}
 }

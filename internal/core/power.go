@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/heur"
 	"repro/internal/sched"
 )
@@ -88,11 +90,11 @@ func SolvePower(in sched.Instance, alpha float64) (PowerResult, error) {
 // SolvePowerOpt is SolvePower with explicit tuning options (FullGrid
 // does not apply to the power DP and is ignored).
 func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult, error) {
-	if alpha < 0 {
+	if !sched.ValidAlpha(alpha) {
 		if err := in.Validate(); err != nil {
 			return PowerResult{}, err // an invalid instance reports first
 		}
-		return PowerResult{}, errNegativeAlpha
+		return PowerResult{}, errInvalidAlpha
 	}
 	opts.FullGrid = false
 	r, err := solve(in, opts, func(p int) powerModel { return powerModel{p: p, alpha: alpha} },
@@ -104,8 +106,4 @@ func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult,
 		PrunedStates: r.pruned, ExpandedStates: r.expanded}, nil
 }
 
-var errNegativeAlpha = errInvalid("core: negative transition cost alpha")
-
-type errInvalid string
-
-func (e errInvalid) Error() string { return string(e) }
+var errInvalidAlpha = errors.New("core: transition cost alpha is not finite and non-negative")

@@ -133,9 +133,13 @@ func TestPowerGapConsistency(t *testing.T) {
 	}
 }
 
+// TestSolvePowerRejectsNegativeAlpha: a negative, NaN or infinite
+// alpha is rejected as invalid, never answered as infeasible.
 func TestSolvePowerRejectsNegativeAlpha(t *testing.T) {
 	in := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 1}})
-	if _, err := SolvePower(in, -1); err == nil {
-		t.Fatal("want error for negative alpha")
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := SolvePower(in, alpha); err != errInvalidAlpha {
+			t.Fatalf("α=%v: got %v, want %v", alpha, err, errInvalidAlpha)
+		}
 	}
 }

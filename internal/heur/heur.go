@@ -44,17 +44,17 @@
 //
 // # The certificates
 //
-// SpanLowerBound and PowerLowerBound (lower.go) are certified lower
-// bounds on the optimal cost, so a heuristic Result bounds its own
-// optimality gap: LowerBound ≤ OPT ≤ Cost. The facade (gapsched.Solver
-// with Mode ModeHeuristic or ModeAuto) threads them through to
-// Solution.LowerBound, summing exact fragment costs where fragments
-// were solved exactly and these bounds where they were not.
+// FragmentSpanLB and FragmentPowerLB (lower.go) are certified lower
+// bounds on the optimal cost of one fragment, so a heuristic answer
+// bounds its own optimality gap: LowerBound ≤ OPT ≤ cost. The facade
+// (gapsched.Solver with Mode ModeHeuristic or ModeAuto) runs Greedy on
+// each fragment, prices the schedule under its objective, and sums
+// into Solution.LowerBound exact fragment costs where fragments were
+// solved exactly and these bounds where they were not.
 package heur
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -66,101 +66,6 @@ import (
 // schedule. The facade maps it onto gapsched.ErrInfeasible, so callers
 // see one infeasibility error regardless of tier.
 var ErrInfeasible = errors.New("heur: instance is infeasible")
-
-// Result is one heuristic solve: a feasible schedule, its cost under
-// the requested objective, and a certified lower bound on the optimal
-// cost of the same instance, so Cost/LowerBound bounds the optimality
-// gap of the answer.
-type Result struct {
-	// Cost is the heuristic schedule's objective value: the span count
-	// for SolveGaps (as a float for uniformity with power), the total
-	// power at alpha for SolvePower.
-	Cost float64
-	// LowerBound is a certified lower bound on the optimal cost:
-	// LowerBound ≤ OPT ≤ Cost.
-	LowerBound float64
-	// Spans is the schedule's span count (equal to Cost for SolveGaps).
-	Spans int
-	// Schedule is the feasible schedule the greedy constructed; slot i
-	// schedules job i of the input instance.
-	Schedule sched.Schedule
-}
-
-// SolveGaps runs the greedy constructor on a one-interval instance for
-// the span objective and certifies the answer with SpanLowerBound. It
-// returns ErrInfeasible when no feasible schedule exists.
-func SolveGaps(in sched.Instance) (Result, error) {
-	s, err := Greedy(in)
-	if err != nil {
-		return Result{}, err
-	}
-	sp := s.Spans()
-	return Result{
-		Cost:       float64(sp),
-		LowerBound: float64(SpanLowerBound(in)),
-		Spans:      sp,
-		Schedule:   s,
-	}, nil
-}
-
-// SolvePower runs the greedy constructor for the power objective with
-// transition cost alpha and certifies the answer with PowerLowerBound.
-// The cost is the schedule's optimally bridged power (gaps shorter than
-// alpha are carried active). It returns ErrInfeasible when no feasible
-// schedule exists.
-func SolvePower(in sched.Instance, alpha float64) (Result, error) {
-	if alpha < 0 {
-		return Result{}, fmt.Errorf("heur: negative transition cost alpha %v", alpha)
-	}
-	s, err := Greedy(in)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cost:       s.PowerCost(alpha),
-		LowerBound: PowerLowerBound(in, alpha),
-		Spans:      s.Spans(),
-		Schedule:   s,
-	}, nil
-}
-
-// SolveGapsFragment is SolveGaps for an instance the caller has
-// already decomposed (a single forced-idle fragment, the shape the
-// facade pipeline hands down): identical schedule and cost, with the
-// fragment-level certificate (FragmentSpanLB) computed without
-// re-running the decomposition sweep. Sound on any instance; merely a
-// weaker certificate when splittable idle runs remain.
-func SolveGapsFragment(in sched.Instance) (Result, error) {
-	s, err := Greedy(in)
-	if err != nil {
-		return Result{}, err
-	}
-	sp := s.Spans()
-	return Result{
-		Cost:       float64(sp),
-		LowerBound: float64(FragmentSpanLB(in)),
-		Spans:      sp,
-		Schedule:   s,
-	}, nil
-}
-
-// SolvePowerFragment is SolvePower for an already-decomposed fragment,
-// certified by FragmentPowerLB without re-decomposing.
-func SolvePowerFragment(in sched.Instance, alpha float64) (Result, error) {
-	if alpha < 0 {
-		return Result{}, fmt.Errorf("heur: negative transition cost alpha %v", alpha)
-	}
-	s, err := Greedy(in)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cost:       s.PowerCost(alpha),
-		LowerBound: FragmentPowerLB(in, alpha),
-		Spans:      s.Spans(),
-		Schedule:   s,
-	}, nil
-}
 
 // Greedy builds a feasible schedule for a one-interval p-processor
 // instance with the lazy-wakeup rule (see the package comment): sleep

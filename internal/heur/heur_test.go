@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	gapsched "repro"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/feas"
@@ -13,6 +14,16 @@ import (
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
+
+// heurGaps and heurPower run the heuristic tier through the facade for
+// the whole-instance assertions below: Greedy on every fragment, and
+// the per-fragment certificates FragmentSpanLB and FragmentPowerLB
+// summed into Solution.LowerBound.
+var heurGaps = gapsched.Solver{Mode: gapsched.ModeHeuristic}
+
+func heurPower(alpha float64) gapsched.Solver {
+	return gapsched.Solver{Mode: gapsched.ModeHeuristic, Objective: gapsched.ObjectivePower, Alpha: alpha}
+}
 
 // TestGreedyMatchesFeasibilityOracle: the lazy-wakeup greedy must agree
 // with Hall's condition on every random instance — succeeding with a
@@ -51,33 +62,33 @@ func TestSolveSandwich(t *testing.T) {
 		in := workload.FeasibleOneInterval(rng, n, p, 4+rng.Intn(30), 1+rng.Intn(5))
 		alpha := float64(rng.Intn(9)) / 2
 
-		gr, err := heur.SolveGaps(in)
+		gr, err := heurGaps.Solve(in)
 		if err != nil {
-			t.Fatalf("SolveGaps: %v (jobs %v)", err, in.Jobs)
+			t.Fatalf("heuristic gaps: %v (jobs %v)", err, in.Jobs)
 		}
 		opt, err := core.SolveGaps(in)
 		if err != nil {
 			t.Fatalf("core.SolveGaps: %v", err)
 		}
-		if float64(opt.Spans) < gr.LowerBound || gr.Cost < float64(opt.Spans) {
-			t.Fatalf("span sandwich violated: lb %v opt %d heur %v (jobs %v procs %d)",
-				gr.LowerBound, opt.Spans, gr.Cost, in.Jobs, in.Procs)
+		if float64(opt.Spans) < gr.LowerBound || gr.Spans < opt.Spans {
+			t.Fatalf("span sandwich violated: lb %v opt %d heur %d (jobs %v procs %d)",
+				gr.LowerBound, opt.Spans, gr.Spans, in.Jobs, in.Procs)
 		}
-		if gr.Spans != gr.Schedule.Spans() || gr.Cost != float64(gr.Spans) {
-			t.Fatalf("span accounting inconsistent: %d vs %v", gr.Spans, gr.Cost)
+		if gr.Spans != gr.Schedule.Spans() {
+			t.Fatalf("span accounting inconsistent: Spans %d, schedule %d", gr.Spans, gr.Schedule.Spans())
 		}
 
-		pr, err := heur.SolvePower(in, alpha)
+		pr, err := heurPower(alpha).Solve(in)
 		if err != nil {
-			t.Fatalf("SolvePower: %v (jobs %v)", err, in.Jobs)
+			t.Fatalf("heuristic power: %v (jobs %v)", err, in.Jobs)
 		}
 		popt, err := core.SolvePower(in, alpha)
 		if err != nil {
 			t.Fatalf("core.SolvePower: %v", err)
 		}
-		if popt.Power < pr.LowerBound-1e-9 || pr.Cost < popt.Power-1e-9 {
+		if popt.Power < pr.LowerBound-1e-9 || pr.Power < popt.Power-1e-9 {
 			t.Fatalf("power sandwich violated: lb %v opt %v heur %v (jobs %v procs %d alpha %v)",
-				pr.LowerBound, popt.Power, pr.Cost, in.Jobs, in.Procs, alpha)
+				pr.LowerBound, popt.Power, pr.Power, in.Jobs, in.Procs, alpha)
 		}
 	}
 }
@@ -102,7 +113,7 @@ func TestGreedyIsOptimalOnEasyShapes(t *testing.T) {
 		{"single job", sched.NewInstance([]sched.Job{{Release: 7, Deadline: 9}}), 1},
 	}
 	for _, c := range cases {
-		res, err := heur.SolveGaps(c.in)
+		res, err := heurGaps.Solve(c.in)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -124,16 +135,27 @@ func TestLowerBoundsAgainstOracle(t *testing.T) {
 		in := workload.FeasibleOneInterval(rng, n, 1+rng.Intn(2), 3+rng.Intn(14), 1+rng.Intn(4))
 		alpha := float64(rng.Intn(7)) / 2
 		if spans, ok := exact.SpansOneInterval(in); ok {
-			if lb := heur.SpanLowerBound(in); lb > spans {
-				t.Fatalf("span LB %d > oracle optimum %d (jobs %v procs %d)", lb, spans, in.Jobs, in.Procs)
+			if lb := lowerBound(t, heurGaps, in); lb > float64(spans) {
+				t.Fatalf("span LB %v > oracle optimum %d (jobs %v procs %d)", lb, spans, in.Jobs, in.Procs)
 			}
 		}
 		if power, ok := exact.PowerOneInterval(in, alpha); ok {
-			if lb := heur.PowerLowerBound(in, alpha); lb > power+1e-9 {
+			if lb := lowerBound(t, heurPower(alpha), in); lb > power+1e-9 {
 				t.Fatalf("power LB %v > oracle optimum %v (jobs %v procs %d alpha %v)", lb, power, in.Jobs, in.Procs, alpha)
 			}
 		}
 	}
+}
+
+// lowerBound returns the certified lower bound of s's solve of a
+// feasible instance.
+func lowerBound(t *testing.T, s gapsched.Solver, in sched.Instance) float64 {
+	t.Helper()
+	sol, err := s.Solve(in)
+	if err != nil {
+		t.Fatalf("%v heuristic solve: %v (jobs %v procs %d)", s.Objective, err, in.Jobs, in.Procs)
+	}
+	return sol.LowerBound
 }
 
 // TestLowerBoundShapes pins the bounds on hand-checkable instances.
@@ -143,14 +165,14 @@ func TestLowerBoundShapes(t *testing.T) {
 	scattered := sched.NewInstance([]sched.Job{
 		{Release: 0, Deadline: 0}, {Release: 50, Deadline: 50}, {Release: 100, Deadline: 100},
 	})
-	if lb := heur.SpanLowerBound(scattered); lb != 3 {
-		t.Errorf("scattered span LB %d, want 3", lb)
+	if lb := lowerBound(t, heurGaps, scattered); lb != 3 {
+		t.Errorf("scattered span LB %v, want 3", lb)
 	}
-	if lb := heur.PowerLowerBound(scattered, 2); lb != 3+3*2 {
+	if lb := lowerBound(t, heurPower(2), scattered); lb != 3+3*2 {
 		t.Errorf("scattered power LB %v, want 9", lb)
 	}
 	// A huge alpha bridges everything: one power fragment, one wake.
-	if lb := heur.PowerLowerBound(scattered, 1000); lb != 3+1000 {
+	if lb := lowerBound(t, heurPower(1000), scattered); lb != 3+1000 {
 		t.Errorf("bridged power LB %v, want 1003", lb)
 	}
 	// Density: 6 jobs crammed into a width-2 window force level 3, so
@@ -159,14 +181,14 @@ func TestLowerBoundShapes(t *testing.T) {
 		{Release: 0, Deadline: 1}, {Release: 0, Deadline: 1}, {Release: 0, Deadline: 1},
 		{Release: 0, Deadline: 1}, {Release: 0, Deadline: 1}, {Release: 0, Deadline: 1},
 	}, 3)
-	if lb := heur.SpanLowerBound(dense); lb != 3 {
-		t.Errorf("dense span LB %d, want 3", lb)
+	if lb := lowerBound(t, heurGaps, dense); lb != 3 {
+		t.Errorf("dense span LB %v, want 3", lb)
 	}
 	// Empty instance: nothing to pay for.
-	if lb := heur.SpanLowerBound(sched.Instance{Procs: 1}); lb != 0 {
-		t.Errorf("empty span LB %d, want 0", lb)
+	if lb := lowerBound(t, heurGaps, sched.Instance{Procs: 1}); lb != 0 {
+		t.Errorf("empty span LB %v, want 0", lb)
 	}
-	if lb := heur.PowerLowerBound(sched.Instance{Procs: 1}, 2); lb != 0 {
+	if lb := lowerBound(t, heurPower(2), sched.Instance{Procs: 1}); lb != 0 {
 		t.Errorf("empty power LB %v, want 0", lb)
 	}
 }
@@ -180,22 +202,22 @@ func TestGreedyLargeInstance(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	in := workload.StressBursty(rng, 100_000, 4)
-	res, err := heur.SolveGaps(in)
+	res, err := heurGaps.Solve(in)
 	if err != nil {
-		t.Fatalf("SolveGaps: %v", err)
+		t.Fatalf("heuristic gaps: %v", err)
 	}
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Fatalf("schedule invalid: %v", err)
 	}
-	if res.LowerBound < 1 || res.Cost < res.LowerBound {
-		t.Fatalf("degenerate certificate: cost %v lb %v", res.Cost, res.LowerBound)
+	if res.LowerBound < 1 || float64(res.Spans) < res.LowerBound {
+		t.Fatalf("degenerate certificate: cost %d lb %v", res.Spans, res.LowerBound)
 	}
-	pres, err := heur.SolvePower(in, 4)
+	pres, err := heurPower(4).Solve(in)
 	if err != nil {
-		t.Fatalf("SolvePower: %v", err)
+		t.Fatalf("heuristic power: %v", err)
 	}
-	if pres.Cost < pres.LowerBound {
-		t.Fatalf("power certificate inverted: cost %v lb %v", pres.Cost, pres.LowerBound)
+	if pres.Power < pres.LowerBound {
+		t.Fatalf("power certificate inverted: cost %v lb %v", pres.Power, pres.LowerBound)
 	}
 }
 
@@ -219,7 +241,7 @@ func TestGreedyLargeAbsoluteTimes(t *testing.T) {
 	}
 	// Two simultaneous jobs occupy two processors (2 per-processor
 	// spans) and the far cluster adds one more: 3 spans, certified.
-	res, err := heur.SolveGaps(in)
+	res, err := heurGaps.Solve(in)
 	if err != nil || res.Spans != 3 || res.LowerBound != 3 {
 		t.Fatalf("large-time solve: spans %d lb %v err %v", res.Spans, res.LowerBound, err)
 	}
@@ -268,7 +290,7 @@ func TestGreedyEmptyAndDegenerate(t *testing.T) {
 	if _, err := heur.Greedy(sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 0}}, Procs: 0}); err == nil {
 		t.Fatal("0-processor instance must be rejected")
 	}
-	if _, err := heur.SolvePower(sched.Instance{Procs: 1}, -1); err == nil {
+	if _, err := heurPower(-1).Solve(sched.Instance{Procs: 1}); err == nil {
 		t.Fatal("negative alpha must be rejected")
 	}
 	// Two same-slot jobs on one processor: infeasible.
@@ -276,10 +298,10 @@ func TestGreedyEmptyAndDegenerate(t *testing.T) {
 	if _, err := heur.Greedy(clash); !errors.Is(err, heur.ErrInfeasible) {
 		t.Fatalf("clash: got %v, want heur.ErrInfeasible", err)
 	}
-	if _, err := heur.SolveGaps(clash); !errors.Is(err, heur.ErrInfeasible) {
-		t.Fatal("SolveGaps must surface heur.ErrInfeasible")
+	if _, err := heurGaps.Solve(clash); !errors.Is(err, gapsched.ErrInfeasible) {
+		t.Fatalf("heuristic gaps: got %v, want gapsched.ErrInfeasible", err)
 	}
-	if _, err := heur.SolvePower(clash, 1); !errors.Is(err, heur.ErrInfeasible) {
-		t.Fatal("SolvePower must surface heur.ErrInfeasible")
+	if _, err := heurPower(1).Solve(clash); !errors.Is(err, gapsched.ErrInfeasible) {
+		t.Fatalf("heuristic power: got %v, want gapsched.ErrInfeasible", err)
 	}
 }

@@ -1,12 +1,12 @@
 package heur
 
-// Certified instance lower bounds. Both bounds rest on two facts:
+// Certified fragment lower bounds. Both bounds rest on two facts:
 //
 //   - Decomposition exactness (internal/prep): the optimum of an
 //     instance is the sum of the optima of its forced-idle fragments —
 //     every forced-idle run of width ≥ 1 separates spans, and every run
-//     of width ≥ α separates power-optimal solutions — so a per-fragment
-//     lower bound sums to an instance lower bound.
+//     of width ≥ α separates power-optimal solutions — so the
+//     per-fragment bounds the facade sums are an instance lower bound.
 //
 //   - The density (Hall-type) level bound: jobs whose windows lie
 //     inside [s, e] contribute |inside| busy units to the e−s+1 times of
@@ -29,39 +29,14 @@ package heur
 import (
 	"sort"
 
-	"repro/internal/prep"
 	"repro/internal/sched"
 )
-
-// SpanLowerBound returns a certified lower bound on the optimal span
-// count (total sleep→active transitions) of the instance: the sum over
-// forced-idle fragments of the fragment's density level bound.
-func SpanLowerBound(in sched.Instance) int {
-	lb := 0
-	for _, sub := range prep.ForGaps(in).Subs {
-		lb += FragmentSpanLB(sub.Instance)
-	}
-	return lb
-}
-
-// PowerLowerBound returns a certified lower bound on the optimal power
-// consumption at transition cost alpha: per power fragment (forced-idle
-// runs of width ≥ alpha split), the fragment's job count in active
-// units plus alpha per forced wake transition (the density level
-// bound).
-func PowerLowerBound(in sched.Instance, alpha float64) float64 {
-	lb := 0.0
-	for _, sub := range prep.ForPower(in, alpha).Subs {
-		lb += FragmentPowerLB(sub.Instance, alpha)
-	}
-	return lb
-}
 
 // FragmentSpanLB is the per-fragment span certificate: the density
 // level bound, at least 1 for any non-empty fragment. It assumes
 // nothing about decomposition — on an instance that still contains
 // splittable idle runs it is merely a weaker (but sound) bound than
-// SpanLowerBound, which sums it over the fragments.
+// its sum over the instance's fragments.
 func FragmentSpanLB(in sched.Instance) int {
 	if len(in.Jobs) == 0 {
 		return 0

@@ -75,8 +75,8 @@ func ApproxPower(mi sched.MultiInstance, alpha float64, opts Options) (sched.Mul
 	if err := mi.Validate(); err != nil {
 		return sched.MultiSchedule{}, Stats{}, err
 	}
-	if alpha < 0 {
-		return sched.MultiSchedule{}, Stats{}, errors.New("multiinterval: negative alpha")
+	if !sched.ValidAlpha(alpha) {
+		return sched.MultiSchedule{}, Stats{}, fmt.Errorf("multiinterval: alpha %v is not finite and non-negative", alpha)
 	}
 	if mi.N() == 0 {
 		return sched.MultiSchedule{}, Stats{}, nil

@@ -1,6 +1,7 @@
 package multiinterval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,8 +176,10 @@ func TestApproxPowerRejectsBadOptions(t *testing.T) {
 	if _, _, err := ApproxPower(mi, 1, Options{K: 7}); err == nil {
 		t.Fatal("accepted unsupported k")
 	}
-	if _, _, err := ApproxPower(mi, -2, Options{}); err == nil {
-		t.Fatal("accepted negative alpha")
+	for _, alpha := range []float64{-2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := ApproxPower(mi, alpha, Options{}); err == nil {
+			t.Fatalf("accepted alpha %v", alpha)
+		}
 	}
 }
 

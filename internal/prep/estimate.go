@@ -2,7 +2,7 @@ package prep
 
 // A-priori DP size estimation for the facade's adaptive mode: ModeAuto
 // decides per fragment whether the exact engine is affordable, before
-// running it, by comparing these estimates against Solver.StateBudget.
+// running it, by comparing AdmissionEstimate with Solver.StateBudget.
 
 import (
 	"cmp"
@@ -12,66 +12,57 @@ import (
 	"repro/internal/sched"
 )
 
-// StateEstimate returns a deterministic a-priori size estimate of the
-// exact DP on one instance (typically a fragment after Decompose): the
-// engine's index-space shape G²·(n+1)·(p+1)³, where G is the size of
-// the candidate execution grid (the union of the ±n neighbourhoods of
-// releases and deadlines, clipped to the horizon — exactly the grid
-// internal/core builds) and p is capped at n like the engine caps it.
+// pruneDiscount scales the index-space shape to reflect
+// branch-and-bound pruning: the shape models the unpruned state space,
+// while the bounded engine expands a fraction of it on real workloads
+// (the state-count reductions E21 measures run well above this factor),
+// so admitting by the raw shape would send the exact tier's affordable
+// fragments to the heuristic. Dividing the estimate, rather than
+// multiplying the budget, keeps MaxInt budgets overflow-free.
+const pruneDiscount = 32
+
+// AdmissionEstimate returns the deterministic a-priori size estimate of
+// the exact DP on one instance (typically a fragment after Decompose)
+// that ModeAuto compares with its state budget: the engine's
+// index-space shape G²·(n+1)·(p+1)³ divided by pruneDiscount, where G
+// is the size of the candidate execution grid (Grid) and p is Procs
+// capped at n like the engine caps it. With at most one effective
+// processor it is the smaller of that and G·(n+1): at p = 1 every level
+// dimension of the engine's state collapses to a bit, so this
+// lower-degree shape prices the per-interval frontier the bounded
+// recursion actually walks, where the G² pair space would reject dense
+// fragments from about 800 jobs on.
 //
 // This is an upper-bound-flavoured signal, not a prediction of visited
 // states — the DP touches a vanishingly small fraction of its index
-// space — but it is monotone in fragment size and stable across runs,
-// which is what an admission decision needs: two Solvers with the same
-// budget always classify a fragment the same way. Saturates at MaxInt
-// instead of overflowing on huge horizons. The empty instance
-// estimates 0.
-func StateEstimate(in sched.Instance) int {
-	state, _, _ := AdmissionEstimates(in)
-	return state
-}
-
-// SingleProcEstimate is the admission signal for instances with at
-// most one effective processor (Procs capped at the job count, as the
-// engine caps it): G·(n+1), saturating, with ok reporting whether the
-// instance is single-processor at all. At p = 1 every level dimension
-// of the engine's state collapses to a bit, so this lower-degree shape
-// prices the per-interval frontier the bounded recursion actually
-// walks, where StateEstimate's G² pair space would reject dense
-// fragments from about 800 jobs on. The empty instance estimates 0.
-func SingleProcEstimate(in sched.Instance) (est int, ok bool) {
-	_, est, ok = AdmissionEstimates(in)
-	return est, ok
-}
-
-// AdmissionEstimates returns StateEstimate(in) as state and
-// SingleProcEstimate(in) as single and singleProc, from one sweep of
-// the candidate grid: the facade's ModeAuto admission reads both, and
-// the sweep's sort of the 2n anchor neighbourhoods is the estimates'
-// whole cost.
-func AdmissionEstimates(in sched.Instance) (state, single int, singleProc bool) {
+// space — but it is monotone in fragment size and depends only on the
+// job multiset and processor count, which is what an admission decision
+// needs: two Solvers with the same budget classify a fragment and its
+// canonical form alike. Products saturate at MaxInt instead of
+// overflowing on huge horizons. The empty instance estimates 0.
+func AdmissionEstimate(in sched.Instance) int {
 	n := len(in.Jobs)
 	if n == 0 {
-		return 0, 0, true
+		return 0
 	}
 	p := min(in.Procs, n)
-	g := GridSize(in)
-	state = g
+	g := gridSize(in)
+	est := g
 	for _, dim := range [...]int{g, n + 1, p + 1, p + 1, p + 1} {
-		state = satMul(state, dim)
+		est = satMul(est, dim)
 	}
-	if p > 1 {
-		return state, 0, false
+	est /= pruneDiscount
+	if p <= 1 {
+		est = min(est, satMul(g, n+1))
 	}
-	return state, satMul(g, n+1), true
+	return est
 }
 
-// GridSize computes the size of the exact engine's candidate execution
+// gridSize computes the size of the exact engine's candidate execution
 // grid without materialising it: the measure of the union of the
 // clipped anchor neighbourhoods [a−n, a+n] over all releases and
-// deadlines a — exactly the grid Grid lists. Exported so tests and
-// experiments can reproduce the admission estimates.
-func GridSize(in sched.Instance) int {
+// deadlines a — exactly the grid Grid lists.
+func gridSize(in sched.Instance) int {
 	_, size := gridRuns(in)
 	return size
 }

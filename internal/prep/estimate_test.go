@@ -9,57 +9,66 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStateEstimateHandValues pins the estimate's shape on instances
-// small enough to compute by hand: G²·(n+1)·(p+1)³ with G the clipped
-// anchor-neighbourhood union and p capped at n.
+// TestStateEstimateHandValues pins AdmissionEstimate on instances small
+// enough to compute by hand: G²·(n+1)·(p+1)³/32 with G the clipped
+// anchor-neighbourhood union and p capped at n, or G·(n+1) when that is
+// smaller and p ≤ 1.
 func TestStateEstimateHandValues(t *testing.T) {
-	// One job [0,0]: G = 1 (neighbourhood clipped to the horizon),
-	// n+1 = 2, capped p = 1 → 1·1·2·2³ = 16.
-	one := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}})
-	if got := StateEstimate(one); got != 16 {
-		t.Fatalf("single-point estimate %d, want 16", got)
+	cases := []struct {
+		name string
+		in   sched.Instance
+		want int
+	}{
+		// Empty instance: nothing to solve.
+		{"empty", sched.Instance{Procs: 3}, 0},
+		// One job [0,2]: the anchors' ±1 neighbourhoods clip to the
+		// horizon, G = 3, n+1 = 2, p = 1 → 9·2·8/32 = 4 beats
+		// G·(n+1) = 6.
+		{"one job", sched.NewInstance([]sched.Job{{Release: 0, Deadline: 2}}), 4},
+		// Same job on 5 processors: p caps at n = 1, identical estimate.
+		{"capped p", sched.NewMultiprocInstance([]sched.Job{{Release: 0, Deadline: 2}}, 5), 4},
+		// Two far-apart tight jobs [0,0] and [100,100]: each anchor
+		// covers ±2 clipped to the horizon ends → G = 6, n+1 = 3. On one
+		// processor 36·3·8/32 = 27 loses to G·(n+1) = 18; on two the
+		// single-processor shape does not apply: 36·3·27/32 = 91.
+		{"two points", sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}}), 18},
+		{"two points, two procs", sched.NewMultiprocInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}}, 2), 91},
 	}
-	// Same job on 8 processors: p caps at n = 1, identical estimate.
-	if got := StateEstimate(sched.NewMultiprocInstance([]sched.Job{{Release: 0, Deadline: 0}}, 8)); got != 16 {
-		t.Fatalf("capped-p estimate %d, want 16", got)
-	}
-	// Empty instance: nothing to solve.
-	if got := StateEstimate(sched.Instance{Procs: 3}); got != 0 {
-		t.Fatalf("empty estimate %d, want 0", got)
-	}
-	// Two far-apart tight jobs [0,0] and [100,100]: each anchor covers
-	// ±2 clipped to the horizon ends → G = 3 + 3 = 6, n+1 = 3, p = 1
-	// → 36·3·8 = 864.
-	two := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}})
-	if got := StateEstimate(two); got != 864 {
-		t.Fatalf("two-point estimate %d, want 864", got)
-	}
-}
-
-// TestStateEstimateMonotoneInSize: adding jobs to an instance must
-// never shrink the estimate — the property ModeAuto's admission
-// decision leans on.
-func TestStateEstimateMonotoneInSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	for trial := 0; trial < 100; trial++ {
-		in := workload.Multiproc(rng, 2+rng.Intn(12), 1+rng.Intn(3), 6+rng.Intn(40), 1+rng.Intn(6))
-		smaller := sched.Instance{Jobs: in.Jobs[:len(in.Jobs)-1], Procs: in.Procs}
-		if StateEstimate(smaller) > StateEstimate(in) {
-			t.Fatalf("estimate shrank when adding a job: %d > %d (jobs %v)",
-				StateEstimate(smaller), StateEstimate(in), in.Jobs)
+	for _, c := range cases {
+		if got := AdmissionEstimate(c.in); got != c.want {
+			t.Errorf("%s: estimate %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
-// TestStateEstimateSaturates: absurd horizons must clamp at MaxInt
-// instead of overflowing into a small (or negative) budget pass.
+// TestStateEstimateMonotoneInSize: adding jobs to an instance must
+// never shrink AdmissionEstimate — the property ModeAuto's admission
+// decision leans on — including when the added job lifts the effective
+// processor count past 1 and the single-processor shape stops applying.
+func TestStateEstimateMonotoneInSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 100; trial++ {
+		in := workload.Multiproc(rng, 2+rng.Intn(12), 1+rng.Intn(3), 6+rng.Intn(40), 1+rng.Intn(6))
+		for k := 1; k < len(in.Jobs); k++ {
+			smaller := sched.Instance{Jobs: in.Jobs[:k], Procs: in.Procs}
+			larger := sched.Instance{Jobs: in.Jobs[:k+1], Procs: in.Procs}
+			if AdmissionEstimate(smaller) > AdmissionEstimate(larger) {
+				t.Fatalf("estimate shrank when adding a job: %d > %d (procs %d, jobs %v)",
+					AdmissionEstimate(smaller), AdmissionEstimate(larger), in.Procs, larger.Jobs)
+			}
+		}
+	}
+}
+
+// TestStateEstimateSaturates: absurd horizons must clamp the shape at
+// MaxInt instead of overflowing into a small (or negative) budget pass.
 func TestStateEstimateSaturates(t *testing.T) {
 	jobs := make([]sched.Job, 2000)
 	for i := range jobs {
 		jobs[i] = sched.Job{Release: i * 1_000_000, Deadline: i*1_000_000 + 900_000}
 	}
-	if got := StateEstimate(sched.NewMultiprocInstance(jobs, 4)); got != math.MaxInt {
-		t.Fatalf("huge estimate %d, want MaxInt saturation", got)
+	if got := AdmissionEstimate(sched.NewMultiprocInstance(jobs, 4)); got != math.MaxInt/pruneDiscount {
+		t.Fatalf("huge estimate %d, want the saturated shape MaxInt/%d", got, pruneDiscount)
 	}
 }
 
@@ -69,11 +78,11 @@ func TestStateEstimateSaturates(t *testing.T) {
 // admission gate sits on the public Solver path, where anything can
 // arrive.
 func TestStateEstimateZeroProcs(t *testing.T) {
-	in := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 0}}}
-	if got := StateEstimate(in); got != 2 {
-		t.Fatalf("zero-proc estimate %d, want 2 (1·1·2·1³)", got)
+	in := sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}}}
+	if got := AdmissionEstimate(in); got != 3 {
+		t.Fatalf("zero-proc estimate %d, want 3 (36·3·1³/32, under G·(n+1) = 18)", got)
 	}
-	if got := StateEstimate(sched.Instance{}); got != 0 {
+	if got := AdmissionEstimate(sched.Instance{}); got != 0 {
 		t.Fatalf("zero-everything estimate %d, want 0", got)
 	}
 }
@@ -97,23 +106,31 @@ func TestSatMulNearOverflow(t *testing.T) {
 	}
 }
 
-// TestGridSizeHandValues pins the exported grid measure both exact
-// backends' admission estimates price: the clipped ±n anchor
-// neighbourhoods with overlaps merged.
+// TestGridSizeHandValues pins the grid measure AdmissionEstimate
+// prices: the clipped ±n anchor neighbourhoods with overlaps merged,
+// by hand on small instances and, on random ones, as the length of
+// the grid Grid lists.
 func TestGridSizeHandValues(t *testing.T) {
-	if got := GridSize(sched.Instance{}); got != 0 {
+	if got := gridSize(sched.Instance{}); got != 0 {
 		t.Fatalf("empty grid %d, want 0", got)
 	}
 	// One job [0,2]: anchors 0 and 2, each ±1, clipped to the horizon
 	// and merged into [0,2] → 3 grid points.
-	if got := GridSize(sched.NewInstance([]sched.Job{{Release: 0, Deadline: 2}})); got != 3 {
+	if got := gridSize(sched.NewInstance([]sched.Job{{Release: 0, Deadline: 2}})); got != 3 {
 		t.Fatalf("one-job grid %d, want 3", got)
 	}
 	// Two far-apart tight jobs: two disjoint clipped neighbourhoods of 3
 	// points each.
 	two := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}})
-	if got := GridSize(two); got != 6 {
+	if got := gridSize(two); got != 6 {
 		t.Fatalf("two-cluster grid %d, want 6", got)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 400; trial++ {
+		in := workload.Multiproc(rng, 1+rng.Intn(8), 1+rng.Intn(3), 1+rng.Intn(80), 1+rng.Intn(15))
+		if got, want := gridSize(in), len(Grid(in)); got != want {
+			t.Fatalf("gridSize %d, Grid lists %d points (jobs %v)", got, want, in.Jobs)
+		}
 	}
 }
 
@@ -125,125 +142,108 @@ func TestStateEstimateDeterministic(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		in := workload.Multiproc(rng, 2+rng.Intn(10), 1+rng.Intn(3), 6+rng.Intn(30), 1+rng.Intn(5))
 		canon, _ := Canonicalize(in)
-		if StateEstimate(in) != StateEstimate(canon) {
+		if AdmissionEstimate(in) != AdmissionEstimate(canon) {
 			t.Fatalf("estimate depends on job order: %d vs %d (jobs %v)",
-				StateEstimate(in), StateEstimate(canon), in.Jobs)
+				AdmissionEstimate(in), AdmissionEstimate(canon), in.Jobs)
 		}
 	}
 }
 
-// TestSingleProcEstimate pins the single-processor admission signal.
-// "admissible": ok holds for the empty instance and for instances with
-// one effective processor (Procs is capped at n first, as the engine
-// caps it), and not for ones that need more. "estimate": 0 for empty,
-// G·(n+1) otherwise, and monotone in the horizon.
+// TestSingleProcEstimate pins AdmissionEstimate's single-processor
+// shape. "admissible": the shape G·(n+1) caps the estimate exactly when
+// at most one processor is effective (Procs is capped at n first, as
+// the engine caps it), and never when more are. "estimate": on a dense
+// one-processor fragment the shape undercuts the index-space estimate
+// by over an order of magnitude, and it is monotone in the horizon.
 func TestSingleProcEstimate(t *testing.T) {
+	shape := func(in sched.Instance) int {
+		n, p, g := len(in.Jobs), min(in.Procs, len(in.Jobs)), gridSize(in)
+		return satMul(satMul(satMul(satMul(satMul(g, g), n+1), p+1), p+1), p+1) / pruneDiscount
+	}
 	t.Run("admissible", func(t *testing.T) {
-		j := sched.Job{Release: 0, Deadline: 3}
-		cases := []struct {
-			in   sched.Instance
-			want bool
-		}{
-			{sched.Instance{Procs: 1}, true},                             // empty
-			{sched.Instance{Jobs: []sched.Job{j}, Procs: 1}, true},       // single proc
-			{sched.Instance{Jobs: []sched.Job{j}, Procs: 5}, true},       // p caps at n = 1
-			{sched.Instance{Jobs: []sched.Job{j, j}, Procs: 2}, false},   // genuinely multi-proc
-			{sched.Instance{Jobs: []sched.Job{j, j, j}, Procs: 1}, true}, // single proc, n > 1
-		}
-		for i, c := range cases {
-			if _, ok := SingleProcEstimate(c.in); ok != c.want {
-				t.Fatalf("case %d: ok = %v, want %v", i, ok, c.want)
+		rng := rand.New(rand.NewSource(43))
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(12)
+			in := workload.Multiproc(rng, n, 1+rng.Intn(4), 4+rng.Intn(200), 1+rng.Intn(30))
+			if trial%4 == 0 {
+				in = sched.NewMultiprocInstance(in.Jobs[:1], in.Procs) // p caps at n = 1
+			}
+			want := shape(in)
+			if min(in.Procs, len(in.Jobs)) <= 1 {
+				want = min(want, gridSize(in)*(len(in.Jobs)+1))
+			}
+			if got := AdmissionEstimate(in); got != want {
+				t.Fatalf("estimate %d, want %d (procs %d, jobs %v)", got, want, in.Procs, in.Jobs)
 			}
 		}
 	})
 
 	t.Run("estimate", func(t *testing.T) {
-		if est, _ := SingleProcEstimate(sched.Instance{Procs: 1}); est != 0 {
-			t.Fatalf("empty estimate = %d, want 0", est)
+		dense := workload.StressDense(rand.New(rand.NewSource(44)), 200, 1)
+		single := gridSize(dense) * (len(dense.Jobs) + 1)
+		if got := AdmissionEstimate(dense); got != single || 10*got > shape(dense) {
+			t.Fatalf("dense estimate %d, want G·(n+1) = %d, over 10× under the index-space %d", got, single, shape(dense))
 		}
-		// One job: grid is [−1, 3] clipped to [0, 2] → G = 3; G·(n+1) = 6,
-		// on 1 processor and on 5 (p caps at n = 1).
-		j := sched.Job{Release: 0, Deadline: 2}
-		for _, procs := range []int{1, 5} {
-			if est, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{j}, Procs: procs}); est != 6 {
-				t.Fatalf("procs %d: estimate = %d, want 6", procs, est)
-			}
-		}
-		small, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{j}, Procs: 1})
-		wide, _ := SingleProcEstimate(sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 200}}, Procs: 1})
+		small := AdmissionEstimate(sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 2}, {Release: 1, Deadline: 3}}, Procs: 1})
+		wide := AdmissionEstimate(sched.Instance{Jobs: []sched.Job{{Release: 0, Deadline: 200}, {Release: 1, Deadline: 3}}, Procs: 1})
 		if wide <= small {
-			t.Fatalf("estimate not monotone: wide %d ≤ small %d", wide, small)
+			t.Fatalf("estimate not monotone in the horizon: wide %d ≤ small %d", wide, small)
 		}
 	})
 }
 
-// TestAdmissionEstimatesMatchSeparateCalls: the one-sweep
-// AdmissionEstimates must equal the two estimates computed separately
-// from their definitions — G²·(n+1)·(p+1)³ with p capped at n, and
-// G·(n+1) when at most one processor is effective — on random
-// multiprocessor and single-processor instances, instances with more
-// processors than jobs, the empty instance and a saturating horizon.
-func TestAdmissionEstimatesMatchSeparateCalls(t *testing.T) {
-	wantState := func(in sched.Instance) int {
+// TestAdmissionEstimateRouting: comparing AdmissionEstimate with a
+// budget must route every fragment as the two-route admission rule it
+// replaced did — with p = min(Procs, n), admit when the saturating
+// G²·(n+1)·(p+1)³/32 fits the budget, or when p ≤ 1 and G·(n+1) fits
+// it — at budgets on both sides of the estimate, at the default budget
+// and at MaxInt. The fragments come from random instances on 1 to 4
+// processors (Procs > n included) with narrow and wide horizons, plus
+// a saturating horizon.
+func TestAdmissionEstimateRouting(t *testing.T) {
+	const defaultBudget = 1 << 25 // gapsched.DefaultStateBudget, which prep cannot import
+	oracle := func(in sched.Instance, budget int) bool {
 		n := len(in.Jobs)
-		if n == 0 {
-			return 0
-		}
-		g, p := GridSize(in), min(in.Procs, n)
-		return satMul(satMul(satMul(satMul(satMul(g, g), n+1), p+1), p+1), p+1)
+		g, p := gridSize(in), min(in.Procs, n)
+		state := satMul(satMul(satMul(satMul(satMul(g, g), n+1), p+1), p+1), p+1)
+		return state/32 <= budget || p <= 1 && satMul(g, n+1) <= budget
 	}
-	wantSingle := func(in sched.Instance) (int, bool) {
-		n := len(in.Jobs)
-		if n == 0 {
-			return 0, true
-		}
-		if min(in.Procs, n) > 1 {
-			return 0, false
-		}
-		return satMul(GridSize(in), n+1), true
-	}
-	check := func(name string, in sched.Instance) {
+	check := func(in sched.Instance) {
 		t.Helper()
-		state, single, singleProc := AdmissionEstimates(in)
-		ws := wantState(in)
-		wsingle, wok := wantSingle(in)
-		if state != ws || single != wsingle || singleProc != wok {
-			t.Fatalf("%s: AdmissionEstimates = (%d, %d, %v), separate definitions (%d, %d, %v) (procs %d, jobs %v)",
-				name, state, single, singleProc, ws, wsingle, wok, in.Procs, in.Jobs)
-		}
-		if got := StateEstimate(in); got != ws {
-			t.Fatalf("%s: StateEstimate %d, want %d", name, got, ws)
-		}
-		if got, ok := SingleProcEstimate(in); got != wsingle || ok != wok {
-			t.Fatalf("%s: SingleProcEstimate (%d, %v), want (%d, %v)", name, got, ok, wsingle, wok)
+		est := AdmissionEstimate(in)
+		for _, budget := range []int{est - 1, est, est + 1, defaultBudget, math.MaxInt} {
+			if budget < 0 {
+				continue // ModeAuto budgets are non-negative once resolved
+			}
+			if got, want := est <= budget, oracle(in, budget); got != want {
+				t.Fatalf("budget %d: estimate %d admits %v, the two-route rule %v (procs %d, jobs %v)",
+					budget, est, got, want, in.Procs, in.Jobs)
+			}
 		}
 	}
 
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(40)
-		var procs int
-		switch trial % 3 {
-		case 0:
-			procs = 2 + rng.Intn(3) // p > 1
-		case 1:
-			procs = 1
-		default:
-			procs = n + 1 + rng.Intn(4) // Procs > n
+		n := 1 + rng.Intn(60)
+		procs := 1 + rng.Intn(4)
+		if trial%5 == 0 {
+			procs = n + 1 + rng.Intn(3) // Procs > n
 		}
-		in := workload.Multiproc(rng, n, procs, 4+rng.Intn(400), 1+rng.Intn(30))
-		check("random", in)
+		horizon := 2 + rng.Intn(2*n) // narrow: fragments stay long
+		if trial%2 == 1 {
+			horizon = 4 + rng.Intn(40*n) // wide: many short fragments
+		}
+		in := workload.Multiproc(rng, n, procs, horizon, 1+rng.Intn(30))
+		for _, sub := range ForGaps(in).Subs {
+			check(sub.Instance)
+		}
 	}
-	check("empty", sched.Instance{Procs: 2})
-	check("one job, many procs", sched.NewMultiprocInstance([]sched.Job{{Release: 3, Deadline: 9}}, 6))
+	check(sched.Instance{Procs: 2})
 	jobs := make([]sched.Job, 2000)
 	for i := range jobs {
 		jobs[i] = sched.Job{Release: i * 1_000_000, Deadline: i*1_000_000 + 900_000}
 	}
-	if state, _, _ := AdmissionEstimates(sched.NewMultiprocInstance(jobs, 4)); state != math.MaxInt {
-		t.Fatalf("saturating horizon: state estimate %d, want MaxInt", state)
-	}
 	for _, procs := range []int{1, 4} {
-		check("saturating", sched.NewMultiprocInstance(jobs, procs))
+		check(sched.NewMultiprocInstance(jobs, procs))
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // SpansOfTimes returns the number of maximal runs of consecutive integers
 // in ts (which need not be sorted; duplicates are ignored).
@@ -107,6 +110,15 @@ func (s Schedule) PowerCost(alpha float64) float64 {
 		}
 	}
 	return total
+}
+
+// ValidAlpha reports whether alpha is a usable transition cost: finite
+// and non-negative. NaN or an infinite alpha prices every schedule at
+// NaN or ±Inf, where no cost comparison can pick an optimum, so every
+// entry point that takes an alpha rejects all other values by this one
+// rule, whatever the objective.
+func ValidAlpha(alpha float64) bool {
+	return alpha >= 0 && alpha <= math.MaxFloat64 // false for NaN
 }
 
 // PowerCostSleepOnly returns the power consumption when the machine must

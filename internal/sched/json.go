@@ -58,8 +58,8 @@ func ReadJSON(r io.Reader) (File, error) {
 	default:
 		return File{}, fmt.Errorf("sched: unknown instance kind %q", f.Kind)
 	}
-	if f.Alpha < 0 {
-		return File{}, fmt.Errorf("sched: negative alpha %v", f.Alpha)
+	if !ValidAlpha(f.Alpha) {
+		return File{}, fmt.Errorf("sched: alpha %v is not finite and non-negative", f.Alpha)
 	}
 	return f, nil
 }

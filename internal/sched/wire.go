@@ -37,7 +37,7 @@ var WireModes = [...]string{WireModeExact, WireModeHeuristic, WireModeAuto}
 
 // validConfig checks the solver configuration SolveRequest and
 // SessionCreateRequest share: a known objective, a known mode ("" is
-// the default of both) and a non-negative alpha.
+// the default of both) and a finite, non-negative alpha.
 func validConfig(objective, mode string, alpha float64) error {
 	switch objective {
 	case "", WireGaps, WirePower:
@@ -48,8 +48,8 @@ func validConfig(objective, mode string, alpha float64) error {
 		return fmt.Errorf("sched: unknown mode %q (want %q, %q or %q)",
 			mode, WireModeExact, WireModeHeuristic, WireModeAuto)
 	}
-	if alpha < 0 {
-		return fmt.Errorf("sched: negative alpha %v", alpha)
+	if !ValidAlpha(alpha) {
+		return fmt.Errorf("sched: alpha %v is not finite and non-negative", alpha)
 	}
 	return nil
 }
@@ -94,7 +94,7 @@ type SolveRequest struct {
 	// WireModeAuto ("" = WireModeExact).
 	Mode string `json:"mode,omitempty"`
 	// StateBudget tunes WireModeAuto: a fragment is solved exactly when
-	// its estimated DP size is within the budget (0 = the server's
+	// its admission estimate is within the budget (0 = the server's
 	// default budget; negative sends every fragment to the heuristic).
 	// Ignored by the other modes.
 	StateBudget int `json:"stateBudget,omitempty"`
@@ -113,7 +113,7 @@ func (r SolveRequest) Instance() Instance {
 }
 
 // Validate checks the request: a known objective, a known mode, a
-// non-negative alpha, and a structurally valid instance.
+// finite, non-negative alpha, and a structurally valid instance.
 func (r SolveRequest) Validate() error {
 	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err
@@ -280,8 +280,8 @@ type SessionCreateRequest struct {
 }
 
 // Validate checks the request: a known objective, a known mode, a
-// non-negative alpha, a representable processor count, and non-empty
-// job windows.
+// finite, non-negative alpha, a representable processor count, and
+// non-empty job windows.
 func (r SessionCreateRequest) Validate() error {
 	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err

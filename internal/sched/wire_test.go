@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"reflect"
@@ -142,6 +143,7 @@ func TestWireRequestRejects(t *testing.T) {
 		"unknown objective": `{"objective":"speed","jobs":[]}`,
 		"unknown mode":      `{"mode":"sloppy","jobs":[]}`,
 		"negative alpha":    `{"alpha":-2,"jobs":[]}`,
+		"overflowing alpha": `{"alpha":1e400,"jobs":[]}`,
 		"negative procs":    `{"procs":-1,"jobs":[]}`,
 		"empty window":      `{"jobs":[{"release":3,"deadline":1}]}`,
 		"unknown field":     `{"jobs":[],"priority":9}`,
@@ -151,6 +153,32 @@ func TestWireRequestRejects(t *testing.T) {
 	for name, body := range cases {
 		if _, err := DecodeSolveRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
+		}
+	}
+}
+
+// TestValidAlpha: the one transition-cost rule admits exactly the
+// finite, non-negative alphas, and both request validators apply it.
+// JSON cannot spell NaN or ±Inf, so only a request built in Go can
+// carry one to Validate.
+func TestValidAlpha(t *testing.T) {
+	for _, alpha := range []float64{0, 0.5, 3.7, math.MaxFloat64} {
+		if !ValidAlpha(alpha) {
+			t.Errorf("ValidAlpha(%v) = false", alpha)
+		}
+		if err := (SolveRequest{Alpha: alpha}).Validate(); err != nil {
+			t.Errorf("SolveRequest alpha %v: %v", alpha, err)
+		}
+	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if ValidAlpha(alpha) {
+			t.Errorf("ValidAlpha(%v) = true", alpha)
+		}
+		if err := (SolveRequest{Alpha: alpha}).Validate(); err == nil {
+			t.Errorf("SolveRequest.Validate accepted alpha %v", alpha)
+		}
+		if err := (SessionCreateRequest{Alpha: alpha}).Validate(); err == nil {
+			t.Errorf("SessionCreateRequest.Validate accepted alpha %v", alpha)
 		}
 	}
 }

@@ -54,7 +54,7 @@ const (
 	ModeHeuristic
 	// ModeAuto picks per fragment between two tiers: the exact DP engine
 	// when the fragment's estimated DP size is within Solver.StateBudget
-	// (see Solver.StateBudget for the two estimates), the heuristic
+	// (see Solver.StateBudget for the estimate), the heuristic
 	// otherwise. Mixed instances thus get exact answers wherever the
 	// engine is affordable, and the Solution's LowerBound stays tight
 	// (exact fragments contribute their optimal cost to it).
@@ -117,7 +117,8 @@ type Solver struct {
 	// Objective selects the cost model. Default: ObjectiveGaps.
 	Objective Objective
 	// Alpha is the sleep→active transition cost; used by
-	// ObjectivePower. Must be non-negative.
+	// ObjectivePower. Must be finite and non-negative, whatever the
+	// objective.
 	Alpha float64
 	// NoPreprocess skips the prep layer and hands the raw instance to
 	// the DP engine in one piece. Useful for ablation; results are
@@ -141,13 +142,12 @@ type Solver struct {
 	// or ModeAuto, which decides per fragment using StateBudget.
 	Mode Mode
 	// StateBudget is ModeAuto's admission bound for the exact engine. A
-	// fragment is solved exactly when its index-space estimate
-	// (prep.StateEstimate, discounted for pruning) is at most this, or
-	// when it has one effective processor and its single-processor
-	// estimate (prep.SingleProcEstimate, G·(n+1)) is at most this; it
-	// goes to the heuristic otherwise. Zero means DefaultStateBudget; a
-	// negative budget sends every fragment to the heuristic. Ignored by
-	// ModeExact and ModeHeuristic.
+	// fragment is solved exactly when its prep.AdmissionEstimate — the
+	// engine's index-space shape discounted for pruning, or the smaller
+	// single-processor shape G·(n+1) when one processor is effective — is
+	// at most this, and goes to the heuristic otherwise. Zero means
+	// DefaultStateBudget; a negative budget sends every fragment to the
+	// heuristic. Ignored by ModeExact and ModeHeuristic.
 	StateBudget int
 }
 
@@ -344,36 +344,19 @@ type objectiveRuntime struct {
 	finish     func(*Solution, float64)
 }
 
-// autoPruneDiscount scales ModeAuto's admission estimate to reflect
-// branch-and-bound pruning: prep.StateEstimate models the unpruned
-// state space, while the bounded engine expands a fraction of it on
-// real workloads (the state-count reductions E21 measures run well
-// above this factor), so admitting by raw estimate would send the
-// exact tier's newly affordable fragments to the heuristic. Dividing
-// the estimate, rather than multiplying the budget, keeps MaxInt
-// budgets overflow-free.
-const autoPruneDiscount = 32
-
 // tier picks the backend serving one fragment under the configured
-// mode. ModeAuto decides two ways: the exact engine when the fragment's
-// index-space estimate — discounted for pruning — fits StateBudget, or
-// when the fragment has one effective processor and its
-// single-processor estimate fits StateBudget (at p = 1 the engine's
-// level dimensions collapse to bits, so the index-space shape
-// overprices it by orders of magnitude); the heuristic otherwise. A
-// negative StateBudget sends every fragment to the heuristic. Every
-// estimate depends only on the job multiset and processor count, so
-// the decision is identical for a fragment and its canonical form.
+// mode. ModeAuto sends a fragment to the exact engine when its
+// prep.AdmissionEstimate fits StateBudget and to the heuristic
+// otherwise, so a negative StateBudget sends every fragment to the
+// heuristic. The estimate depends only on the job multiset and
+// processor count, so the decision is identical for a fragment and its
+// canonical form.
 func (rt *objectiveRuntime) tier(fr sched.Instance) obs.Backend {
 	switch rt.mode {
 	case ModeHeuristic:
 		return obs.BackendHeur
 	case ModeAuto:
-		if rt.budget < 0 {
-			return obs.BackendHeur
-		}
-		state, single, singleProc := prep.AdmissionEstimates(fr)
-		if state/autoPruneDiscount <= rt.budget || singleProc && single <= rt.budget {
+		if prep.AdmissionEstimate(fr) <= rt.budget {
 			return obs.BackendDP
 		}
 		return obs.BackendHeur
@@ -394,8 +377,8 @@ func heurErr(err error) error {
 // Mode — in one place, so Solve and SolveBatch report identical errors
 // for identical misconfigurations regardless of objective path.
 func (s Solver) runtime() (objectiveRuntime, error) {
-	if s.Alpha < 0 {
-		return objectiveRuntime{}, fmt.Errorf("gapsched: negative transition cost alpha %v", s.Alpha)
+	if !sched.ValidAlpha(s.Alpha) {
+		return objectiveRuntime{}, fmt.Errorf("gapsched: transition cost alpha %v is not finite and non-negative", s.Alpha)
 	}
 	switch s.Mode {
 	case ModeExact, ModeHeuristic, ModeAuto:
@@ -421,8 +404,11 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 						lb: float64(res.Spans), err: err}
 				},
 				obs.BackendHeur: func(fr sched.Instance) fragResult {
-					res, err := heur.SolveGapsFragment(fr)
-					return fragResult{cost: res.Cost, schedule: res.Schedule, lb: res.LowerBound, err: heurErr(err)}
+					greedy, err := heur.Greedy(fr)
+					if err != nil {
+						return fragResult{err: heurErr(err)}
+					}
+					return fragResult{cost: float64(greedy.Spans()), schedule: greedy, lb: float64(heur.FragmentSpanLB(fr))}
 				},
 			},
 			finish: func(sol *Solution, cost float64) {
@@ -446,8 +432,11 @@ func (s Solver) runtime() (objectiveRuntime, error) {
 						lb: res.Power, err: err}
 				},
 				obs.BackendHeur: func(fr sched.Instance) fragResult {
-					res, err := heur.SolvePowerFragment(fr, alpha)
-					return fragResult{cost: res.Cost, schedule: res.Schedule, lb: res.LowerBound, err: heurErr(err)}
+					greedy, err := heur.Greedy(fr)
+					if err != nil {
+						return fragResult{err: heurErr(err)}
+					}
+					return fragResult{cost: greedy.PowerCost(alpha), schedule: greedy, lb: heur.FragmentPowerLB(fr, alpha)}
 				},
 			},
 			finish: func(sol *Solution, cost float64) {

@@ -154,16 +154,15 @@ func TestModeAutoMixesTiers(t *testing.T) {
 	in := NewInstance(jobs)
 
 	// Pick a budget between the small fragments' estimates and the big
-	// one's cheaper admission route, derived from the decomposition.
+	// one's, derived from the decomposition.
 	pl := prep.ForGaps(in)
 	smallMax, bigEst := 0, 0
 	for _, sub := range pl.Subs {
-		est := prep.StateEstimate(sub.Instance)
+		est := prep.AdmissionEstimate(sub.Instance)
 		if len(sub.Instance.Jobs) < 100 {
 			smallMax = max(smallMax, est)
 		} else {
-			single, _ := prep.SingleProcEstimate(sub.Instance)
-			bigEst = min(est/autoPruneDiscount, single)
+			bigEst = est
 		}
 	}
 	if smallMax == 0 || bigEst <= smallMax {
@@ -188,24 +187,24 @@ func TestModeAutoMixesTiers(t *testing.T) {
 	}
 }
 
-// TestModeAutoAdmissionBoundary pins the single-processor route's edge
-// on one dense fragment whose index-space estimate is far over budget:
-// a StateBudget of exactly GridSize·(n+1) solves it exactly, one less
-// sends it to the heuristic, and a two-processor fragment of the same
-// size, which has no single-processor route, goes heuristic at that
-// budget.
+// TestModeAutoAdmissionBoundary pins the admission edge on one dense
+// single-processor fragment: a StateBudget of exactly its
+// prep.AdmissionEstimate solves it exactly, one less sends it to the
+// heuristic, and a two-processor fragment of the same size, whose
+// estimate has no single-processor shape to fall back on, goes
+// heuristic at that budget.
 func TestModeAutoAdmissionBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := NewInstance(workload.StressDense(rng, 200, 1).Jobs)
+	multi := NewMultiprocInstance(workload.StressDense(rng, 200, 2).Jobs, 2)
 
 	pl := prep.ForGaps(in)
 	if len(pl.Subs) != 1 {
 		t.Fatalf("dense instance split into %d fragments, want 1", len(pl.Subs))
 	}
-	frag := pl.Subs[0].Instance
-	edge := prep.GridSize(frag) * (len(frag.Jobs) + 1)
-	if prep.StateEstimate(frag)/autoPruneDiscount <= edge {
-		t.Fatalf("index-space route admits the fragment at budget %d; the test needs it priced out", edge)
+	edge := prep.AdmissionEstimate(pl.Subs[0].Instance)
+	if est := prep.AdmissionEstimate(multi); est <= edge {
+		t.Fatalf("two-proc estimate %d fits budget %d; the test needs it priced out", est, edge)
 	}
 
 	solve := func(in Instance, budget int) Solution {
@@ -222,7 +221,7 @@ func TestModeAutoAdmissionBoundary(t *testing.T) {
 
 	admitted := solve(in, edge)
 	if admitted.HeuristicFragments != 0 {
-		t.Fatalf("budget == GridSize·(n+1): %d of %d fragments heuristic, want none",
+		t.Fatalf("budget == estimate: %d of %d fragments heuristic, want none",
 			admitted.HeuristicFragments, admitted.Subinstances)
 	}
 	if float64(admitted.Spans) != admitted.LowerBound {
@@ -231,14 +230,13 @@ func TestModeAutoAdmissionBoundary(t *testing.T) {
 
 	rejected := solve(in, edge-1)
 	if rejected.HeuristicFragments != rejected.Subinstances {
-		t.Fatalf("budget == GridSize·(n+1)−1: %d of %d fragments heuristic, want all",
+		t.Fatalf("budget == estimate−1: %d of %d fragments heuristic, want all",
 			rejected.HeuristicFragments, rejected.Subinstances)
 	}
 	if float64(rejected.Spans) < rejected.LowerBound {
 		t.Fatalf("heuristic certificate inverted: spans %d lb %v", rejected.Spans, rejected.LowerBound)
 	}
 
-	multi := NewMultiprocInstance(workload.StressDense(rng, 200, 2).Jobs, 2)
 	if sol := solve(multi, edge); sol.HeuristicFragments != sol.Subinstances {
 		t.Fatalf("two-proc at budget %d: %d of %d fragments heuristic, want all",
 			edge, sol.HeuristicFragments, sol.Subinstances)

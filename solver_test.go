@@ -7,8 +7,10 @@ package gapsched
 // of Solve.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/exact"
@@ -103,6 +105,35 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	for _, noPrep := range []bool{false, true} {
 		if _, err := (Solver{NoPreprocess: noPrep}).Solve(bad); err == nil {
 			t.Fatalf("empty-window job accepted (noPrep=%v)", noPrep)
+		}
+	}
+}
+
+// TestInvalidAlphaRejected: a NaN, infinite or negative transition
+// cost is an invalid configuration for either objective. Solve in every
+// mode, SolveBatch, Open and OpenOnline reject it with the same error,
+// which names alpha, rather than pricing a schedule at NaN or ±Inf or
+// calling a feasible instance infeasible.
+func TestInvalidAlphaRejected(t *testing.T) {
+	in := NewInstance([]Job{{Release: 0, Deadline: 2}, {Release: 1, Deadline: 3}, {Release: 9, Deadline: 12}})
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, obj := range []Objective{ObjectiveGaps, ObjectivePower} {
+			for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
+				s := Solver{Objective: obj, Alpha: alpha, Mode: mode}
+				_, err := s.Solve(in)
+				if err == nil || errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "alpha") {
+					t.Fatalf("%v %v α=%v: Solve error %v, want an invalid-alpha error", obj, mode, alpha, err)
+				}
+				if res := s.SolveBatch([]Instance{in}); res[0].Err == nil || res[0].Err.Error() != err.Error() {
+					t.Fatalf("%v %v α=%v: SolveBatch error %v, want %v", obj, mode, alpha, res[0].Err, err)
+				}
+				if _, errOpen := s.Open(1); errOpen == nil || errOpen.Error() != err.Error() {
+					t.Fatalf("%v %v α=%v: Open error %v, want %v", obj, mode, alpha, errOpen, err)
+				}
+				if _, errOpen := s.OpenOnline(1); errOpen == nil || errOpen.Error() != err.Error() {
+					t.Fatalf("%v %v α=%v: OpenOnline error %v, want %v", obj, mode, alpha, errOpen, err)
+				}
+			}
 		}
 	}
 }
