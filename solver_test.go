@@ -332,8 +332,8 @@ func TestTimingsAndCacheHitsContract(t *testing.T) {
 		t.Fatalf("no-op resolve states %d lb %v, scratch %d lb %v", noop.States, noop.LowerBound, cold.States, cold.LowerBound)
 	}
 
-	// A budget of 8 admits the one-job cluster (G·(n+1) = 4·2 on its
-	// single-processor route) and nothing larger.
+	// A budget of 8 admits the one-job cluster (its admission estimate
+	// is G·(n+1) = 4·2) and nothing larger.
 	mixed, err := Solver{Mode: ModeAuto, StateBudget: 8}.Solve(in)
 	if err != nil {
 		t.Fatal(err)
