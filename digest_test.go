@@ -20,6 +20,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -170,5 +172,51 @@ func TestDifferentialDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(counts.Sum(nil)); got != digestCounts {
 		t.Errorf("counts digest %s, committed %s: a States, PrunedStates or ExpandedStates count changed", got, digestCounts)
+	}
+}
+
+// digestEngine is the SHA-256 of every engine digest line; see
+// TestEngineDigest.
+const digestEngine = "04c910364c717874adc12544780f6e507e73acc564666bb22de5648c8aa110d9"
+
+// TestEngineDigest runs the digest corpus through the exact engine
+// directly, without prep, cache or tiers: gaps bounded, under NoPrune
+// and under FullGrid, and power at every digest alpha bounded and under
+// NoPrune. Each result is one line — the error text, or the cost's
+// float bits, every slot and the three state counts — and the SHA-256
+// of all lines must equal digestEngine. The facade digest never runs
+// NoPrune or FullGrid, so this is what pins the unbounded recursion and
+// the full grid on the whole corpus.
+func TestEngineDigest(t *testing.T) {
+	corpus := digestCorpus()
+	h := sha256.New()
+	line := func(label string, i int, cost float64, s sched.Schedule, states, pruned, expanded int, err error) {
+		if err != nil {
+			fmt.Fprintf(h, "%s/%d err=%q\n", label, i, err.Error())
+			return
+		}
+		fmt.Fprintf(h, "%s/%d cost=%016x states=%d pruned=%d expanded=%d slots=", label, i, math.Float64bits(cost), states, pruned, expanded)
+		for _, a := range s.Slots {
+			fmt.Fprintf(h, "%d@%d,", a.Proc, a.Time)
+		}
+		io.WriteString(h, "\n")
+	}
+	gapOpts := map[string]core.Options{"bounded": {}, "noprune": {NoPrune: true}, "fullgrid": {FullGrid: true}}
+	for _, name := range []string{"bounded", "noprune", "fullgrid"} {
+		for i, in := range corpus {
+			r, err := core.SolveGapsOpt(in, gapOpts[name])
+			line("gaps/"+name, i, float64(r.Spans), r.Schedule, r.States, r.PrunedStates, r.ExpandedStates, err)
+		}
+	}
+	for _, alpha := range []float64{0.5, 2, 3.7} {
+		for _, name := range []string{"bounded", "noprune"} {
+			for i, in := range corpus {
+				r, err := core.SolvePowerOpt(in, alpha, gapOpts[name])
+				line(fmt.Sprintf("power/%v/%s", alpha, name), i, r.Power, r.Schedule, r.States, r.PrunedStates, r.ExpandedStates, err)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != digestEngine {
+		t.Errorf("engine digest %s, committed %s: an engine cost, schedule, error or state count changed", got, digestEngine)
 	}
 }
