@@ -46,7 +46,7 @@ func BenchmarkE1_MultiprocExact(b *testing.B) {
 	b.Run("dp", func(b *testing.B) {
 		states := 0
 		for i := 0; i < b.N; i++ {
-			res, err := core.SolveGaps(in)
+			res, err := core.Solve(in, core.Objective{}, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func BenchmarkE2_ScaleN(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			states := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveGaps(in)
+				res, err := core.Solve(in, core.Objective{}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -90,7 +90,7 @@ func BenchmarkE2_ScaleP(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			states := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveGaps(in)
+				res, err := core.Solve(in, core.Objective{}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func BenchmarkE3_PowerExact(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			states := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolvePower(in, alpha)
+				res, err := core.Solve(in, core.Objective{Power: true, Alpha: alpha}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -259,7 +259,7 @@ func BenchmarkE10_Greedy3Approx(b *testing.B) {
 	})
 	b.Run("exact-dp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveGaps(in); err != nil {
+			if _, err := core.Solve(in, core.Objective{}, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,7 +287,7 @@ func BenchmarkE12_SingleProc(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			states := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveGaps(in)
+				res, err := core.Solve(in, core.Objective{}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -685,7 +685,7 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 		b.Run("bounded/"+name, func(b *testing.B) {
 			expanded := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveGapsOpt(in, core.Options{})
+				res, err := core.Solve(in, core.Objective{}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -695,7 +695,7 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 		})
 		b.Run("unpruned/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.SolveGapsOpt(in, core.Options{NoPrune: true})
+				res, err := core.Solve(in, core.Objective{}, core.Options{NoPrune: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -721,12 +721,12 @@ func BenchmarkE21_BoundedExact(b *testing.B) {
 	}
 	window := workload.FeasibleOneInterval(rand.New(rand.NewSource(1)), 120, 2, 120, 60)
 	memoLane("bounded/random-window/n=120", func() (int, int, error) {
-		res, err := core.SolveGaps(window)
+		res, err := core.Solve(window, core.Objective{}, core.Options{})
 		return res.States, res.ExpandedStates, err
 	})
 	dense := workload.StressDense(rand.New(rand.NewSource(21)), 192, 3)
 	memoLane("bounded/power-dense-p3/n=192", func() (int, int, error) {
-		res, err := core.SolvePower(dense, 2)
+		res, err := core.Solve(dense, core.Objective{Power: true, Alpha: 2}, core.Options{})
 		return res.States, res.ExpandedStates, err
 	})
 	b.Run("auto-admitted/dense/n=400", func(b *testing.B) {
@@ -871,14 +871,14 @@ func BenchmarkE15_GridAblation(b *testing.B) {
 	in := workload.FeasibleOneInterval(rng, 8, 1, 240, 4)
 	b.Run("anchor-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveGapsOpt(in, core.Options{}); err != nil {
+			if _, err := core.Solve(in, core.Objective{}, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("full-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveGapsOpt(in, core.Options{FullGrid: true}); err != nil {
+			if _, err := core.Solve(in, core.Objective{}, core.Options{FullGrid: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

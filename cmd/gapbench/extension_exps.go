@@ -110,12 +110,12 @@ func runE15(cfg config) []*stats.Table {
 		for rep := 0; rep < reps; rep++ {
 			in := workload.FeasibleOneInterval(rng, n, 1, horizon, horizon/2)
 			start := time.Now()
-			a, errA := core.SolveGapsOpt(in, core.Options{})
+			a, errA := core.Solve(in, core.Objective{}, core.Options{})
 			aMS += float64(time.Since(start).Microseconds()) / 1000
 			start = time.Now()
-			f, errF := core.SolveGapsOpt(in, core.Options{FullGrid: true})
+			f, errF := core.Solve(in, core.Objective{}, core.Options{FullGrid: true})
 			fMS += float64(time.Since(start).Microseconds()) / 1000
-			if errA != nil || errF != nil || a.Spans != f.Spans {
+			if errA != nil || errF != nil || a.Cost != f.Cost {
 				same = false
 				continue
 			}

@@ -75,12 +75,11 @@ func e21Ablation(cfg config) *stats.Table {
 	tb := stats.NewTable("objective", "dense n", "bounded ms", "expanded", "pruned",
 		"unpruned ms", "expanded (ablation)", "speedup", "costs equal")
 	for _, obj := range []struct {
-		name  string
-		alpha float64
-		power bool
+		name string
+		obj  core.Objective
 	}{
-		{"gaps", 0, false},
-		{"power α=3", 3, true},
+		{"gaps", core.Objective{}},
+		{"power α=3", core.Objective{Power: true, Alpha: 3}},
 	} {
 		for _, n := range sizes {
 			rng := rand.New(rand.NewSource(cfg.seed))
@@ -88,18 +87,11 @@ func e21Ablation(cfg config) *stats.Table {
 
 			run := func(opts core.Options) e21Run {
 				t0 := time.Now()
-				if obj.power {
-					res, err := core.SolvePowerOpt(in, obj.alpha, opts)
-					if err != nil {
-						panic(err)
-					}
-					return e21Run{res.Power, res.PrunedStates, res.ExpandedStates, time.Since(t0)}
-				}
-				res, err := core.SolveGapsOpt(in, opts)
+				res, err := core.Solve(in, obj.obj, opts)
 				if err != nil {
 					panic(err)
 				}
-				return e21Run{float64(res.Spans), res.PrunedStates, res.ExpandedStates, time.Since(t0)}
+				return e21Run{res.Cost, res.PrunedStates, res.ExpandedStates, time.Since(t0)}
 			}
 			bounded := run(core.Options{})
 			plain := run(core.Options{NoPrune: true})

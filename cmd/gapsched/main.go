@@ -110,11 +110,12 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		return options{}, err
 	}
 	// A negative -alpha defers to the file's alpha; no other value can
-	// stand for "unset", so a NaN or infinite one is a bad value.
-	if math.IsNaN(o.alpha) || math.IsInf(o.alpha, 0) {
-		fmt.Fprintf(stderr, "invalid value %v for flag -alpha: not finite\n", o.alpha)
+	// stand for "unset", so a NaN, infinite or too large one is a bad
+	// value.
+	if math.IsNaN(o.alpha) || math.IsInf(o.alpha, 0) || o.alpha > sched.MaxAlpha {
+		fmt.Fprintf(stderr, "invalid value %v for flag -alpha: not finite or above 2^53\n", o.alpha)
 		fs.Usage()
-		return options{}, fmt.Errorf("gapsched: -alpha %v is not finite", o.alpha)
+		return options{}, fmt.Errorf("gapsched: -alpha %v is not finite or above 2^53", o.alpha)
 	}
 	return o, nil
 }

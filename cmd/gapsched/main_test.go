@@ -27,6 +27,7 @@ func TestGapschedRejectsBadCommandLines(t *testing.T) {
 		{"NaN alpha", []string{"-algo", "power", "-alpha", "NaN"}},
 		{"infinite alpha", []string{"-algo", "power", "-alpha", "Inf"}},
 		{"negative infinite alpha", []string{"-stream", "-algo", "power", "-alpha", "-Inf"}},
+		{"alpha above 2^53", []string{"-algo", "power", "-alpha", "1e308"}},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer

@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -188,32 +187,37 @@ const digestEngine = "04c910364c717874adc12544780f6e507e73acc564666bb22de5648c8a
 // NoPrune or FullGrid, so this is what pins the unbounded recursion and
 // the full grid on the whole corpus.
 func TestEngineDigest(t *testing.T) {
-	corpus := digestCorpus()
-	h := sha256.New()
-	line := func(label string, i int, cost float64, s sched.Schedule, states, pruned, expanded int, err error) {
-		if err != nil {
-			fmt.Fprintf(h, "%s/%d err=%q\n", label, i, err.Error())
-			return
-		}
-		fmt.Fprintf(h, "%s/%d cost=%016x states=%d pruned=%d expanded=%d slots=", label, i, math.Float64bits(cost), states, pruned, expanded)
-		for _, a := range s.Slots {
-			fmt.Fprintf(h, "%d@%d,", a.Proc, a.Time)
-		}
-		io.WriteString(h, "\n")
+	type lane struct {
+		label string
+		obj   core.Objective
+		opts  core.Options
 	}
-	gapOpts := map[string]core.Options{"bounded": {}, "noprune": {NoPrune: true}, "fullgrid": {FullGrid: true}}
-	for _, name := range []string{"bounded", "noprune", "fullgrid"} {
-		for i, in := range corpus {
-			r, err := core.SolveGapsOpt(in, gapOpts[name])
-			line("gaps/"+name, i, float64(r.Spans), r.Schedule, r.States, r.PrunedStates, r.ExpandedStates, err)
-		}
+	lanes := []lane{
+		{"gaps/bounded", core.Objective{}, core.Options{}},
+		{"gaps/noprune", core.Objective{}, core.Options{NoPrune: true}},
+		{"gaps/fullgrid", core.Objective{}, core.Options{FullGrid: true}},
 	}
 	for _, alpha := range []float64{0.5, 2, 3.7} {
-		for _, name := range []string{"bounded", "noprune"} {
-			for i, in := range corpus {
-				r, err := core.SolvePowerOpt(in, alpha, gapOpts[name])
-				line(fmt.Sprintf("power/%v/%s", alpha, name), i, r.Power, r.Schedule, r.States, r.PrunedStates, r.ExpandedStates, err)
+		power := core.Objective{Power: true, Alpha: alpha}
+		lanes = append(lanes,
+			lane{fmt.Sprintf("power/%v/bounded", alpha), power, core.Options{}},
+			lane{fmt.Sprintf("power/%v/noprune", alpha), power, core.Options{NoPrune: true}})
+	}
+	corpus := digestCorpus()
+	h := sha256.New()
+	for _, l := range lanes {
+		for i, in := range corpus {
+			r, err := core.Solve(in, l.obj, l.opts)
+			if err != nil {
+				fmt.Fprintf(h, "%s/%d err=%q\n", l.label, i, err.Error())
+				continue
 			}
+			fmt.Fprintf(h, "%s/%d cost=%016x states=%d pruned=%d expanded=%d slots=",
+				l.label, i, math.Float64bits(r.Cost), r.States, r.PrunedStates, r.ExpandedStates)
+			for _, a := range r.Schedule.Slots {
+				fmt.Fprintf(h, "%d@%d,", a.Proc, a.Time)
+			}
+			io.WriteString(h, "\n")
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != digestEngine {

@@ -9,10 +9,7 @@ package gapsched
 // instances and the DP stays fast enough to fuzz.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -357,30 +354,30 @@ func FuzzPrunedExact(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		pruned, err1 := core.SolveGaps(in)
-		plain, err2 := core.SolveGapsOpt(in, core.Options{NoPrune: true})
+		pruned, err1 := core.Solve(in, core.Objective{}, core.Options{})
+		plain, err2 := core.Solve(in, core.Objective{}, core.Options{NoPrune: true})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("gaps feasibility disagreement: %v vs %v (jobs %v procs %d)", err1, err2, in.Jobs, in.Procs)
 		}
 		if err1 == nil {
-			if pruned.Spans != plain.Spans || !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
-				t.Fatalf("pruned gaps solve differs: %d vs %d (jobs %v procs %d)",
-					pruned.Spans, plain.Spans, in.Jobs, in.Procs)
+			if pruned.Cost != plain.Cost || !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
+				t.Fatalf("pruned gaps solve differs: %v vs %v (jobs %v procs %d)",
+					pruned.Cost, plain.Cost, in.Jobs, in.Procs)
 			}
 			if plain.PrunedStates != 0 {
 				t.Fatalf("NoPrune gaps run reported %d pruned states", plain.PrunedStates)
 			}
 		}
 
-		pp, err1 := core.SolvePower(in, alpha)
-		pl, err2 := core.SolvePowerOpt(in, alpha, core.Options{NoPrune: true})
+		pp, err1 := core.Solve(in, core.Objective{Power: true, Alpha: alpha}, core.Options{})
+		pl, err2 := core.Solve(in, core.Objective{Power: true, Alpha: alpha}, core.Options{NoPrune: true})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("power feasibility disagreement: %v vs %v (jobs %v procs %d α=%v)", err1, err2, in.Jobs, in.Procs, alpha)
 		}
 		if err1 == nil {
-			if pp.Power != pl.Power || !reflect.DeepEqual(pp.Schedule, pl.Schedule) {
+			if pp.Cost != pl.Cost || !reflect.DeepEqual(pp.Schedule, pl.Schedule) {
 				t.Fatalf("pruned power solve differs: %v vs %v (jobs %v procs %d α=%v)",
-					pp.Power, pl.Power, in.Jobs, in.Procs, alpha)
+					pp.Cost, pl.Cost, in.Jobs, in.Procs, alpha)
 			}
 			if pl.PrunedStates != 0 {
 				t.Fatalf("NoPrune power run reported %d pruned states", pl.PrunedStates)
@@ -485,75 +482,6 @@ func FuzzOnlineCommit(f *testing.F) {
 			ss.Close()
 		}
 	})
-}
-
-// FuzzWireDecode hardens the daemon's wire decoders against arbitrary
-// request bodies: no sched.Decode* function may panic on any byte
-// string, and every request a decoder accepts must survive a round
-// trip — re-encoded and decoded again, it yields the same value (up to
-// nil versus empty for omitempty lists, which JSON cannot tell apart).
-func FuzzWireDecode(f *testing.F) {
-	for _, seed := range []string{
-		`{"jobs":[{"release":0,"deadline":2},{"release":1,"deadline":1}]}`,
-		`{"objective":"power","alpha":2.5,"procs":2,"mode":"auto","stateBudget":-1,"jobs":[]}`,
-		`{"requests":[{"jobs":[{"release":3,"deadline":4}]},{"objective":"nope","jobs":null}]}`,
-		`{"mode":"heuristic","online":true,"jobs":[{"release":0,"deadline":0}]}`,
-		`{"add":[{"release":5,"deadline":9}],"remove":[0,2]}`,
-		`{"session":"s1","jobIds":[0,1],"jobs":2}`,
-		`{"spans":1,"schedule":{"procs":1,"slots":[{"proc":0,"time":0}]},"timings":{"prepNs":5}}`,
-		`{"responses":[{"error":{"code":"infeasible","message":"no"}}]}`,
-		`{"jobs":[]} {}`,
-		`{"jobs":[{"release":1e400}]}`,
-		`{"jobs":[]} x`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decode := func() io.Reader { return bytes.NewReader(data) }
-		// Responses are decoded only by clients; they need only not panic.
-		_, _ = sched.DecodeSolveResponse(decode())
-		_, _ = sched.DecodeBatchResponse(decode())
-		_, _ = sched.DecodeSessionResponse(decode())
-		if req, err := sched.DecodeSolveRequest(decode()); err == nil {
-			checkWireRoundTrip(t, req, sched.DecodeSolveRequest)
-		}
-		if req, err := sched.DecodeBatchRequest(decode()); err == nil {
-			checkWireRoundTrip(t, req, sched.DecodeBatchRequest)
-		}
-		if req, err := sched.DecodeSessionCreateRequest(decode()); err == nil {
-			if len(req.Jobs) == 0 {
-				req.Jobs = nil
-			}
-			checkWireRoundTrip(t, req, sched.DecodeSessionCreateRequest)
-		}
-		if req, err := sched.DecodeSessionDeltaRequest(decode()); err == nil {
-			if len(req.Add) == 0 {
-				req.Add = nil
-			}
-			if len(req.Remove) == 0 {
-				req.Remove = nil
-			}
-			checkWireRoundTrip(t, req, sched.DecodeSessionDeltaRequest)
-		}
-	})
-}
-
-// checkWireRoundTrip encodes an accepted request and decodes it with
-// the decoder that accepted it, failing unless the decoder accepts the
-// encoding and returns a value equal to req.
-func checkWireRoundTrip[T any](t *testing.T, req T, decode func(io.Reader) (T, error)) {
-	t.Helper()
-	enc, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("re-encoding accepted %T: %v", req, err)
-	}
-	got, err := decode(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatalf("decoder rejected its own re-encoding %s: %v", enc, err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("round trip changed %T:\n got %#v\nwant %#v", req, got, req)
-	}
 }
 
 func FuzzSolveGaps(f *testing.F) {

@@ -79,12 +79,40 @@ type (
 	MultiSchedule = sched.MultiSchedule
 )
 
+// GapResult reports a MinimizeGaps solve.
+type GapResult struct {
+	// Spans is the optimal number of spans (wake-ups) summed over
+	// processors.
+	Spans int
+	// Gaps is Spans−1 (clamped at 0): the idle periods in the
+	// concatenated-timeline convention; on one processor this is the
+	// classic gap count.
+	Gaps int
+	// Schedule is an optimal schedule.
+	Schedule Schedule
+	// States, PrunedStates and ExpandedStates are the exact engine's
+	// counters summed over fragments, as in Solution.
+	States         int
+	PrunedStates   int
+	ExpandedStates int
+}
+
+// PowerResult reports a MinimizePower solve.
+type PowerResult struct {
+	// Power is the optimal power consumption: active units plus alpha
+	// per sleep→active transition, with idle-active bridging permitted.
+	Power float64
+	// Schedule is an optimal schedule.
+	Schedule Schedule
+	// States, PrunedStates and ExpandedStates are the exact engine's
+	// counters summed over fragments, as in Solution.
+	States         int
+	PrunedStates   int
+	ExpandedStates int
+}
+
 // Result types, aliased from the solver packages.
 type (
-	// GapResult reports an exact minimum-wake-up solve.
-	GapResult = core.Result
-	// PowerResult reports an exact minimum-power solve.
-	PowerResult = core.PowerResult
 	// ApproxOptions configures ApproxMultiPower.
 	ApproxOptions = multiinterval.Options
 	// ApproxStats reports what the approximation pipeline did.
@@ -120,7 +148,10 @@ func MultiJobFromTimes(times ...int) MultiJob { return sched.MultiJobFromTimes(t
 // (Theorem 1; with one processor this is Baptiste's classic gap
 // minimization, gaps = spans − 1). It runs the full pipeline —
 // preprocessing plus the unified engine; use a Solver directly for
-// batch solving or to tune the pipeline.
+// batch solving or to tune the pipeline. Every release and deadline
+// must lie within ±3·2⁶¹, and the instance must span at most 3·2⁶¹
+// time units (the time-range rule); an instance that breaks the rule
+// is rejected with a validation error.
 func MinimizeGaps(in Instance) (GapResult, error) {
 	sol, err := Solver{Objective: ObjectiveGaps}.Solve(in)
 	if err != nil {
@@ -133,7 +164,8 @@ func MinimizeGaps(in Instance) (GapResult, error) {
 // MinimizePower computes an optimal schedule minimizing total power
 // consumption with transition cost alpha, allowing processors to remain
 // active through gaps (Theorem 2). Like MinimizeGaps, it runs the full
-// Solver pipeline.
+// Solver pipeline under the same time-range rule, and alpha must lie
+// in [0, 2⁵³].
 func MinimizePower(in Instance, alpha float64) (PowerResult, error) {
 	sol, err := Solver{Objective: ObjectivePower, Alpha: alpha}.Solve(in)
 	if err != nil {

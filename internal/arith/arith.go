@@ -105,11 +105,11 @@ func Solve(mi sched.MultiInstance) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := core.SolveGaps(base)
+	res, err := core.Solve(base, core.Objective{}, core.Options{})
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{Base: base, Period: x, Spans: res.Spans}
+	out := Result{Base: base, Period: x, Spans: int(res.Cost)}
 	out.Schedule = sched.MultiSchedule{Times: make([]int, mi.N())}
 	for j, a := range res.Schedule.Slots {
 		out.Schedule.Times[j] = a.Time + a.Proc*x

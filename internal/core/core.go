@@ -96,6 +96,9 @@ func newBase(in sched.Instance, fullGrid bool) *base {
 	return b
 }
 
+// root is the subproblem covering the whole horizon with every job.
+func (b *base) root() node { return node{i1: 0, i2: len(b.grid), k: len(b.jobs)} }
+
 // list returns the deadline-ordered global job indices released in
 // [t1, t2], cached per interval.
 func (b *base) list(t1, t2 int) []int {
@@ -154,15 +157,48 @@ const (
 	choicePruned        // cut by branch and bound; cost holds the budget
 )
 
-// Result reports the outcome of an exact gap-scheduling solve.
+// Objective selects what Solve minimizes: the total span count
+// (Theorem 1) when Power is false, else total power under transition
+// cost Alpha (Theorem 2), where processors may stay active through a
+// gap (bridging) and the optimum bridges exactly the gaps shorter than
+// Alpha. The span objective ignores Alpha.
+type Objective struct {
+	Power bool
+	Alpha float64
+}
+
+// Price returns s's cost under the objective, in its own units: the
+// span count (as a float) for gaps, the power with optimal bridging
+// for power.
+func (o Objective) Price(s sched.Schedule) float64 {
+	if o.Power {
+		return s.PowerCost(o.Alpha)
+	}
+	return float64(s.Spans())
+}
+
+// Options tunes the engine for ablation experiments (E15, E21). The
+// zero value is the production configuration.
+type Options struct {
+	// FullGrid replaces the anchor candidate grid (release/deadline
+	// neighbourhoods, Baptiste's Prop 2.1) with every integer time of
+	// the horizon. The optimum is unchanged; the state count grows. The
+	// power objective ignores it.
+	FullGrid bool
+
+	// NoPrune disables branch-and-bound pruning (no greedy incumbent, no
+	// per-node bound checks). The optimum and the reconstructed schedule
+	// are identical either way — pruning only skips subproblems that
+	// provably cannot improve on the incumbent — so this exists for
+	// ablation and for the fuzz lanes that certify that identity.
+	NoPrune bool
+}
+
+// Result reports the outcome of an exact solve.
 type Result struct {
-	// Spans is the optimal number of spans (wake-ups) summed over
-	// processors.
-	Spans int
-	// Gaps is Spans−1 (clamped at 0): the idle periods in the
-	// concatenated-timeline convention; on one processor this is the
-	// classic gap count.
-	Gaps int
+	// Cost is the optimum in the objective's units: the span count (as
+	// a float) for gaps, the power consumption for power.
+	Cost float64
 	// Schedule is an optimal schedule in staircase form.
 	Schedule sched.Schedule
 	// States is the number of memoized subproblems, a measure of the
@@ -176,103 +212,87 @@ type Result struct {
 	ExpandedStates int
 }
 
-// PowerResult reports the outcome of an exact power-minimization solve.
-type PowerResult struct {
-	// Power is the optimal power consumption: active units plus Alpha
-	// per sleep→active transition, with idle-active bridging permitted.
-	Power float64
-	// Schedule is an optimal schedule in staircase form.
-	Schedule sched.Schedule
-	// States is the number of memoized subproblems.
-	States int
-	// PrunedStates counts subproblems answered by the branch-and-bound
-	// lower bound without being expanded; 0 when pruning is disabled.
-	PrunedStates int
-	// ExpandedStates counts subproblems the recursion actually expanded.
-	ExpandedStates int
-}
+var errInvalidAlpha = errors.New("core: transition cost alpha is outside [0, 2^53]")
 
-// solution is one engine solve's outcome, before the objective's
-// result type names its cost.
-type solution struct {
-	cost                     float64
-	schedule                 sched.Schedule
-	states, pruned, expanded int
-}
-
-// solve runs the steps every objective shares around the engine: the
+// Solve computes an optimal schedule of the one-interval p-processor
+// instance in under obj. It runs the steps every objective shares
+// around the engine: validation (the instance, its time range —
+// sched.Instance.CheckTimes — and then the alpha), the
 // empty-instance and infeasibility shortcuts (the EDF sweep decides
 // Hall's condition, independently of the greedy), the greedy
-// incumbent (priced by price) that seeds the branch-and-bound budget,
-// the engine run with its defensive unbounded retry (after which the
-// memo table goes back to its pool), and reassembly plus validation of
-// the schedule. model builds the objective's cost
-// model from the engine's processor count (capped at n).
-func solve[M costModel](in sched.Instance, opts Options, model func(p int) M, price func(sched.Schedule) float64) (solution, error) {
+// incumbent, priced by obj, that seeds the branch-and-bound budget, the
+// engine run with its defensive unbounded retry, and the staircase
+// layout plus validation of the schedule. It returns ErrInfeasible
+// when no feasible schedule exists.
+func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
 	if err := in.Validate(); err != nil {
-		return solution{}, err
+		return Result{}, err
+	}
+	if err := in.CheckTimes(); err != nil {
+		return Result{}, err
+	}
+	if obj.Power && !sched.ValidAlpha(obj.Alpha) {
+		return Result{}, errInvalidAlpha
 	}
 	n := len(in.Jobs)
 	if n == 0 {
-		return solution{schedule: sched.Schedule{Procs: in.Procs}}, nil
+		return Result{Schedule: sched.Schedule{Procs: in.Procs}}, nil
 	}
 	if !feas.FeasibleOneInterval(in) {
-		return solution{}, ErrInfeasible
+		return Result{}, ErrInfeasible
 	}
-	b := newBase(in, opts.FullGrid)
+	b := newBase(in, opts.FullGrid && !obj.Power)
 	budget := infinite
 	if !opts.NoPrune {
 		if s, err := heur.Greedy(in); err == nil {
 			// One ulp above the incumbent: a node is cut only when its
 			// bound strictly exceeds every cost the incumbent still
 			// allows, so an optimum equal to it is found exactly.
-			budget = math.Nextafter(price(s), infinite)
+			budget = math.Nextafter(obj.Price(s), infinite)
 		}
 	}
-	e := newEngine(b, model(b.p))
-	cost, placed, states, ok := e.run(n, budget)
-	if !ok && budget < infinite {
+	r := Result{Schedule: sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, n)}}
+	var placed int
+	if obj.Power {
+		placed = search(b, powerModel{p: b.p, alpha: obj.Alpha}, budget, &r)
+	} else {
+		placed = search(b, gapModel{p: b.p}, budget, &r)
+	}
+	if placed < 0 {
+		// Cannot happen after the feasibility pre-check; defensive.
+		return Result{}, ErrInfeasible
+	}
+	if placed != n {
+		return Result{}, fmt.Errorf("core: reconstruction placed %d of %d jobs", placed, n)
+	}
+	r.Schedule = r.Schedule.Staircase()
+	if err := r.Schedule.Validate(in); err != nil {
+		return Result{}, err
+	}
+	return r, nil
+}
+
+// search runs the engine for model m: a run under the branch-and-bound
+// budget, the defensive unbounded retry, and the replay of the optimal
+// choices into the times of r.Schedule's slots. It fills r's cost and
+// counts and returns the number of jobs placed, or -1 when no schedule
+// was found. The memo table goes back to its pool before it returns.
+func search[M costModel](b *base, m M, budget float64, r *Result) int {
+	e := newEngine(b, m)
+	defer e.memo.release()
+	root := b.root()
+	cost := e.dp(root, budget)
+	if cost >= infinite && budget < infinite {
 		// Defensive: the greedy cost upper-bounds the optimum, so a
 		// bounded run cannot come back empty unless the incumbent was
 		// somehow below it (conceivable only through float
 		// summation-order effects in the greedy's cost); re-solve
 		// unbounded rather than misreport infeasibility.
-		cost, placed, states, ok = e.run(n, infinite)
+		cost = e.dp(root, infinite)
 	}
-	e.memo.release()
-	if !ok {
-		// Cannot happen after the feasibility pre-check; defensive.
-		return solution{}, ErrInfeasible
+	if cost >= infinite {
+		return -1
 	}
-	schedule, err := assemble(n, in.Procs, placed)
-	if err != nil {
-		return solution{}, err
-	}
-	if err := schedule.Validate(in); err != nil {
-		return solution{}, err
-	}
-	return solution{cost: cost, schedule: schedule, states: states,
-		pruned: e.pruned, expanded: e.expanded}, nil
-}
-
-// assemble builds a staircase schedule from job→time placements.
-func assemble(n, procs int, placed map[int]int) (sched.Schedule, error) {
-	if len(placed) != n {
-		return sched.Schedule{}, fmt.Errorf("core: reconstruction placed %d of %d jobs", len(placed), n)
-	}
-	byTime := make(map[int][]int)
-	for j, t := range placed {
-		byTime[t] = append(byTime[t], j)
-	}
-	s := sched.Schedule{Procs: procs, Slots: make([]sched.Assignment, n)}
-	for t, js := range byTime {
-		sort.Ints(js)
-		if len(js) > procs {
-			return sched.Schedule{}, fmt.Errorf("core: %d jobs at time %d exceed %d processors", len(js), t, procs)
-		}
-		for q, j := range js {
-			s.Slots[j] = sched.Assignment{Proc: q, Time: t}
-		}
-	}
-	return s, nil
+	r.Cost, r.States, r.PrunedStates, r.ExpandedStates = cost, e.memo.entries(), e.pruned, e.expanded
+	return e.rebuild(root, r.Schedule.Slots)
 }

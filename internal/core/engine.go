@@ -155,24 +155,6 @@ func newEngine[M costModel](b *base, m M) *engine[M] {
 	return e
 }
 
-// run solves the root problem covering the whole horizon and replays
-// the optimal choices into job→time placements. budget is the
-// branch-and-bound cut: a strict upper bound on the cost run is allowed
-// to report (callers pass one ulp above a feasible incumbent, or
-// infinite to disable pruning). A run that comes back !ok under a
-// finite budget only certifies cost ≥ budget, not infeasibility.
-func (e *engine[M]) run(n int, budget float64) (cost float64, placed map[int]int, states int, ok bool) {
-	root := node{i1: 0, i2: len(e.grid), k: n}
-	cost = e.dp(root, budget)
-	states = e.memo.entries()
-	if cost >= infinite {
-		return 0, nil, states, false
-	}
-	placed = make(map[int]int, n)
-	e.rebuild(root, placed)
-	return cost, placed, states, true
-}
-
 // dp returns the minimum cost of the node's subproblem, memoized, or
 // infinite when that cost is at least budget (pruning). A finite return
 // is always the exact optimum: candidates are only ever discarded once
@@ -450,43 +432,44 @@ func (e *engine[M]) evalSplit(nd node, gi, i, t1, t2 int, thr0, lb float64, best
 	return best
 }
 
-// rebuild replays the recorded choices, recording job→time placements.
-func (e *engine[M]) rebuild(nd node, placed map[int]int) {
+// rebuild replays the recorded choices, writing each placed job's
+// time into slots (indexed by job), and returns the number of jobs it
+// placed.
+func (e *engine[M]) rebuild(nd node, slots []sched.Assignment) int {
 	r, ok := e.memo.get(nd)
 	if !ok || r.choice == choiceNone || r.choice == choicePruned {
 		// Pruned entries never lie on an optimal path: the path's nodes
 		// were all evaluated under thresholds above their true costs.
-		return
+		return 0
 	}
 	t1, t2 := e.t1val[nd.i1], e.t2val[nd.i2]
 	k := nd.k
 	switch r.choice {
-	case choiceEmpty:
-		return
 	case choicePoint:
 		for _, j := range e.list(t1, t2)[:k] {
-			placed[j] = t1
+			slots[j].Time = t1
 		}
+		return k
 	case choiceA:
 		jk := e.list(t1, t2)[k-1]
-		placed[jk] = t2
+		slots[jk].Time = t2
 		cl2, cc2, _ := e.model.caseAChild(nd.l2, nd.c2)
-		e.rebuild(node{nd.i1, nd.i2, k - 1, nd.l1, cl2, cc2}, placed)
+		return 1 + e.rebuild(node{nd.i1, nd.i2, k - 1, nd.l1, cl2, cc2}, slots)
 	case choiceB:
 		list := e.list(t1, t2)
 		jk := list[k-1]
 		gi := int(r.tp)
-		placed[jk] = e.grid[gi]
+		slots[jk].Time = e.grid[gi]
 		var pend [1]int
 		e.pendingCounts(list, k, gi, gi+1, pend[:])
 		i := pend[0]
 		kL := k - 1 - i
+		left := node{nd.i1, gi, kL, nd.l1, int(r.lp), 1}
 		if r.lp < 0 {
 			pl1, pl2, _ := e.model.pointLeft(nd.l1, kL)
-			e.rebuild(node{nd.i1, gi, kL, pl1, pl2, 1}, placed)
-		} else {
-			e.rebuild(node{nd.i1, gi, kL, nd.l1, int(r.lp), 1}, placed)
+			left.l1, left.l2 = pl1, pl2
 		}
-		e.rebuild(node{gi + 1, nd.i2, i, int(r.lpp), nd.l2, nd.c2}, placed)
+		return 1 + e.rebuild(left, slots) + e.rebuild(node{gi + 1, nd.i2, i, int(r.lpp), nd.l2, nd.c2}, slots)
 	}
+	return 0 // choiceEmpty: no own jobs
 }

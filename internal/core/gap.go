@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/heur"
-	"repro/internal/sched"
-)
+import "repro/internal/heur"
 
 // gapModel plugs the span-count objective (Theorem 1) into the shared
 // engine. Levels are busy-processor counts: l1/l2 count the subproblem's
@@ -58,45 +55,4 @@ func (m gapModel) boundary(level, next, ctx int) float64 {
 // bound (admissibility argued at heur.SubSpanLB).
 func (m gapModel) nodeLB(k, l1, l2, c2, t1, t2 int) float64 {
 	return float64(heur.SubSpanLB(k, l1, l2, c2, t1, t2))
-}
-
-// Options tunes the gap DP for ablation experiments (E15). The zero
-// value is the production configuration.
-type Options struct {
-	// FullGrid replaces the anchor candidate grid (release/deadline
-	// neighbourhoods, Baptiste's Prop 2.1) with every integer time of
-	// the horizon. The optimum is unchanged; the state count grows.
-	FullGrid bool
-
-	// NoPrune disables branch-and-bound pruning (no greedy incumbent, no
-	// per-node bound checks). The optimum and the reconstructed schedule
-	// are identical either way — pruning only skips subproblems that
-	// provably cannot improve on the incumbent — so this exists for
-	// ablation and for the fuzz lanes that certify that identity.
-	NoPrune bool
-}
-
-// SolveGaps computes an optimal minimum-wake-up schedule for a
-// one-interval p-processor instance (Theorem 1). It returns
-// ErrInfeasible when no feasible schedule exists.
-func SolveGaps(in sched.Instance) (Result, error) {
-	return SolveGapsOpt(in, Options{})
-}
-
-// SolveGapsOpt is SolveGaps with explicit tuning options.
-func SolveGapsOpt(in sched.Instance, opts Options) (Result, error) {
-	r, err := solve(in, opts, func(p int) gapModel { return gapModel{p: p} },
-		func(s sched.Schedule) float64 { return float64(s.Spans()) })
-	if err != nil {
-		return Result{}, err
-	}
-	spans := int(r.cost)
-	return Result{
-		Spans:          spans,
-		Gaps:           max(spans-1, 0),
-		Schedule:       r.schedule,
-		States:         r.states,
-		PrunedStates:   r.pruned,
-		ExpandedStates: r.expanded,
-	}, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -27,15 +29,15 @@ func TestSolveGapsTrivial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := SolveGaps(tc.in)
+			res, err := Solve(tc.in, Objective{}, Options{})
 			if err != nil {
-				t.Fatalf("SolveGaps: %v", err)
+				t.Fatalf("Solve: %v", err)
 			}
-			if res.Spans != tc.spans {
-				t.Fatalf("spans = %d, want %d", res.Spans, tc.spans)
+			if res.Cost != float64(tc.spans) {
+				t.Fatalf("spans = %v, want %d", res.Cost, tc.spans)
 			}
-			if len(tc.in.Jobs) > 0 && res.Schedule.Spans() != res.Spans {
-				t.Fatalf("schedule has %d spans, DP claims %d", res.Schedule.Spans(), res.Spans)
+			if len(tc.in.Jobs) > 0 && float64(res.Schedule.Spans()) != res.Cost {
+				t.Fatalf("schedule has %d spans, DP claims %v", res.Schedule.Spans(), res.Cost)
 			}
 		})
 	}
@@ -46,12 +48,32 @@ func TestSolveGapsInfeasible(t *testing.T) {
 		{Release: 0, Deadline: 0},
 		{Release: 0, Deadline: 0},
 	})
-	if _, err := SolveGaps(in); err != ErrInfeasible {
+	if _, err := Solve(in, Objective{}, Options{}); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	in.Procs = 2
-	if _, err := SolveGaps(in); err != nil {
+	if _, err := Solve(in, Objective{}, Options{}); err != nil {
 		t.Fatalf("two processors make it feasible, got %v", err)
+	}
+}
+
+// TestSolveRejectsOutOfRangeTimes: Solve applies the time-range rule
+// itself, so no caller of the engine reaches its grid and boundary
+// arithmetic with times near the ends of int, where the grid never
+// ended (near MaxInt) or the virtual start wrapped into a wrong
+// "infeasible" (near MinInt).
+func TestSolveRejectsOutOfRangeTimes(t *testing.T) {
+	for _, jobs := range [][]sched.Job{
+		{{Release: math.MaxInt - 3, Deadline: math.MaxInt - 1}, {Release: math.MaxInt - 2, Deadline: math.MaxInt}},
+		{{Release: math.MinInt, Deadline: math.MinInt + 2}, {Release: math.MinInt + 1, Deadline: math.MinInt + 3}},
+	} {
+		for _, obj := range []Objective{{}, {Power: true, Alpha: 2}} {
+			for _, opts := range []Options{{}, {NoPrune: true}} {
+				if _, err := Solve(sched.NewInstance(jobs), obj, opts); !errors.Is(err, sched.ErrTimeRange) {
+					t.Fatalf("jobs %v, %+v %+v: error %v, want sched.ErrTimeRange", jobs, obj, opts, err)
+				}
+			}
+		}
 	}
 }
 
@@ -61,7 +83,7 @@ func TestSolveGapsMatchesOracleSingleProc(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		in := workload.OneInterval(rng, n, 12, 5)
 		want, feasible := exact.SpansOneInterval(in)
-		res, err := SolveGaps(in)
+		res, err := Solve(in, Objective{}, Options{})
 		if !feasible {
 			if err != ErrInfeasible {
 				t.Fatalf("trial %d: oracle says infeasible, DP says %v (instance %v)", trial, err, in.Jobs)
@@ -71,8 +93,8 @@ func TestSolveGapsMatchesOracleSingleProc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: oracle feasible but DP failed: %v (instance %v)", trial, err, in.Jobs)
 		}
-		if res.Spans != want {
-			t.Fatalf("trial %d: DP spans %d, oracle %d (instance %v)", trial, res.Spans, want, in.Jobs)
+		if res.Cost != float64(want) {
+			t.Fatalf("trial %d: DP spans %v, oracle %d (instance %v)", trial, res.Cost, want, in.Jobs)
 		}
 		if got := res.Schedule.Spans(); got != want {
 			t.Fatalf("trial %d: reconstructed schedule has %d spans, want %d", trial, got, want)
@@ -87,7 +109,7 @@ func TestSolveGapsMatchesOracleMultiProc(t *testing.T) {
 		p := 1 + rng.Intn(3)
 		in := workload.Multiproc(rng, n, p, 10, 4)
 		want, feasible := exact.SpansOneInterval(in)
-		res, err := SolveGaps(in)
+		res, err := Solve(in, Objective{}, Options{})
 		if !feasible {
 			if err != ErrInfeasible {
 				t.Fatalf("trial %d: oracle infeasible, DP err %v (p=%d jobs %v)", trial, err, p, in.Jobs)
@@ -97,8 +119,8 @@ func TestSolveGapsMatchesOracleMultiProc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: DP failed on feasible instance: %v (p=%d jobs %v)", trial, err, p, in.Jobs)
 		}
-		if res.Spans != want {
-			t.Fatalf("trial %d: DP spans %d, oracle %d (p=%d jobs %v)", trial, res.Spans, want, p, in.Jobs)
+		if res.Cost != float64(want) {
+			t.Fatalf("trial %d: DP spans %v, oracle %d (p=%d jobs %v)", trial, res.Cost, want, p, in.Jobs)
 		}
 	}
 }
@@ -138,14 +160,14 @@ func TestSolveGapsFeasibilityAgreesWithHall(t *testing.T) {
 func TestSolveGapsLargerSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := workload.FeasibleOneInterval(rng, 16, 2, 24, 6)
-	res, err := SolveGaps(in)
+	res, err := Solve(in, Objective{}, Options{})
 	if err != nil {
-		t.Fatalf("SolveGaps: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Fatalf("invalid schedule: %v", err)
 	}
-	if res.Schedule.Spans() != res.Spans {
-		t.Fatalf("schedule spans %d != claimed %d", res.Schedule.Spans(), res.Spans)
+	if float64(res.Schedule.Spans()) != res.Cost {
+		t.Fatalf("schedule spans %d != claimed %v", res.Schedule.Spans(), res.Cost)
 	}
 }

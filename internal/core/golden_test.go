@@ -88,14 +88,10 @@ func goldenFragments() []goldenFragment {
 	return fs
 }
 
-// solve runs the fragment's objective through the public entry points.
+// solve runs the fragment's objective through Solve.
 func (f goldenFragment) solve() (goldenCounts, sched.Schedule, error) {
-	if f.power {
-		r, err := SolvePower(f.in, f.alpha)
-		return goldenCounts{r.Power, r.States, r.PrunedStates, r.ExpandedStates, fingerprint(r.Schedule)}, r.Schedule, err
-	}
-	r, err := SolveGapsOpt(f.in, Options{NoPrune: f.noPrune})
-	return goldenCounts{float64(r.Spans), r.States, r.PrunedStates, r.ExpandedStates, fingerprint(r.Schedule)}, r.Schedule, err
+	r, err := Solve(f.in, Objective{Power: f.power, Alpha: f.alpha}, Options{NoPrune: f.noPrune})
+	return goldenCounts{r.Cost, r.States, r.PrunedStates, r.ExpandedStates, fingerprint(r.Schedule)}, r.Schedule, err
 }
 
 // engineGolden pins each fragment's answer and effort. Costs and
@@ -183,7 +179,7 @@ func TestEngineCountsGolden(t *testing.T) {
 func TestMemoPoolReuseMatchesGolden(t *testing.T) {
 	large := workload.FeasibleOneInterval(rand.New(rand.NewSource(1)), 44, 3, 44, 20)
 	solveLarge := func() error {
-		r, err := SolvePower(large, 2)
+		r, err := Solve(large, Objective{Power: true, Alpha: 2}, Options{})
 		if err == nil && r.States < 3*(1<<15)/4 {
 			err = fmt.Errorf("large fragment memoized only %d states", r.States)
 		}

@@ -31,11 +31,11 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 		var pruned, plain []Result
 		for _, procs := range settings {
 			runtime.GOMAXPROCS(procs)
-			r, err := SolveGaps(in)
+			r, err := Solve(in, Objective{}, Options{})
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 			}
-			np, err := SolveGapsOpt(in, Options{NoPrune: true})
+			np, err := Solve(in, Objective{}, Options{NoPrune: true})
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d, NoPrune: %v", procs, err)
 			}
@@ -43,18 +43,18 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 		for i := 1; i < len(settings); i++ {
 			if !reflect.DeepEqual(pruned[i], pruned[0]) {
-				t.Errorf("solve %d differs from solve 0: spans %d/%d states %d/%d pruned %d/%d expanded %d/%d",
-					i, pruned[i].Spans, pruned[0].Spans, pruned[i].States, pruned[0].States,
+				t.Errorf("solve %d differs from solve 0: spans %v/%v states %d/%d pruned %d/%d expanded %d/%d",
+					i, pruned[i].Cost, pruned[0].Cost, pruned[i].States, pruned[0].States,
 					pruned[i].PrunedStates, pruned[0].PrunedStates, pruned[i].ExpandedStates, pruned[0].ExpandedStates)
 			}
 			if !reflect.DeepEqual(plain[i], plain[0]) {
-				t.Errorf("NoPrune solve %d differs from solve 0: spans %d/%d states %d/%d expanded %d/%d",
-					i, plain[i].Spans, plain[0].Spans, plain[i].States, plain[0].States,
+				t.Errorf("NoPrune solve %d differs from solve 0: spans %v/%v states %d/%d expanded %d/%d",
+					i, plain[i].Cost, plain[0].Cost, plain[i].States, plain[0].States,
 					plain[i].ExpandedStates, plain[0].ExpandedStates)
 			}
 		}
-		if plain[0].Spans != pruned[0].Spans {
-			t.Errorf("NoPrune spans %d != pruned spans %d", plain[0].Spans, pruned[0].Spans)
+		if plain[0].Cost != pruned[0].Cost {
+			t.Errorf("NoPrune spans %v != pruned spans %v", plain[0].Cost, pruned[0].Cost)
 		}
 		if plain[0].PrunedStates != 0 {
 			t.Errorf("NoPrune reported %d pruned states", plain[0].PrunedStates)
@@ -63,10 +63,10 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 
 	t.Run("power", func(t *testing.T) {
 		in := workload.StressDense(rand.New(rand.NewSource(72)), 205, 2)
-		var power []PowerResult
+		var power []Result
 		for _, procs := range settings {
 			runtime.GOMAXPROCS(procs)
-			r, err := SolvePower(in, 2.5)
+			r, err := Solve(in, Objective{Power: true, Alpha: 2.5}, Options{})
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 			}
@@ -75,7 +75,7 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 		for i := 1; i < len(settings); i++ {
 			if !reflect.DeepEqual(power[i], power[0]) {
 				t.Errorf("solve %d differs from solve 0: power %v/%v states %d/%d pruned %d/%d expanded %d/%d",
-					i, power[i].Power, power[0].Power, power[i].States, power[0].States,
+					i, power[i].Cost, power[0].Cost, power[i].States, power[0].States,
 					power[i].PrunedStates, power[0].PrunedStates, power[i].ExpandedStates, power[0].ExpandedStates)
 			}
 		}

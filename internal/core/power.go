@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/heur"
-	"repro/internal/sched"
-)
+import "repro/internal/heur"
 
 // powerModel plugs the power objective (Theorem 2) into the shared
 // engine. Levels are *active* processor counts — processors may stay
@@ -36,7 +31,10 @@ func (m powerModel) emptyCost(l1, l2, c2, t1, t2 int) (float64, bool) {
 		maxB = l2
 	}
 	for b := 0; b <= maxB; b++ {
-		if c := float64(l2) + float64(b*width) + m.alpha*float64(l2-b); c < best {
+		// The bridging cost multiplies in float64: b·width can pass
+		// MaxInt when the interior is wide, and below 2⁵³ the float
+		// product is the exact integer.
+		if c := float64(l2) + float64(b)*float64(width) + m.alpha*float64(l2-b); c < best {
 			best = c
 		}
 	}
@@ -77,33 +75,3 @@ func (m powerModel) boundary(level, next, ctx int) float64 {
 func (m powerModel) nodeLB(k, l1, l2, c2, t1, t2 int) float64 {
 	return heur.SubPowerLB(k, l1, l2, c2, t1, t2, m.alpha)
 }
-
-// SolvePower computes an optimal minimum-power schedule for a
-// one-interval p-processor instance with transition cost alpha
-// (Theorem 2). Processors may remain active without executing a job
-// (bridging); the optimum therefore bridges exactly the gaps shorter
-// than alpha. It returns ErrInfeasible when no feasible schedule exists.
-func SolvePower(in sched.Instance, alpha float64) (PowerResult, error) {
-	return SolvePowerOpt(in, alpha, Options{})
-}
-
-// SolvePowerOpt is SolvePower with explicit tuning options (FullGrid
-// does not apply to the power DP and is ignored).
-func SolvePowerOpt(in sched.Instance, alpha float64, opts Options) (PowerResult, error) {
-	if !sched.ValidAlpha(alpha) {
-		if err := in.Validate(); err != nil {
-			return PowerResult{}, err // an invalid instance reports first
-		}
-		return PowerResult{}, errInvalidAlpha
-	}
-	opts.FullGrid = false
-	r, err := solve(in, opts, func(p int) powerModel { return powerModel{p: p, alpha: alpha} },
-		func(s sched.Schedule) float64 { return s.PowerCost(alpha) })
-	if err != nil {
-		return PowerResult{}, err
-	}
-	return PowerResult{Power: r.cost, Schedule: r.schedule, States: r.states,
-		PrunedStates: r.pruned, ExpandedStates: r.expanded}, nil
-}
-
-var errInvalidAlpha = errors.New("core: transition cost alpha is not finite and non-negative")

@@ -32,15 +32,22 @@ func TestSolvePowerTrivial(t *testing.T) {
 		// alpha = 0: transitions free; any feasible schedule costs n.
 		{"alpha zero", sched.NewInstance([]sched.Job{
 			{Release: 0, Deadline: 0}, {Release: 4, Deadline: 4}}), 0, 2},
+		// The widest horizon the time-range rule admits: three point
+		// jobs at ±2⁶¹ on three processors sleep through the 2⁶² gap,
+		// 6 busy units + 6 wakes · α = 18; bridging it would cost
+		// 3·(2⁶²−1), which overflowed an int product.
+		{"wide horizon", sched.NewMultiprocInstance([]sched.Job{
+			{Release: -1 << 61, Deadline: -1 << 61}, {Release: -1 << 61, Deadline: -1 << 61}, {Release: -1 << 61, Deadline: -1 << 61},
+			{Release: 1 << 61, Deadline: 1 << 61}, {Release: 1 << 61, Deadline: 1 << 61}, {Release: 1 << 61, Deadline: 1 << 61}}, 3), 2, 18},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := SolvePower(tc.in, tc.alpha)
+			res, err := Solve(tc.in, Objective{Power: true, Alpha: tc.alpha}, Options{})
 			if err != nil {
-				t.Fatalf("SolvePower: %v", err)
+				t.Fatalf("Solve: %v", err)
 			}
-			if !almostEqual(res.Power, tc.power) {
-				t.Fatalf("power = %v, want %v", res.Power, tc.power)
+			if !almostEqual(res.Cost, tc.power) {
+				t.Fatalf("power = %v, want %v", res.Cost, tc.power)
 			}
 		})
 	}
@@ -55,7 +62,7 @@ func TestSolvePowerMatchesOracle(t *testing.T) {
 		alpha := alphas[rng.Intn(len(alphas))]
 		in := workload.Multiproc(rng, n, p, 10, 4)
 		want, feasible := exact.PowerOneInterval(in, alpha)
-		res, err := SolvePower(in, alpha)
+		res, err := Solve(in, Objective{Power: true, Alpha: alpha}, Options{})
 		if !feasible {
 			if err != ErrInfeasible {
 				t.Fatalf("trial %d: oracle infeasible, DP err %v (p=%d α=%v jobs %v)", trial, err, p, alpha, in.Jobs)
@@ -65,8 +72,8 @@ func TestSolvePowerMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: DP failed on feasible instance: %v (p=%d α=%v jobs %v)", trial, err, p, alpha, in.Jobs)
 		}
-		if !almostEqual(res.Power, want) {
-			t.Fatalf("trial %d: DP power %v, oracle %v (p=%d α=%v jobs %v)", trial, res.Power, want, p, alpha, in.Jobs)
+		if !almostEqual(res.Cost, want) {
+			t.Fatalf("trial %d: DP power %v, oracle %v (p=%d α=%v jobs %v)", trial, res.Cost, want, p, alpha, in.Jobs)
 		}
 		if got := res.Schedule.PowerCost(alpha); !almostEqual(got, want) {
 			t.Fatalf("trial %d: schedule power %v, oracle %v (p=%d α=%v jobs %v)", trial, got, want, p, alpha, in.Jobs)
@@ -107,28 +114,28 @@ func TestPowerGapConsistency(t *testing.T) {
 		p := 1 + rng.Intn(2)
 		alpha := alphas[trial%len(alphas)]
 		in := workload.FeasibleOneInterval(rng, n, p, 10, 4)
-		gapRes, err := SolveGaps(in)
+		gapRes, err := Solve(in, Objective{}, Options{})
 		if err != nil {
-			t.Fatalf("trial %d: SolveGaps: %v", trial, err)
+			t.Fatalf("trial %d: gaps: %v", trial, err)
 		}
-		powRes, err := SolvePower(in, alpha)
+		powRes, err := Solve(in, Objective{Power: true, Alpha: alpha}, Options{})
 		if err != nil {
-			t.Fatalf("trial %d: SolvePower: %v", trial, err)
+			t.Fatalf("trial %d: power: %v", trial, err)
 		}
 		upper := gapRes.Schedule.PowerCost(alpha)
-		if powRes.Power > upper+1e-9 {
+		if powRes.Cost > upper+1e-9 {
 			t.Fatalf("trial %d: power %v exceeds gap-schedule power %v (p=%d α=%v jobs %v)",
-				trial, powRes.Power, upper, p, alpha, in.Jobs)
+				trial, powRes.Cost, upper, p, alpha, in.Jobs)
 		}
-		if lower := float64(n) + alpha; powRes.Power < lower-1e-9 {
-			t.Fatalf("trial %d: power %v below n+α = %v", trial, powRes.Power, lower)
+		if lower := float64(n) + alpha; powRes.Cost < lower-1e-9 {
+			t.Fatalf("trial %d: power %v below n+α = %v", trial, powRes.Cost, lower)
 		}
-		free, err := SolvePower(in, 0)
+		free, err := Solve(in, Objective{Power: true}, Options{})
 		if err != nil {
-			t.Fatalf("trial %d: SolvePower(0): %v", trial, err)
+			t.Fatalf("trial %d: power at α=0: %v", trial, err)
 		}
-		if !almostEqual(free.Power, float64(n)) {
-			t.Fatalf("trial %d: α=0 power %v, want n = %d", trial, free.Power, n)
+		if !almostEqual(free.Cost, float64(n)) {
+			t.Fatalf("trial %d: α=0 power %v, want n = %d", trial, free.Cost, n)
 		}
 	}
 }
@@ -138,7 +145,7 @@ func TestPowerGapConsistency(t *testing.T) {
 func TestSolvePowerRejectsNegativeAlpha(t *testing.T) {
 	in := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 1}})
 	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := SolvePower(in, alpha); err != errInvalidAlpha {
+		if _, err := Solve(in, Objective{Power: true, Alpha: alpha}, Options{}); err != errInvalidAlpha {
 			t.Fatalf("α=%v: got %v, want %v", alpha, err, errInvalidAlpha)
 		}
 	}

@@ -20,16 +20,16 @@ func TestPrunedGapsMatchesUnpruned(t *testing.T) {
 		n := 1 + rng.Intn(9)
 		p := 1 + rng.Intn(3)
 		in := workload.FeasibleOneInterval(rng, n, p, 4+rng.Intn(26), 1+rng.Intn(5))
-		pruned, err1 := SolveGaps(in)
-		plain, err2 := SolveGapsOpt(in, Options{NoPrune: true})
+		pruned, err1 := Solve(in, Objective{}, Options{})
+		plain, err2 := Solve(in, Objective{}, Options{NoPrune: true})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("feasibility disagreement: %v vs %v (jobs %v procs %d)", err1, err2, in.Jobs, in.Procs)
 		}
 		if err1 != nil {
 			continue
 		}
-		if pruned.Spans != plain.Spans || pruned.Gaps != plain.Gaps {
-			t.Fatalf("pruned spans %d != unpruned %d (jobs %v procs %d)", pruned.Spans, plain.Spans, in.Jobs, in.Procs)
+		if pruned.Cost != plain.Cost {
+			t.Fatalf("pruned spans %v != unpruned %v (jobs %v procs %d)", pruned.Cost, plain.Cost, in.Jobs, in.Procs)
 		}
 		if !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
 			t.Fatalf("pruned schedule differs (jobs %v procs %d):\n%v\nvs\n%v", in.Jobs, in.Procs, pruned.Schedule, plain.Schedule)
@@ -56,16 +56,16 @@ func TestPrunedPowerMatchesUnpruned(t *testing.T) {
 		p := 1 + rng.Intn(2)
 		alpha := float64(rng.Intn(9)) / 2
 		in := workload.FeasibleOneInterval(rng, n, p, 4+rng.Intn(24), 1+rng.Intn(5))
-		pruned, err1 := SolvePower(in, alpha)
-		plain, err2 := SolvePowerOpt(in, alpha, Options{NoPrune: true})
+		pruned, err1 := Solve(in, Objective{Power: true, Alpha: alpha}, Options{})
+		plain, err2 := Solve(in, Objective{Power: true, Alpha: alpha}, Options{NoPrune: true})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("feasibility disagreement: %v vs %v (jobs %v procs %d α=%v)", err1, err2, in.Jobs, in.Procs, alpha)
 		}
 		if err1 != nil {
 			continue
 		}
-		if pruned.Power != plain.Power {
-			t.Fatalf("pruned power %v != unpruned %v (jobs %v procs %d α=%v)", pruned.Power, plain.Power, in.Jobs, in.Procs, alpha)
+		if pruned.Cost != plain.Cost {
+			t.Fatalf("pruned power %v != unpruned %v (jobs %v procs %d α=%v)", pruned.Cost, plain.Cost, in.Jobs, in.Procs, alpha)
 		}
 		if !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
 			t.Fatalf("pruned schedule differs (jobs %v procs %d α=%v):\n%v\nvs\n%v", in.Jobs, in.Procs, alpha, pruned.Schedule, plain.Schedule)
@@ -93,19 +93,19 @@ func TestPruningShrinksDenseSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	in := workload.StressDense(rng, 120, 2)
 	start := time.Now()
-	pruned, err := SolveGaps(in)
+	pruned, err := Solve(in, Objective{}, Options{})
 	prunedDur := time.Since(start)
 	if err != nil {
-		t.Fatalf("SolveGaps: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	start = time.Now()
-	plain, err := SolveGapsOpt(in, Options{NoPrune: true})
+	plain, err := Solve(in, Objective{}, Options{NoPrune: true})
 	plainDur := time.Since(start)
 	if err != nil {
-		t.Fatalf("SolveGapsOpt: %v", err)
+		t.Fatalf("NoPrune: %v", err)
 	}
-	if pruned.Spans != plain.Spans {
-		t.Fatalf("pruned spans %d != unpruned %d", pruned.Spans, plain.Spans)
+	if pruned.Cost != plain.Cost {
+		t.Fatalf("pruned spans %v != unpruned %v", pruned.Cost, plain.Cost)
 	}
 	if pruned.ExpandedStates >= plain.ExpandedStates {
 		t.Fatalf("pruning expanded %d states, unpruned %d — no reduction",
@@ -126,16 +126,16 @@ func TestPruningShrinksDensePowerSolve(t *testing.T) {
 		t.Skip("dense instance")
 	}
 	in := workload.StressDense(rand.New(rand.NewSource(64)), 96, 3)
-	pruned, err := SolvePower(in, 2)
+	pruned, err := Solve(in, Objective{Power: true, Alpha: 2}, Options{})
 	if err != nil {
-		t.Fatalf("SolvePower: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	plain, err := SolvePowerOpt(in, 2, Options{NoPrune: true})
+	plain, err := Solve(in, Objective{Power: true, Alpha: 2}, Options{NoPrune: true})
 	if err != nil {
-		t.Fatalf("SolvePowerOpt: %v", err)
+		t.Fatalf("NoPrune: %v", err)
 	}
-	if pruned.Power != plain.Power || !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
-		t.Fatalf("pruned power %v differs from unpruned %v (or the schedules differ)", pruned.Power, plain.Power)
+	if pruned.Cost != plain.Cost || !reflect.DeepEqual(pruned.Schedule, plain.Schedule) {
+		t.Fatalf("pruned power %v differs from unpruned %v (or the schedules differ)", pruned.Cost, plain.Cost)
 	}
 	if 4*pruned.ExpandedStates > 3*plain.ExpandedStates {
 		t.Fatalf("bounded run expanded %d states, unpruned %d: more than 3/4",
@@ -177,7 +177,7 @@ func checkNodeLB[M costModel](t *testing.T, in sched.Instance, model func(p int)
 	b := newBase(in, false)
 	e := newEngine(b, model(b.p))
 	defer e.memo.release()
-	if _, _, _, ok := e.run(len(in.Jobs), infinite); !ok {
+	if e.dp(b.root(), infinite) >= infinite {
 		t.Fatalf("%T: unbounded solve found no schedule (jobs %v procs %d)", e.model, in.Jobs, in.Procs)
 	}
 	checked := 0

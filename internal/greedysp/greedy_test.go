@@ -44,12 +44,12 @@ func TestGreedyWithin3OfOptimalSpans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		opt, err := core.SolveGaps(in)
+		opt, err := core.Solve(in, core.Objective{}, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if res.Spans > 3*opt.Spans {
-			t.Fatalf("trial %d: greedy %d spans > 3×OPT %d (jobs %v)", trial, res.Spans, opt.Spans, in.Jobs)
+		if float64(res.Spans) > 3*opt.Cost {
+			t.Fatalf("trial %d: greedy %d spans > 3×OPT %v (jobs %v)", trial, res.Spans, opt.Cost, in.Jobs)
 		}
 	}
 }
@@ -62,12 +62,12 @@ func TestGreedyOptZeroCounterexample(t *testing.T) {
 		{Release: 7, Deadline: 8}, {Release: 2, Deadline: 6}, {Release: 9, Deadline: 11},
 		{Release: 8, Deadline: 10}, {Release: 7, Deadline: 11},
 	})
-	opt, err := core.SolveGaps(in)
+	opt, err := core.Solve(in, core.Objective{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Gaps != 0 {
-		t.Fatalf("counterexample optimum %d gaps, expected 0", opt.Gaps)
+	if opt.Cost != 1 {
+		t.Fatalf("counterexample optimum %v spans, expected 1 (no gaps)", opt.Cost)
 	}
 	res, err := Solve(in)
 	if err != nil {

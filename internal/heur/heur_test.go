@@ -66,13 +66,13 @@ func TestSolveSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatalf("heuristic gaps: %v (jobs %v)", err, in.Jobs)
 		}
-		opt, err := core.SolveGaps(in)
+		opt, err := core.Solve(in, core.Objective{}, core.Options{})
 		if err != nil {
-			t.Fatalf("core.SolveGaps: %v", err)
+			t.Fatalf("core.Solve: %v", err)
 		}
-		if float64(opt.Spans) < gr.LowerBound || gr.Spans < opt.Spans {
-			t.Fatalf("span sandwich violated: lb %v opt %d heur %d (jobs %v procs %d)",
-				gr.LowerBound, opt.Spans, gr.Spans, in.Jobs, in.Procs)
+		if opt.Cost < gr.LowerBound || float64(gr.Spans) < opt.Cost {
+			t.Fatalf("span sandwich violated: lb %v opt %v heur %d (jobs %v procs %d)",
+				gr.LowerBound, opt.Cost, gr.Spans, in.Jobs, in.Procs)
 		}
 		if gr.Spans != gr.Schedule.Spans() {
 			t.Fatalf("span accounting inconsistent: Spans %d, schedule %d", gr.Spans, gr.Schedule.Spans())
@@ -82,13 +82,13 @@ func TestSolveSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatalf("heuristic power: %v (jobs %v)", err, in.Jobs)
 		}
-		popt, err := core.SolvePower(in, alpha)
+		popt, err := core.Solve(in, core.Objective{Power: true, Alpha: alpha}, core.Options{})
 		if err != nil {
-			t.Fatalf("core.SolvePower: %v", err)
+			t.Fatalf("core.Solve: %v", err)
 		}
-		if popt.Power < pr.LowerBound-1e-9 || pr.Power < popt.Power-1e-9 {
+		if popt.Cost < pr.LowerBound-1e-9 || pr.Power < popt.Cost-1e-9 {
 			t.Fatalf("power sandwich violated: lb %v opt %v heur %v (jobs %v procs %d alpha %v)",
-				pr.LowerBound, popt.Power, pr.Power, in.Jobs, in.Procs, alpha)
+				pr.LowerBound, popt.Cost, pr.Power, in.Jobs, in.Procs, alpha)
 		}
 	}
 }

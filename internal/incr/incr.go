@@ -82,6 +82,17 @@ func (t *Tracker[R]) Len() int { return len(t.jobs) }
 // decomposition.
 func (t *Tracker[R]) Fragments() int { return len(t.frags) }
 
+// Horizon returns the live jobs' earliest release and latest deadline,
+// or (0, −1) when no job is live, like sched.Instance.TimeHorizon. The
+// fragments are disjoint and ascending, so the first one starts the
+// horizon and the last one ends it.
+func (t *Tracker[R]) Horizon() (lo, hi int) {
+	if len(t.frags) == 0 {
+		return 0, -1
+	}
+	return t.frags[0].start, t.frags[len(t.frags)-1].end
+}
+
 // Instance snapshots the current job set as a solver instance, jobs in
 // id order. A from-scratch solve of this instance is the reference the
 // tracker's incremental solution is bit-identical to.

@@ -24,14 +24,14 @@ type result struct {
 // gapSolve is the solve callback the tests hand to Resolve: the span
 // objective through the exact engine.
 func gapSolve(fr sched.Instance) result {
-	res, err := core.SolveGaps(fr)
-	return result{cost: float64(res.Spans), schedule: res.Schedule, err: err}
+	res, err := core.Solve(fr, core.Objective{}, core.Options{})
+	return result{cost: res.Cost, schedule: res.Schedule, err: err}
 }
 
 func powerSolve(alpha float64) func(sched.Instance) result {
 	return func(fr sched.Instance) result {
-		res, err := core.SolvePower(fr, alpha)
-		return result{cost: res.Power, schedule: res.Schedule, err: err}
+		res, err := core.Solve(fr, core.Objective{Power: true, Alpha: alpha}, core.Options{})
+		return result{cost: res.Cost, schedule: res.Schedule, err: err}
 	}
 }
 

@@ -76,7 +76,7 @@ func ApproxPower(mi sched.MultiInstance, alpha float64, opts Options) (sched.Mul
 		return sched.MultiSchedule{}, Stats{}, err
 	}
 	if !sched.ValidAlpha(alpha) {
-		return sched.MultiSchedule{}, Stats{}, fmt.Errorf("multiinterval: alpha %v is not finite and non-negative", alpha)
+		return sched.MultiSchedule{}, Stats{}, fmt.Errorf("multiinterval: alpha %v is outside [0, 2^53]", alpha)
 	}
 	if mi.N() == 0 {
 		return sched.MultiSchedule{}, Stats{}, nil

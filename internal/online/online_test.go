@@ -14,12 +14,12 @@ import (
 func TestLowerBoundFamilyOfflineOptimum(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		in := workload.OnlineLowerBound(n)
-		res, err := core.SolveGaps(in)
+		res, err := core.Solve(in, core.Objective{}, core.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if res.Spans != 1 {
-			t.Fatalf("n=%d: offline optimum %d spans, want 1", n, res.Spans)
+		if res.Cost != 1 {
+			t.Fatalf("n=%d: offline optimum %v spans, want 1", n, res.Cost)
 		}
 	}
 }

@@ -74,8 +74,13 @@ func Grid(in sched.Instance) []int {
 	runs, size := gridRuns(in)
 	grid := make([]int, 0, size)
 	for _, r := range runs {
-		for t := r[0]; t <= r[1]; t++ {
+		// Stop at r[1] before incrementing: t <= r[1] holds for every
+		// t when r[1] is MaxInt.
+		for t := r[0]; ; t++ {
 			grid = append(grid, t)
+			if t == r[1] {
+				break
+			}
 		}
 	}
 	return grid

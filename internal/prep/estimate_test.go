@@ -3,6 +3,7 @@ package prep
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -124,6 +125,11 @@ func TestGridSizeHandValues(t *testing.T) {
 	two := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 100, Deadline: 100}})
 	if got := gridSize(two); got != 6 {
 		t.Fatalf("two-cluster grid %d, want 6", got)
+	}
+	// A run that ends at MaxInt: Grid's loop must stop there.
+	top := sched.NewInstance([]sched.Job{{Release: math.MaxInt - 3, Deadline: math.MaxInt - 1}, {Release: math.MaxInt - 2, Deadline: math.MaxInt}})
+	if got, want := Grid(top), []int{math.MaxInt - 3, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) || gridSize(top) != len(want) {
+		t.Fatalf("grid ending at MaxInt: %v (size %d), want %v", got, gridSize(top), want)
 	}
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 400; trial++ {

@@ -120,23 +120,23 @@ func TestSplitGapsMatchesDirect(t *testing.T) {
 			in.Jobs[i].Release += off
 			in.Jobs[i].Deadline += off
 		}
-		direct, err := core.SolveGaps(in)
+		direct, err := core.Solve(in, core.Objective{}, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: direct solve: %v", trial, err)
 		}
 		pl := prep.ForGaps(in)
 		total, s := solveSplit(t, pl, func(sub sched.Instance) (float64, sched.Schedule, error) {
-			res, err := core.SolveGaps(sub)
-			return float64(res.Spans), res.Schedule, err
+			res, err := core.Solve(sub, core.Objective{}, core.Options{})
+			return res.Cost, res.Schedule, err
 		})
-		if int(total) != direct.Spans {
-			t.Fatalf("trial %d: split spans %v != direct %d (jobs %v)", trial, total, direct.Spans, in.Jobs)
+		if total != direct.Cost {
+			t.Fatalf("trial %d: split spans %v != direct %v (jobs %v)", trial, total, direct.Cost, in.Jobs)
 		}
 		if err := s.Validate(in); err != nil {
 			t.Fatalf("trial %d: assembled schedule invalid: %v", trial, err)
 		}
-		if got := s.Spans(); got != direct.Spans {
-			t.Fatalf("trial %d: assembled schedule has %d spans, want %d", trial, got, direct.Spans)
+		if got := s.Spans(); float64(got) != direct.Cost {
+			t.Fatalf("trial %d: assembled schedule has %d spans, want %v", trial, got, direct.Cost)
 		}
 	}
 }
@@ -149,23 +149,23 @@ func TestSplitPowerMatchesDirect(t *testing.T) {
 		p := 1 + rng.Intn(2)
 		alpha := alphas[rng.Intn(len(alphas))]
 		in := workload.FeasibleOneInterval(rng, n, p, 24, 3)
-		direct, err := core.SolvePower(in, alpha)
+		direct, err := core.Solve(in, core.Objective{Power: true, Alpha: alpha}, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: direct solve: %v", trial, err)
 		}
 		pl := prep.ForPower(in, alpha)
 		total, s := solveSplit(t, pl, func(sub sched.Instance) (float64, sched.Schedule, error) {
-			res, err := core.SolvePower(sub, alpha)
-			return res.Power, res.Schedule, err
+			res, err := core.Solve(sub, core.Objective{Power: true, Alpha: alpha}, core.Options{})
+			return res.Cost, res.Schedule, err
 		})
-		if math.Abs(total-direct.Power) > 1e-9 {
-			t.Fatalf("trial %d: split power %v != direct %v (α=%v jobs %v)", trial, total, direct.Power, alpha, in.Jobs)
+		if math.Abs(total-direct.Cost) > 1e-9 {
+			t.Fatalf("trial %d: split power %v != direct %v (α=%v jobs %v)", trial, total, direct.Cost, alpha, in.Jobs)
 		}
 		if err := s.Validate(in); err != nil {
 			t.Fatalf("trial %d: assembled schedule invalid: %v", trial, err)
 		}
-		if got := s.PowerCost(alpha); math.Abs(got-direct.Power) > 1e-9 {
-			t.Fatalf("trial %d: assembled schedule power %v, want %v", trial, got, direct.Power)
+		if got := s.PowerCost(alpha); math.Abs(got-direct.Cost) > 1e-9 {
+			t.Fatalf("trial %d: assembled schedule power %v, want %v", trial, got, direct.Cost)
 		}
 	}
 }

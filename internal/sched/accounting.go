@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"math"
+	"errors"
+	"fmt"
 	"sort"
 )
 
@@ -112,13 +113,56 @@ func (s Schedule) PowerCost(alpha float64) float64 {
 	return total
 }
 
-// ValidAlpha reports whether alpha is a usable transition cost: finite
-// and non-negative. NaN or an infinite alpha prices every schedule at
-// NaN or ±Inf, where no cost comparison can pick an optimum, so every
-// entry point that takes an alpha rejects all other values by this one
-// rule, whatever the objective.
+// MaxAlpha is the largest transition cost ValidAlpha admits, 2⁵³.
+// Above it α + 1 == α, so an active unit no longer changes a power
+// cost, and a huge finite α soon sums to +Inf; below it every cost
+// n + k·α of a schedule stays finite.
+const MaxAlpha = 1 << 53
+
+// ValidAlpha reports whether alpha is a usable transition cost: in
+// [0, MaxAlpha]. NaN, an infinite or a negative alpha prices schedules
+// at NaN, ±Inf or below their active units, and one above MaxAlpha
+// drowns the active units, so no cost comparison could pick an
+// optimum; every entry point that takes an alpha rejects all other
+// values by this one rule, whatever the objective.
 func ValidAlpha(alpha float64) bool {
-	return alpha >= 0 && alpha <= math.MaxFloat64 // false for NaN
+	return alpha >= 0 && alpha <= MaxAlpha // false for NaN
+}
+
+// MaxTime is the time-range rule every solve entry applies, as it
+// applies ValidAlpha: each release and deadline lies within ±MaxTime,
+// and an instance's latest deadline lies at most MaxTime after its
+// earliest release. MaxTime is 3·2⁶¹ ≈ 6.9·10¹⁸, so epoch nanoseconds
+// (≈1.8·10¹⁸ today) fit, and every time ± n and every difference of
+// two times ± n that the pipeline forms stays inside an int for any
+// job count n below 2⁶¹. Instance.Validate does not apply the rule:
+// heur.Greedy saturates, and accepts any int time when called alone.
+const MaxTime = 3 << 61
+
+// ErrTimeRange is wrapped by every violation of the time-range rule.
+var ErrTimeRange = errors.New("time outside the accepted range")
+
+// CheckHorizon applies the time-range rule to a job set whose earliest
+// release is lo and latest deadline hi, lo ≤ hi, and returns an error
+// wrapping ErrTimeRange when it fails.
+func CheckHorizon(lo, hi int) error {
+	// With both ends within ±MaxTime the true difference is below 2⁶⁴,
+	// so the unsigned one is exact where the signed one could wrap.
+	if lo < -MaxTime || hi > MaxTime || uint64(hi-lo) > MaxTime {
+		return fmt.Errorf("sched: %w: jobs span [%d,%d], but every time must lie within ±%d and the span within %d",
+			ErrTimeRange, lo, hi, MaxTime, MaxTime)
+	}
+	return nil
+}
+
+// CheckTimes applies the time-range rule (CheckHorizon) to the
+// instance's horizon; the empty instance passes. It assumes the
+// windows are valid (Validate).
+func (in Instance) CheckTimes() error {
+	if len(in.Jobs) == 0 {
+		return nil
+	}
+	return CheckHorizon(in.TimeHorizon())
 }
 
 // PowerCostSleepOnly returns the power consumption when the machine must

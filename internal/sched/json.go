@@ -59,7 +59,7 @@ func ReadJSON(r io.Reader) (File, error) {
 		return File{}, fmt.Errorf("sched: unknown instance kind %q", f.Kind)
 	}
 	if !ValidAlpha(f.Alpha) {
-		return File{}, fmt.Errorf("sched: alpha %v is not finite and non-negative", f.Alpha)
+		return File{}, fmt.Errorf("sched: alpha %v is outside [0, 2^53]", f.Alpha)
 	}
 	return f, nil
 }

@@ -37,7 +37,7 @@ var WireModes = [...]string{WireModeExact, WireModeHeuristic, WireModeAuto}
 
 // validConfig checks the solver configuration SolveRequest and
 // SessionCreateRequest share: a known objective, a known mode ("" is
-// the default of both) and a finite, non-negative alpha.
+// the default of both) and an alpha ValidAlpha admits.
 func validConfig(objective, mode string, alpha float64) error {
 	switch objective {
 	case "", WireGaps, WirePower:
@@ -49,7 +49,7 @@ func validConfig(objective, mode string, alpha float64) error {
 			mode, WireModeExact, WireModeHeuristic, WireModeAuto)
 	}
 	if !ValidAlpha(alpha) {
-		return fmt.Errorf("sched: alpha %v is not finite and non-negative", alpha)
+		return fmt.Errorf("sched: alpha %v is outside [0, 2^53]", alpha)
 	}
 	return nil
 }
@@ -113,12 +113,17 @@ func (r SolveRequest) Instance() Instance {
 }
 
 // Validate checks the request: a known objective, a known mode, a
-// finite, non-negative alpha, and a structurally valid instance.
+// valid alpha (ValidAlpha), a structurally valid instance and times
+// that obey the time-range rule (MaxTime).
 func (r SolveRequest) Validate() error {
 	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err
 	}
-	return r.Instance().Validate()
+	in := r.Instance()
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	return in.CheckTimes()
 }
 
 // BatchRequest is the wire form of the daemon's /v1/batch endpoint:
@@ -280,8 +285,8 @@ type SessionCreateRequest struct {
 }
 
 // Validate checks the request: a known objective, a known mode, a
-// finite, non-negative alpha, a representable processor count, and
-// non-empty job windows.
+// valid alpha (ValidAlpha), a representable processor count, non-empty
+// job windows and times that obey the time-range rule (MaxTime).
 func (r SessionCreateRequest) Validate() error {
 	if err := validConfig(r.Objective, r.Mode, r.Alpha); err != nil {
 		return err
@@ -294,7 +299,7 @@ func (r SessionCreateRequest) Validate() error {
 			return fmt.Errorf("sched: job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
 		}
 	}
-	return nil
+	return Instance{Jobs: r.Jobs}.CheckTimes()
 }
 
 // SessionDeltaRequest is the wire form of one job-churn step, the JSON
@@ -311,9 +316,11 @@ type SessionDeltaRequest struct {
 }
 
 // Validate checks the delta: it must carry at least one operation,
-// every added job needs a non-empty window, and no id is removed
-// twice. (Whether removal ids are live, and an online session's
-// arrival order, are checked by gapsched.Session.Apply, not here.)
+// every added job needs a non-empty window, the added jobs obey the
+// time-range rule (MaxTime) among themselves, and no id is removed
+// twice. (Whether removal ids are live, the rule across the added and
+// the live jobs, and an online session's arrival order, are checked by
+// gapsched.Session.Apply, not here.)
 func (r SessionDeltaRequest) Validate() error {
 	if len(r.Add) == 0 && len(r.Remove) == 0 {
 		return fmt.Errorf("sched: session delta carries no operations")
@@ -322,6 +329,9 @@ func (r SessionDeltaRequest) Validate() error {
 		if !j.Valid() {
 			return fmt.Errorf("sched: added job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
 		}
+	}
+	if err := (Instance{Jobs: r.Add}).CheckTimes(); err != nil {
+		return err
 	}
 	seen := make(map[int]bool, len(r.Remove))
 	for _, id := range r.Remove {

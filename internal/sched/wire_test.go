@@ -158,11 +158,11 @@ func TestWireRequestRejects(t *testing.T) {
 }
 
 // TestValidAlpha: the one transition-cost rule admits exactly the
-// finite, non-negative alphas, and both request validators apply it.
-// JSON cannot spell NaN or ±Inf, so only a request built in Go can
-// carry one to Validate.
+// alphas in [0, MaxAlpha], and both request validators apply it. JSON
+// cannot spell NaN or ±Inf, so only a request built in Go can carry
+// one to Validate.
 func TestValidAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, 0.5, 3.7, math.MaxFloat64} {
+	for _, alpha := range []float64{0, 0.5, 3.7, MaxAlpha} {
 		if !ValidAlpha(alpha) {
 			t.Errorf("ValidAlpha(%v) = false", alpha)
 		}
@@ -170,7 +170,8 @@ func TestValidAlpha(t *testing.T) {
 			t.Errorf("SolveRequest alpha %v: %v", alpha, err)
 		}
 	}
-	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64,
+		math.Nextafter(MaxAlpha, math.Inf(1)), math.MaxFloat64} {
 		if ValidAlpha(alpha) {
 			t.Errorf("ValidAlpha(%v) = true", alpha)
 		}

@@ -410,8 +410,10 @@ func wireError(err error) *sched.WireError {
 	case errors.Is(err, gapsched.ErrSessionClosed):
 		// The session was deleted or expired between lookup and use.
 		code = sched.ErrCodeNotFound
-	case errors.Is(err, gapsched.ErrCommitOnly), errors.Is(err, gapsched.ErrReleaseOrder):
-		// Online-session contract violations: the request is at fault.
+	case errors.Is(err, gapsched.ErrCommitOnly), errors.Is(err, gapsched.ErrReleaseOrder), errors.Is(err, sched.ErrTimeRange):
+		// Online-session contract violations, and a delta whose jobs
+		// break the time-range rule together with the session's: the
+		// request is at fault.
 		code = sched.ErrCodeBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = sched.ErrCodeCanceled

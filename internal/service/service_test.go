@@ -453,3 +453,77 @@ func TestSolveHugeProcs(t *testing.T) {
 		t.Fatalf("procs 1<<50: %+v; procs 1: %+v", got, want)
 	}
 }
+
+// TestOutOfRangeRequestsAreBadRequests: requests whose times break the
+// time-range rule, or whose alpha is above 2⁵³, are the client's
+// fault. /v1/solve, each /v1/batch element and /v1/session create
+// answer 400 bad_request — never 500 internal (the zero-based
+// translation of an int-wide window once overflowed into "empty
+// window"), never 422 infeasible (an alpha of 1e308 once priced every
+// schedule at +Inf) — and so does a delta whose job lies too far from
+// the session's live jobs, which leaves the session as it was. The
+// widest horizon the rule admits is solved: power 18 for three point
+// jobs at ±2⁶¹ on three processors at α = 2.
+func TestOutOfRangeRequestsAreBadRequests(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const (
+		minInt, maxInt = -1 << 63, 1<<63 - 1
+		twoTo61        = 1 << 61
+	)
+	bad := []sched.SolveRequest{
+		{Jobs: []sched.Job{{Release: minInt, Deadline: maxInt}, {Release: 0, Deadline: 0}}},
+		{Jobs: []sched.Job{{Release: -2 * twoTo61, Deadline: 2 * twoTo61}, {Release: 0, Deadline: 0}}},
+		{Mode: sched.WireModeAuto, Jobs: []sched.Job{{Release: maxInt - 3, Deadline: maxInt - 1}, {Release: maxInt - 2, Deadline: maxInt}}},
+		{Jobs: []sched.Job{{Release: minInt, Deadline: minInt + 2}, {Release: minInt + 1, Deadline: minInt + 3}}},
+		{Objective: sched.WirePower, Alpha: 1e308, Procs: 2, Jobs: []sched.Job{{Release: 0, Deadline: 0}, {Release: 0, Deadline: 0}}},
+	}
+	for _, req := range bad {
+		resp := postJSON(t, ts.URL+"/v1/solve", req)
+		if out := decodeSolve(t, resp); resp.StatusCode != http.StatusBadRequest || out.Err == nil || out.Err.Code != sched.ErrCodeBadRequest {
+			t.Errorf("/v1/solve %+v: status %d, payload %+v; want 400 bad_request", req, resp.StatusCode, out)
+		}
+		code, out := sessionDo(t, http.MethodPost, ts.URL+"/v1/session",
+			sched.SessionCreateRequest{Objective: req.Objective, Alpha: req.Alpha, Procs: req.Procs, Jobs: req.Jobs})
+		if code != http.StatusBadRequest || out.Err == nil || out.Err.Code != sched.ErrCodeBadRequest {
+			t.Errorf("/v1/session %+v: status %d, payload %+v; want 400 bad_request", req, code, out)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/batch", sched.BatchRequest{Requests: bad})
+	var batch sched.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil || len(batch.Responses) != len(bad) {
+		t.Fatalf("/v1/batch: %v, %d responses", err, len(batch.Responses))
+	}
+	resp.Body.Close()
+	for i, out := range batch.Responses {
+		if out.Err == nil || out.Err.Code != sched.ErrCodeBadRequest {
+			t.Errorf("/v1/batch element %d: payload %+v; want bad_request", i, out)
+		}
+	}
+
+	code, created := sessionDo(t, http.MethodPost, ts.URL+"/v1/session",
+		sched.SessionCreateRequest{Jobs: []sched.Job{{Release: -twoTo61, Deadline: -twoTo61}}})
+	if code != http.StatusOK {
+		t.Fatalf("create: status %d, payload %+v", code, created)
+	}
+	delta := ts.URL + "/v1/session/" + created.Session + "/delta"
+	far := sched.Job{Release: 2*twoTo61 + 1, Deadline: 2*twoTo61 + 1}
+	if code, out := sessionDo(t, http.MethodPost, delta, sched.SessionDeltaRequest{Add: []sched.Job{far}}); code != http.StatusBadRequest || out.Err == nil || out.Err.Code != sched.ErrCodeBadRequest {
+		t.Errorf("delta beyond the live horizon: status %d, payload %+v; want 400 bad_request", code, out)
+	}
+	if code, out := sessionDo(t, http.MethodPost, delta, sched.SessionDeltaRequest{Add: []sched.Job{{Release: 0, Deadline: 0}}}); code != http.StatusOK || out.Jobs != 2 {
+		t.Errorf("delta after the rejected one: status %d, payload %+v; want 2 live jobs", code, out)
+	}
+
+	var wide []sched.Job
+	for _, t0 := range []int{-twoTo61, twoTo61} {
+		wide = append(wide, sched.Job{Release: t0, Deadline: t0}, sched.Job{Release: t0, Deadline: t0}, sched.Job{Release: t0, Deadline: t0})
+	}
+	resp = postJSON(t, ts.URL+"/v1/solve", sched.SolveRequest{Objective: sched.WirePower, Alpha: 2, Procs: 3, Jobs: wide})
+	if out := decodeSolve(t, resp); resp.StatusCode != http.StatusOK || out.Power != 18 {
+		t.Errorf("widest admitted horizon: status %d, payload %+v; want power 18", resp.StatusCode, out)
+	}
+}

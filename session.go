@@ -124,6 +124,10 @@ type UnknownJobError = incr.UnknownJobError
 //   - ErrSessionClosed on a closed session;
 //   - ErrCommitOnly for any removal on an online session;
 //   - an error naming the first added job with an empty window;
+//   - a validation error when the added jobs, together with the jobs
+//     live before the delta (those it removes included), break the
+//     time-range rule: every time within ±3·2⁶¹, spanning at most
+//     3·2⁶¹;
 //   - ErrReleaseOrder on an online session, for the first arrival
 //     released before the watermark or before an earlier arrival;
 //   - *UnknownJobError for a removal id that is not live, or for one
@@ -149,6 +153,16 @@ func (ss *Session) Apply(add []Job, remove []int) (ids []int, live int, err erro
 	for i, j := range add {
 		if !j.Valid() {
 			return nil, 0, fmt.Errorf("gapsched: added job %d has empty window [%d,%d]", i, j.Release, j.Deadline)
+		}
+	}
+	if len(add) > 0 {
+		lo, hi := Instance{Jobs: add}.TimeHorizon()
+		if ss.tr.Len() > 0 {
+			liveLo, liveHi := ss.tr.Horizon()
+			lo, hi = min(lo, liveLo), max(hi, liveHi)
+		}
+		if err := sched.CheckHorizon(lo, hi); err != nil {
+			return nil, 0, err
 		}
 	}
 	watermark := ss.watermark

@@ -326,13 +326,13 @@ const heurTag = 0x80
 
 // objectiveRuntime binds the objective- and mode-specific pieces of
 // the pipeline after the configuration has been validated once: where
-// to split an instance, how to solve one fragment on each backend,
-// which backend a fragment goes to, and how to interpret the
-// accumulated cost. Sharing it between Solve and SolveBatch is what
-// makes their validation and results uniform.
+// to split an instance, which backend a fragment goes to, the objective
+// both backends price by, and how to interpret the accumulated cost.
+// Sharing it between Solve and SolveBatch is what makes their
+// validation and results uniform.
 type objectiveRuntime struct {
-	tag    byte // cache-key objective tag
-	alpha  float64
+	tag    byte           // cache-key objective tag
+	obj    core.Objective // Alpha is 0 for gaps, so the cache key ignores a stray alpha
 	mode   Mode
 	budget int // resolved ModeAuto exact-tier admission bound
 	// splitWidth is the narrowest forced-idle run that splits an
@@ -340,8 +340,6 @@ type objectiveRuntime struct {
 	// prep.ForGaps and prep.ForPower). The one-shot plan and every
 	// session's tracker decompose with it.
 	splitWidth float64
-	solve      [len(obs.Backends)]func(sched.Instance) fragResult // indexed by backend
-	finish     func(*Solution, float64)
 }
 
 // tier picks the backend serving one fragment under the configured
@@ -364,13 +362,43 @@ func (rt *objectiveRuntime) tier(fr sched.Instance) obs.Backend {
 	return obs.BackendDP
 }
 
-// heurErr maps the heuristic tier's infeasibility onto the facade's
-// ErrInfeasible, so callers see one error identity regardless of tier.
-func heurErr(err error) error {
-	if errors.Is(err, heur.ErrInfeasible) {
-		return ErrInfeasible
+// solve solves one fragment on backend b. The exact engine's optimum
+// is its own lower bound; the greedy's schedule is priced under the
+// objective and certified by the internal/heur bound, and its
+// infeasibility maps onto the facade's ErrInfeasible, so callers see
+// one error identity regardless of tier.
+func (rt *objectiveRuntime) solve(b obs.Backend, fr sched.Instance) fragResult {
+	if b == obs.BackendDP {
+		res, err := core.Solve(fr, rt.obj, core.Options{})
+		return fragResult{cost: res.Cost, schedule: res.Schedule,
+			states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
+			lb: res.Cost, err: err}
 	}
-	return err
+	greedy, err := heur.Greedy(fr)
+	if errors.Is(err, heur.ErrInfeasible) {
+		err = ErrInfeasible
+	}
+	if err != nil {
+		return fragResult{err: err}
+	}
+	lb := float64(heur.FragmentSpanLB(fr))
+	if rt.obj.Power {
+		lb = heur.FragmentPowerLB(fr, rt.obj.Alpha)
+	}
+	return fragResult{cost: rt.obj.Price(greedy), schedule: greedy, lb: lb}
+}
+
+// finish names the fragment costs' sum in sol's objective fields: the
+// span count for gaps; for power the power, plus the spans of the
+// returned schedule, which need not be span-minimal.
+func (rt *objectiveRuntime) finish(sol *Solution, cost float64) {
+	if rt.obj.Power {
+		sol.Power = cost
+		sol.Spans = sol.Schedule.Spans()
+	} else {
+		sol.Spans = int(cost)
+	}
+	sol.Gaps = max(sol.Spans-1, 0)
 }
 
 // runtime validates the Solver configuration — Alpha, Objective, and
@@ -378,73 +406,23 @@ func heurErr(err error) error {
 // for identical misconfigurations regardless of objective path.
 func (s Solver) runtime() (objectiveRuntime, error) {
 	if !sched.ValidAlpha(s.Alpha) {
-		return objectiveRuntime{}, fmt.Errorf("gapsched: transition cost alpha %v is not finite and non-negative", s.Alpha)
+		return objectiveRuntime{}, fmt.Errorf("gapsched: transition cost alpha %v is outside [0, 2^53]", s.Alpha)
 	}
 	switch s.Mode {
 	case ModeExact, ModeHeuristic, ModeAuto:
 	default:
 		return objectiveRuntime{}, fmt.Errorf("gapsched: unknown mode %v", s.Mode)
 	}
-	budget := s.StateBudget
-	if budget == 0 {
-		budget = DefaultStateBudget
+	rt := objectiveRuntime{tag: byte(s.Objective), mode: s.Mode, budget: s.StateBudget, splitWidth: 1}
+	if rt.budget == 0 {
+		rt.budget = DefaultStateBudget
 	}
 	switch s.Objective {
 	case ObjectiveGaps:
-		return objectiveRuntime{
-			tag:        byte(ObjectiveGaps),
-			mode:       s.Mode,
-			budget:     budget,
-			splitWidth: 1,
-			solve: [...]func(sched.Instance) fragResult{
-				obs.BackendDP: func(fr sched.Instance) fragResult {
-					res, err := core.SolveGaps(fr)
-					return fragResult{cost: float64(res.Spans), schedule: res.Schedule,
-						states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-						lb: float64(res.Spans), err: err}
-				},
-				obs.BackendHeur: func(fr sched.Instance) fragResult {
-					greedy, err := heur.Greedy(fr)
-					if err != nil {
-						return fragResult{err: heurErr(err)}
-					}
-					return fragResult{cost: float64(greedy.Spans()), schedule: greedy, lb: float64(heur.FragmentSpanLB(fr))}
-				},
-			},
-			finish: func(sol *Solution, cost float64) {
-				sol.Spans = int(cost)
-				sol.Gaps = max(sol.Spans-1, 0)
-			},
-		}, nil
+		return rt, nil
 	case ObjectivePower:
-		alpha := s.Alpha
-		return objectiveRuntime{
-			tag:        byte(ObjectivePower),
-			alpha:      alpha,
-			mode:       s.Mode,
-			budget:     budget,
-			splitWidth: alpha,
-			solve: [...]func(sched.Instance) fragResult{
-				obs.BackendDP: func(fr sched.Instance) fragResult {
-					res, err := core.SolvePower(fr, alpha)
-					return fragResult{cost: res.Power, schedule: res.Schedule,
-						states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-						lb: res.Power, err: err}
-				},
-				obs.BackendHeur: func(fr sched.Instance) fragResult {
-					greedy, err := heur.Greedy(fr)
-					if err != nil {
-						return fragResult{err: heurErr(err)}
-					}
-					return fragResult{cost: greedy.PowerCost(alpha), schedule: greedy, lb: heur.FragmentPowerLB(fr, alpha)}
-				},
-			},
-			finish: func(sol *Solution, cost float64) {
-				sol.Power = cost
-				sol.Spans = sol.Schedule.Spans()
-				sol.Gaps = max(sol.Spans-1, 0)
-			},
-		}, nil
+		rt.obj, rt.splitWidth = core.Objective{Power: true, Alpha: s.Alpha}, s.Alpha
+		return rt, nil
 	}
 	return objectiveRuntime{}, fmt.Errorf("gapsched: unknown objective %v", s.Objective)
 }
@@ -516,7 +494,8 @@ type preparedInstance struct {
 
 // prepare runs the prep phase for one instance, timing it (the prep
 // duration lands in Solution.Timings and, when a trace is attached, a
-// StagePrep span).
+// StagePrep span). Validation, the time-range rule included, comes
+// first under both NoPreprocess settings.
 func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *preparedInstance {
 	start := time.Now()
 	p := &preparedInstance{in: in}
@@ -524,13 +503,15 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 		p.prepDur = time.Since(start)
 		tr.Span(obs.StagePrep, "", start, p.prepDur)
 	}()
+	if p.err = in.Validate(); p.err == nil {
+		p.err = in.CheckTimes()
+	}
+	if p.err != nil {
+		return p
+	}
 	if s.NoPreprocess {
 		p.frags = []sched.Instance{in}
 	} else {
-		if err := in.Validate(); err != nil {
-			p.err = err
-			return p
-		}
 		p.plan = prep.Decompose(in, rt.splitWidth)
 		p.frags = make([]sched.Instance, len(p.plan.Subs))
 		for i, sub := range p.plan.Subs {
@@ -556,10 +537,9 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Trace) fragResult {
 	start := time.Now()
 	b := rt.tier(fr)
-	solve := rt.solve[b]
 	var res fragResult
 	if s.Cache == nil {
-		res = solve(fr)
+		res = rt.solve(b, fr)
 	} else {
 		tag := rt.tag
 		if b == obs.BackendHeur {
@@ -567,7 +547,7 @@ func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Tr
 		}
 		canon, perm := prep.Canonicalize(fr)
 		var hit bool
-		res, hit = s.Cache.c.Do(prep.CanonicalKey(canon, tag, rt.alpha), func() fragResult { return solve(canon) })
+		res, hit = s.Cache.c.Do(prep.CanonicalKey(canon, tag, rt.obj.Alpha), func() fragResult { return rt.solve(b, canon) })
 		res.hit = hit
 		if res.err == nil {
 			// Canonical job i is fragment job perm[i]; their windows

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -109,14 +110,92 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	}
 }
 
+// outOfRange lists instances whose times break the time-range rule:
+// near MaxInt (the engine's grid loop never ended), near MinInt (its
+// virtual start wrapped into a wrong "infeasible"), the whole int range
+// and a ±2⁶² window (the zero-based translation overflowed into an
+// empty window) and two point jobs MaxTime+1 apart.
+var outOfRange = map[string][]Job{
+	"near MaxInt":     {{Release: math.MaxInt - 3, Deadline: math.MaxInt - 1}, {Release: math.MaxInt - 2, Deadline: math.MaxInt}},
+	"near MinInt":     {{Release: math.MinInt, Deadline: math.MinInt + 2}, {Release: math.MinInt + 1, Deadline: math.MinInt + 3}},
+	"whole int range": {{Release: math.MinInt, Deadline: math.MaxInt}, {Release: 0, Deadline: 0}},
+	"window ±2^62":    {{Release: -1 << 62, Deadline: 1 << 62}, {Release: 0, Deadline: 0}},
+	"span MaxTime+1":  {{Release: -1 << 61, Deadline: -1 << 61}, {Release: 1<<62 + 1, Deadline: 1<<62 + 1}},
+}
+
+// TestTimeRangeRule: Solve and SolveBatch, in every mode and under
+// both NoPreprocess settings, and Session.Apply reject every instance
+// of outOfRange with an error wrapping sched.ErrTimeRange — never an
+// answer, never ErrInfeasible, never a hang — and leave the session
+// empty. A delta that breaks the rule only together with the session's
+// live jobs is rejected too, and the widest instance the rule admits,
+// three point jobs at −2⁶¹ and three at 2⁶¹ on three processors, is
+// solved to its optimum: 6 spans, and power 6 + 6α = 18 at α = 2,
+// where the engine's bridging cost once overflowed to −4.6·10¹⁸.
+func TestTimeRangeRule(t *testing.T) {
+	for name, jobs := range outOfRange {
+		in := NewMultiprocInstance(jobs, 2)
+		for _, obj := range []Objective{ObjectiveGaps, ObjectivePower} {
+			for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
+				for _, noPrep := range []bool{false, true} {
+					s := Solver{Objective: obj, Alpha: 2, Mode: mode, NoPreprocess: noPrep}
+					if _, err := s.Solve(in); !errors.Is(err, sched.ErrTimeRange) {
+						t.Fatalf("%s, %v %v noPrep=%v: Solve error %v, want sched.ErrTimeRange", name, obj, mode, noPrep, err)
+					}
+					if res := s.SolveBatch([]Instance{in}); !errors.Is(res[0].Err, sched.ErrTimeRange) {
+						t.Fatalf("%s, %v %v noPrep=%v: SolveBatch error %v, want sched.ErrTimeRange", name, obj, mode, noPrep, res[0].Err)
+					}
+				}
+				ss, err := Solver{Objective: obj, Alpha: 2, Mode: mode}.Open(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := ss.Apply(jobs, nil); !errors.Is(err, sched.ErrTimeRange) || ss.Len() != 0 {
+					t.Fatalf("%s, %v %v: Apply error %v with %d live jobs, want sched.ErrTimeRange and none", name, obj, mode, err, ss.Len())
+				}
+			}
+		}
+	}
+
+	ss, err := Solver{}.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ss.Apply([]Job{{Release: -1 << 61, Deadline: -1 << 61}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	far := Job{Release: 1<<62 + 1, Deadline: 1<<62 + 1}
+	if _, _, err := ss.Apply([]Job{far}, nil); !errors.Is(err, sched.ErrTimeRange) || ss.Len() != 1 {
+		t.Fatalf("delta beyond the live horizon: error %v with %d live jobs, want sched.ErrTimeRange and 1", err, ss.Len())
+	}
+
+	var wide []Job
+	for _, t0 := range []int{-1 << 61, 1 << 61} {
+		wide = append(wide, Job{Release: t0, Deadline: t0}, Job{Release: t0, Deadline: t0}, Job{Release: t0, Deadline: t0})
+	}
+	in := NewMultiprocInstance(wide, 3)
+	for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
+		for _, noPrep := range []bool{false, true} {
+			gaps, err := Solver{Mode: mode, NoPreprocess: noPrep}.Solve(in)
+			if err != nil || gaps.Spans != 6 {
+				t.Fatalf("%v noPrep=%v: gaps %d, error %v; want 6 spans", mode, noPrep, gaps.Spans, err)
+			}
+			power, err := Solver{Objective: ObjectivePower, Alpha: 2, Mode: mode, NoPreprocess: noPrep}.Solve(in)
+			if err != nil || power.Power != 18 {
+				t.Fatalf("%v noPrep=%v: power %v, error %v; want 18", mode, noPrep, power.Power, err)
+			}
+		}
+	}
+}
+
 // TestInvalidAlphaRejected: a NaN, infinite or negative transition
-// cost is an invalid configuration for either objective. Solve in every
-// mode, SolveBatch, Open and OpenOnline reject it with the same error,
-// which names alpha, rather than pricing a schedule at NaN or ±Inf or
-// calling a feasible instance infeasible.
+// cost, or one above 2⁵³, is an invalid configuration for either
+// objective. Solve in every mode, SolveBatch, Open and OpenOnline
+// reject it with the same error, which names alpha, rather than pricing
+// a schedule at NaN or ±Inf or calling a feasible instance infeasible.
 func TestInvalidAlphaRejected(t *testing.T) {
 	in := NewInstance([]Job{{Release: 0, Deadline: 2}, {Release: 1, Deadline: 3}, {Release: 9, Deadline: 12}})
-	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e308, math.Nextafter(1<<53, math.Inf(1))} {
 		for _, obj := range []Objective{ObjectiveGaps, ObjectivePower} {
 			for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
 				s := Solver{Objective: obj, Alpha: alpha, Mode: mode}
