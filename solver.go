@@ -117,8 +117,7 @@ type Solver struct {
 	// Objective selects the cost model. Default: ObjectiveGaps.
 	Objective Objective
 	// Alpha is the sleep→active transition cost; used by
-	// ObjectivePower. Must be finite and non-negative, whatever the
-	// objective.
+	// ObjectivePower. Must lie in [0, 2⁵³], whatever the objective.
 	Alpha float64
 	// NoPreprocess skips the prep layer and hands the raw instance to
 	// the DP engine in one piece. Useful for ablation; results are
@@ -381,11 +380,13 @@ func (rt *objectiveRuntime) solve(b obs.Backend, fr sched.Instance) fragResult {
 	if err != nil {
 		return fragResult{err: err}
 	}
-	lb := float64(heur.FragmentSpanLB(fr))
+	r := fragResult{cost: rt.obj.Price(greedy), schedule: greedy}
 	if rt.obj.Power {
-		lb = heur.FragmentPowerLB(fr, rt.obj.Alpha)
+		r.lb = heur.FragmentPowerLB(fr, rt.obj.Alpha)
+	} else {
+		r.lb = float64(heur.FragmentSpanLB(fr))
 	}
-	return fragResult{cost: rt.obj.Price(greedy), schedule: greedy, lb: lb}
+	return r
 }
 
 // finish names the fragment costs' sum in sol's objective fields: the
