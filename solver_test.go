@@ -130,8 +130,9 @@ var outOfRange = map[string][]Job{
 // empty. A delta that breaks the rule only together with the session's
 // live jobs is rejected too, and the widest instance the rule admits,
 // three point jobs at −2⁶¹ and three at 2⁶¹ on three processors, is
-// solved to its optimum: 6 spans, and power 6 + 6α = 18 at α = 2,
-// where the engine's bridging cost once overflowed to −4.6·10¹⁸.
+// solved to its optimum by Solve, SolveBatch and a session in every
+// mode: 6 spans, and power 6 + 6α = 18 at α = 2, where the engine's
+// bridging cost once overflowed to −4.6·10¹⁸ under NoPreprocess.
 func TestTimeRangeRule(t *testing.T) {
 	for name, jobs := range outOfRange {
 		in := NewMultiprocInstance(jobs, 2)
@@ -175,14 +176,30 @@ func TestTimeRangeRule(t *testing.T) {
 	}
 	in := NewMultiprocInstance(wide, 3)
 	for _, mode := range []Mode{ModeExact, ModeHeuristic, ModeAuto} {
-		for _, noPrep := range []bool{false, true} {
-			gaps, err := Solver{Mode: mode, NoPreprocess: noPrep}.Solve(in)
-			if err != nil || gaps.Spans != 6 {
-				t.Fatalf("%v noPrep=%v: gaps %d, error %v; want 6 spans", mode, noPrep, gaps.Spans, err)
+		for _, obj := range []Objective{ObjectiveGaps, ObjectivePower} {
+			want := 6.0 // spans; power is 6 busy units + 6 wakes · α
+			if obj == ObjectivePower {
+				want = 18
 			}
-			power, err := Solver{Objective: ObjectivePower, Alpha: 2, Mode: mode, NoPreprocess: noPrep}.Solve(in)
-			if err != nil || power.Power != 18 {
-				t.Fatalf("%v noPrep=%v: power %v, error %v; want 18", mode, noPrep, power.Power, err)
+			for _, noPrep := range []bool{false, true} {
+				s := Solver{Objective: obj, Alpha: 2, Mode: mode, NoPreprocess: noPrep}
+				sol, err := s.Solve(in)
+				if err != nil || obj.Cost(sol) != want {
+					t.Fatalf("%v %v noPrep=%v: Solve cost %v, error %v; want %v", obj, mode, noPrep, obj.Cost(sol), err, want)
+				}
+				if res := s.SolveBatch([]Instance{in}); res[0].Err != nil || obj.Cost(res[0].Solution) != want {
+					t.Fatalf("%v %v noPrep=%v: SolveBatch cost %v, error %v; want %v", obj, mode, noPrep, obj.Cost(res[0].Solution), res[0].Err, want)
+				}
+			}
+			ss, err := Solver{Objective: obj, Alpha: 2, Mode: mode}.Open(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ss.Apply(wide, nil); err != nil {
+				t.Fatal(err)
+			}
+			if sol, err := ss.Resolve(); err != nil || obj.Cost(sol) != want {
+				t.Fatalf("%v %v: session cost %v, error %v; want %v", obj, mode, obj.Cost(sol), err, want)
 			}
 		}
 	}
