@@ -37,13 +37,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/feas"
-	"repro/internal/heur"
 	"repro/internal/prep"
 	"repro/internal/sched"
 )
@@ -52,97 +53,151 @@ import (
 // schedule.
 var ErrInfeasible = errors.New("core: instance is infeasible")
 
-// base holds the instance view shared by every engine instantiation.
+// base is the engine's view of one fragment: the candidate grid, the
+// interval endpoint tables and the interval index. Its arrays belong to
+// a workspace and are rebuilt in place for every fragment.
 type base struct {
 	jobs []sched.Job
 	p    int
 	byDL []int // all job indices in (deadline, release, index) order
 	grid []int // candidate execution times, sorted ascending
 	rel  []int // rel[j] is the grid index of job j's release
+	dlx  []int // dlx[j] is the number of grid times at or before job j's deadline
 
-	lists map[[2]int][]int // (t1,t2) → R(t1,t2) in deadline order
+	// t1val[i] is the left endpoint encoded by index i: t1val[0] is the
+	// virtual start (grid[0]−1) and t1val[g+1] is grid[g]+1, the right
+	// child's start after a split at grid[g]. t2val[g] is grid[g] and
+	// t2val[G] is the virtual end (grid[G−1]+1). Both lists are strictly
+	// increasing, so index pairs identify intervals uniquely.
+	t1val, t2val []int
+
+	// The interval index. Node (i1, i2) owns the jobs whose release
+	// grid index lies in [i1, min(i2, G−1)], in byDL order. rank[gi]
+	// (gi ∈ [0, G]) is the number of distinct release grid indices
+	// below gi, so a node's jobs are those whose release rank lies in
+	// [rank[i1], rank[min(i2+1, G)]). below[q·cols + c] is the number
+	// of jobs of byDL[:q] whose release rank is below c, for q ∈ [0, n]
+	// and c ∈ [0, R] with R ≤ n distinct releases: (n+1)(R+1) counts,
+	// sized by the releases rather than by the grid, which can hold
+	// O(n²) times.
+	rank  []int32
+	below []int32
+	cols  int // R + 1
 }
 
-// newBase builds the engine's instance view. The candidate grid is the
-// anchor grid (prep.Grid), or every integer time of the horizon under
-// fullGrid; both contain every release, which rel indexes.
-func newBase(in sched.Instance, fullGrid bool) *base {
-	b := &base{
-		jobs:  in.Jobs,
-		p:     in.Procs,
-		byDL:  in.SortedByDeadline(),
-		rel:   make([]int, len(in.Jobs)),
-		lists: make(map[[2]int][]int),
-	}
+// reset rebuilds b for in, reusing b's arrays. The candidate grid is
+// the anchor grid (prep.AppendGrid), or every integer time of the
+// horizon under fullGrid; both contain every release, which rel
+// indexes.
+func (b *base) reset(in sched.Instance, fullGrid bool) {
+	n := len(in.Jobs)
+	b.jobs = in.Jobs
 	// No schedule ever occupies more than n processors at once, and no
 	// optimal profile rises above the busiest time, so capping p at n
 	// preserves the optimum while shrinking the level dimensions of the
 	// memo table.
-	if b.p > len(in.Jobs) {
-		b.p = len(in.Jobs)
+	b.p = min(in.Procs, n)
+	b.byDL = resize(b.byDL, n)
+	for j := range b.byDL {
+		b.byDL[j] = j
 	}
+	slices.SortFunc(b.byDL, func(x, y int) int {
+		a, c := in.Jobs[x], in.Jobs[y]
+		return cmp.Or(cmp.Compare(a.Deadline, c.Deadline), cmp.Compare(a.Release, c.Release), cmp.Compare(x, y))
+	})
+
 	if fullGrid {
 		lo, hi := in.TimeHorizon()
-		b.grid = make([]int, 0, hi-lo+1)
-		for t := lo; t <= hi; t++ {
+		b.grid = slices.Grow(b.grid[:0], hi-lo+1)
+		// Stop at hi before incrementing: t <= hi holds for every t
+		// when hi is MaxInt.
+		for t := lo; ; t++ {
 			b.grid = append(b.grid, t)
+			if t == hi {
+				break
+			}
 		}
 	} else {
-		b.grid = prep.Grid(in)
+		b.grid = prep.AppendGrid(b.grid[:0], in)
 	}
+	g := len(b.grid)
+	b.t1val, b.t2val = resize(b.t1val, g+1), resize(b.t2val, g+1)
+	b.t1val[0] = b.grid[0] - 1
+	for i, t := range b.grid {
+		b.t1val[i+1] = t + 1
+		b.t2val[i] = t
+	}
+	b.t2val[g] = b.grid[g-1] + 1
+
+	b.rel, b.dlx = resize(b.rel, n), resize(b.dlx, n)
+	b.rank = resize(b.rank, g+1)
+	clear(b.rank)
 	for j, job := range in.Jobs {
-		b.rel[j] = sort.SearchInts(b.grid, job.Release)
+		r := sort.SearchInts(b.grid, job.Release)
+		d := sort.SearchInts(b.grid, job.Deadline)
+		if d < g && b.grid[d] == job.Deadline {
+			d++
+		}
+		b.rel[j], b.dlx[j] = r, d
+		b.rank[r+1] = 1 // release index r is taken; summed below
 	}
-	return b
+	for gi := 1; gi <= g; gi++ {
+		b.rank[gi] += b.rank[gi-1]
+	}
+	b.cols = int(b.rank[g]) + 1
+	b.below = resize(b.below, (n+1)*b.cols)
+	clear(b.below[:b.cols])
+	for q, j := range b.byDL {
+		prev, row := b.below[q*b.cols:(q+1)*b.cols], b.below[(q+1)*b.cols:(q+2)*b.cols]
+		c := int(b.rank[b.rel[j]]) + 1 // the first column that counts job j
+		copy(row[:c], prev[:c])
+		for x := c; x < b.cols; x++ {
+			row[x] = prev[x] + 1
+		}
+	}
 }
 
 // root is the subproblem covering the whole horizon with every job.
 func (b *base) root() node { return node{i1: 0, i2: len(b.grid), k: len(b.jobs)} }
 
-// list returns the deadline-ordered global job indices released in
-// [t1, t2], cached per interval.
-func (b *base) list(t1, t2 int) []int {
-	key := [2]int{t1, t2}
-	if l, ok := b.lists[key]; ok {
-		return l
-	}
-	l := []int{}
-	for _, j := range b.byDL {
-		if a := b.jobs[j].Release; t1 <= a && a <= t2 {
-			l = append(l, j)
-		}
-	}
-	b.lists[key] = l
-	return l
+// columns returns the release-rank range [lo, hi) of the jobs node
+// interval (i1, i2) owns, for i1 ≤ i2.
+func (b *base) columns(i1, i2 int) (lo, hi int) {
+	return int(b.rank[i1]), int(b.rank[min(i2+1, len(b.grid))])
 }
 
-// gridRange returns the half-open index range of grid times within
-// [lo, hi].
-func (b *base) gridRange(lo, hi int) (int, int) {
-	return sort.SearchInts(b.grid, lo), sort.SearchInts(b.grid, hi+1)
+// count returns how many jobs of byDL[:q] have release ranks in
+// [lo, hi): one table difference.
+func (b *base) count(q, lo, hi int) int {
+	row := b.below[q*b.cols : (q+1)*b.cols]
+	return int(row[hi] - row[lo])
 }
 
-// pendingCounts fills pend[gi−giLo], for every grid index gi in
-// [giLo, giHi), with the i of the recurrence at t′ = grid[gi]: the
-// number of the first k−1 jobs of list released strictly after t′, which
-// must go to the right subproblem when j_k is placed there. pend has
-// length giHi − giLo. Releases lie on the grid, so one pass buckets them
-// by grid index and a suffix sum turns the buckets into counts:
-// O(k + giHi − giLo) for the whole range.
-func (b *base) pendingCounts(list []int, k, giLo, giHi int, pend []int) {
-	clear(pend)
-	after := 0 // released after grid[giHi−1]
-	for _, j := range list[:k-1] {
-		switch r := b.rel[j]; {
-		case r >= giHi:
-			after++
-		case r >= giLo:
-			pend[r-giLo]++
+// kth returns the position in byDL of the k-th job (k ≥ 1) whose
+// release rank lies in [lo, hi), by binary search over the prefixes:
+// the smallest q with count(q+1, lo, hi) = k. The caller guarantees
+// k ≤ count(n, lo, hi). Of the jobs before it, count(q, lo, hi) = k−1
+// lie in the range.
+func (b *base) kth(k, lo, hi int) int {
+	a, z := k-1, len(b.byDL)-1
+	for a < z {
+		m := int(uint(a+z) >> 1)
+		if b.count(m+1, lo, hi) >= k {
+			z = m
+		} else {
+			a = m + 1
 		}
 	}
-	for x := len(pend) - 1; x >= 0; x-- {
-		pend[x], after = after, after+pend[x]
+	return a
+}
+
+// resize returns buf with length n, reusing its storage when it is
+// large enough; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
 }
 
 // choice kinds recorded for reconstruction. choiceUnset must stay zero:
@@ -222,7 +277,9 @@ var errInvalidAlpha = errors.New("core: transition cost alpha is outside [0, 2^5
 // Hall's condition, independently of the greedy), the greedy
 // incumbent, priced by obj, that seeds the branch-and-bound budget, the
 // engine run with its defensive unbounded retry, and the staircase
-// layout plus validation of the schedule. It returns ErrInfeasible
+// layout plus validation of the schedule. Everything from the greedy
+// on runs in a workspace from the free list, so a solve after warm-up
+// allocates none of the engine's buffers. It returns ErrInfeasible
 // when no feasible schedule exists.
 func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
 	if err := in.Validate(); err != nil {
@@ -241,22 +298,26 @@ func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
 	if !feas.FeasibleOneInterval(in) {
 		return Result{}, ErrInfeasible
 	}
-	b := newBase(in, opts.FullGrid && !obj.Power)
+	w := getWorkspace()
+	defer putWorkspace(w)
+	w.reset(in, opts.FullGrid && !obj.Power)
 	budget := infinite
 	if !opts.NoPrune {
-		if s, err := heur.Greedy(in); err == nil {
+		if s, err := w.greedy.Greedy(in); err == nil {
 			// One ulp above the incumbent: a node is cut only when its
 			// bound strictly exceeds every cost the incumbent still
 			// allows, so an optimum equal to it is found exactly.
 			budget = math.Nextafter(obj.Price(s), infinite)
 		}
 	}
-	r := Result{Schedule: sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, n)}}
+	var r Result
+	w.placed = resize(w.placed, n)
+	clear(w.placed)
 	var placed int
 	if obj.Power {
-		placed = search(b, powerModel{p: b.p, alpha: obj.Alpha}, budget, &r)
+		placed = search(w, powerModel{p: w.p, alpha: obj.Alpha}, budget, &r)
 	} else {
-		placed = search(b, gapModel{p: b.p}, budget, &r)
+		placed = search(w, gapModel{p: w.p}, budget, &r)
 	}
 	if placed < 0 {
 		// Cannot happen after the feasibility pre-check; defensive.
@@ -265,22 +326,25 @@ func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
 	if placed != n {
 		return Result{}, fmt.Errorf("core: reconstruction placed %d of %d jobs", placed, n)
 	}
-	r.Schedule = r.Schedule.Staircase()
+	// Staircase copies the slots, so the result shares nothing with w.
+	r.Schedule = sched.Schedule{Procs: in.Procs, Slots: w.placed}.Staircase()
 	if err := r.Schedule.Validate(in); err != nil {
 		return Result{}, err
 	}
 	return r, nil
 }
 
-// search runs the engine for model m: a run under the branch-and-bound
-// budget, the defensive unbounded retry, and the replay of the optimal
-// choices into the times of r.Schedule's slots. It fills r's cost and
-// counts and returns the number of jobs placed, or -1 when no schedule
-// was found. The memo table goes back to its pool before it returns.
-func search[M costModel](b *base, m M, budget float64, r *Result) int {
-	e := newEngine(b, m)
+// search runs the engine for model m on w's fragment: a run under the
+// branch-and-bound budget, the defensive unbounded retry, and the
+// replay of the optimal choices into the times of w.placed. It fills
+// r's cost and counts and returns the number of jobs placed, or -1 when
+// no schedule was found. The memo storage goes back to w before it
+// returns.
+func search[M costModel](w *workspace, m M, budget float64, r *Result) int {
+	var e engine[M]
+	e.init(w, m)
 	defer e.memo.release()
-	root := b.root()
+	root := w.root()
 	cost := e.dp(root, budget)
 	if cost >= infinite && budget < infinite {
 		// Defensive: the greedy cost upper-bounds the optimum, so a
@@ -294,5 +358,5 @@ func search[M costModel](b *base, m M, budget float64, r *Result) int {
 		return -1
 	}
 	r.Cost, r.States, r.PrunedStates, r.ExpandedStates = cost, e.memo.entries(), e.pruned, e.expanded
-	return e.rebuild(root, r.Schedule.Slots)
+	return e.rebuild(root, w.placed)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/sched"
 )
@@ -69,38 +68,12 @@ var infinite = math.Inf(1)
 // early exit never fires and the unbounded recursion runs in full.
 var noBound = math.Inf(-1)
 
-// scratch holds one compute call's buffers: the right-child cache
-// evalSplit fills per candidate (width p+1) and the pending counts of
-// the node's case-B range. compute recurses through dp, so the buffers
-// cannot live on the engine; scratchPool keeps the recursion
-// allocation-free past warm-up.
-type scratch struct {
-	rights  []float64
-	pending []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// getScratch leases buffers sized for width p+1 and a case-B range of
-// span candidates.
-func getScratch(p, span int) *scratch {
-	s := scratchPool.Get().(*scratch)
-	if cap(s.rights) <= p {
-		s.rights = make([]float64, p+1)
-	}
-	if cap(s.pending) < span {
-		s.pending = make([]int, span)
-	}
-	s.rights, s.pending = s.rights[:p+1], s.pending[:span]
-	return s
-}
-
 // node identifies one subproblem. Interval endpoints are stored as
 // indices into the engine's t1val/t2val tables, not as raw times, so
 // the memo table can be a flat array instead of a hash map.
 type node struct {
 	i1, i2 int // indices into t1val / t2val
-	k      int // own jobs: the k earliest-deadline jobs of list(t1, t2)
+	k      int // own jobs: the k earliest-deadline jobs released in [t1, t2]
 	l1, l2 int // boundary levels at t1 and t2
 	c2     int // context jobs stacked at t2 by ancestors
 }
@@ -120,39 +93,24 @@ type entry struct {
 // concrete model type so the per-state model calls compile to direct
 // (inlinable) calls rather than interface dispatch on the hot path.
 type engine[M costModel] struct {
-	*base
+	*workspace
 	model M
-	memo  *memoTable
+	memo  memoTable
 
 	// Branch-and-bound accounting. pruned counts the dp calls answered
 	// by the bound check (or a memoized prune marker) without expanding
 	// the node; expanded counts compute invocations.
 	pruned, expanded int
 
-	// t1val[i] is the left endpoint encoded by index i: t1val[0] is the
-	// virtual start (grid[0]−1) and t1val[g+1] is grid[g]+1, the right
-	// child's start after a split at grid[g]. t2val[g] is grid[g] and
-	// t2val[G] is the virtual end (grid[G−1]+1). Both lists are strictly
-	// increasing, so index pairs identify intervals uniquely.
-	t1val, t2val []int
+	// depth is the number of case-B scans in progress, which selects
+	// the scan's frame of the rights stack.
+	depth int
 }
 
-func newEngine[M costModel](b *base, m M) *engine[M] {
-	g := len(b.grid)
-	e := &engine[M]{
-		base:  b,
-		model: m,
-		memo:  newMemoTable(g, len(b.jobs), b.p),
-		t1val: make([]int, g+1),
-		t2val: make([]int, g+1),
-	}
-	e.t1val[0] = b.grid[0] - 1
-	for i, t := range b.grid {
-		e.t1val[i+1] = t + 1
-		e.t2val[i] = t
-	}
-	e.t2val[g] = b.grid[g-1] + 1
-	return e
+// init prepares e for a run of model m on the fragment w holds.
+func (e *engine[M]) init(w *workspace, m M) {
+	*e = engine[M]{workspace: w, model: m}
+	e.memo.init(len(w.grid), len(w.jobs), w.p, &w.slots)
 }
 
 // dp returns the minimum cost of the node's subproblem, memoized, or
@@ -254,8 +212,8 @@ func (e *engine[M]) compute(nd node, budget, lb float64) entry {
 		return inf
 	}
 
-	list := e.list(t1, t2)
-	if k > len(list) {
+	lo, hi := e.columns(nd.i1, nd.i2)
+	if k > e.count(len(e.byDL), lo, hi) {
 		return inf
 	}
 
@@ -267,7 +225,8 @@ func (e *engine[M]) compute(nd node, budget, lb float64) entry {
 		return entry{cost: 0, choice: choicePoint}
 	}
 
-	jk := list[k-1]
+	q := e.kth(k, lo, hi)
+	jk := e.byDL[q]
 	job := e.jobs[jk]
 	best := inf
 
@@ -285,31 +244,21 @@ func (e *engine[M]) compute(nd node, budget, lb float64) entry {
 		return best
 	}
 
-	// Case B: j_k at a grid time t′ with t1 ≤ t′ < t2.
-	giLo, giHi := e.splitRange(job, t1, t2)
-	if giLo < giHi {
-		s := getScratch(e.p, giHi-giLo)
-		e.pendingCounts(list, k, giLo, giHi, s.pending)
+	// Case B: j_k at a grid time t′ = grid[gi] inside its window with
+	// t1 ≤ t′ < t2. Of the k−1 own jobs before j_k (those of byDL[:q]
+	// in the node's columns), the i released after t′ go to the right
+	// child: one table difference per candidate. Nested scans own fewer
+	// jobs, so depth stays below n and each scan has its own frame of
+	// the rights stack.
+	if giLo, giHi := max(e.rel[jk], nd.i1), min(e.dlx[jk], nd.i2); giLo < giHi {
+		rs := e.rights[e.depth*(e.p+1) : (e.depth+1)*(e.p+1)]
+		e.depth++
 		for gi := giLo; gi < giHi && best.cost > lb; gi++ {
-			best = e.evalSplit(nd, gi, s.pending[gi-giLo], t1, t2, budget, lb, best, s.rights)
+			best = e.evalSplit(nd, gi, e.count(q, int(e.rank[gi+1]), hi), t1, t2, budget, lb, best, rs)
 		}
-		scratchPool.Put(s)
+		e.depth--
 	}
 	return best
-}
-
-// splitRange is the grid index range of j_k's case-B candidate times:
-// grid times within its window, strictly before t2.
-func (e *engine[M]) splitRange(job sched.Job, t1, t2 int) (int, int) {
-	lo := job.Release
-	if lo < t1 {
-		lo = t1
-	}
-	hi := job.Deadline
-	if hi > t2-1 {
-		hi = t2 - 1
-	}
-	return e.gridRange(lo, hi)
 }
 
 // evalSplit evaluates every case-B candidate that places j_k at grid
@@ -444,25 +393,22 @@ func (e *engine[M]) rebuild(nd node, slots []sched.Assignment) int {
 	}
 	t1, t2 := e.t1val[nd.i1], e.t2val[nd.i2]
 	k := nd.k
+	lo, hi := e.columns(nd.i1, nd.i2)
 	switch r.choice {
 	case choicePoint:
-		for _, j := range e.list(t1, t2)[:k] {
-			slots[j].Time = t1
+		for x := 1; x <= k; x++ {
+			slots[e.byDL[e.kth(x, lo, hi)]].Time = t1
 		}
 		return k
 	case choiceA:
-		jk := e.list(t1, t2)[k-1]
-		slots[jk].Time = t2
+		slots[e.byDL[e.kth(k, lo, hi)]].Time = t2
 		cl2, cc2, _ := e.model.caseAChild(nd.l2, nd.c2)
 		return 1 + e.rebuild(node{nd.i1, nd.i2, k - 1, nd.l1, cl2, cc2}, slots)
 	case choiceB:
-		list := e.list(t1, t2)
-		jk := list[k-1]
+		q := e.kth(k, lo, hi)
 		gi := int(r.tp)
-		slots[jk].Time = e.grid[gi]
-		var pend [1]int
-		e.pendingCounts(list, k, gi, gi+1, pend[:])
-		i := pend[0]
+		slots[e.byDL[q]].Time = e.grid[gi]
+		i := e.count(q, int(e.rank[gi+1]), hi)
 		kL := k - 1 - i
 		left := node{nd.i1, gi, kL, nd.l1, int(r.lp), 1}
 		if r.lp < 0 {

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 
 	"repro/internal/sched"
 )
 
-// pendingAfterScan is the O(k) reference for pendingCounts: among the
-// first k−1 jobs of list, those released strictly after t.
+// pendingAfterScan is the O(k) reference for the index's pending
+// counts: among the first k−1 jobs of list, those released strictly
+// after t.
 func pendingAfterScan(jobs []sched.Job, list []int, k, t int) int {
 	cnt := 0
 	for _, j := range list[:k-1] {
@@ -18,6 +21,30 @@ func pendingAfterScan(jobs []sched.Job, list []int, k, t int) int {
 		}
 	}
 	return cnt
+}
+
+// listScan is the reference for a node's job set: the jobs released in
+// [t1, t2], in deadline order, by a scan of byDL.
+func listScan(b *base, t1, t2 int) []int {
+	var l []int
+	for _, j := range b.byDL {
+		if a := b.jobs[j].Release; t1 <= a && a <= t2 {
+			l = append(l, j)
+		}
+	}
+	return l
+}
+
+// caseBScan is the reference for j_k's case-B candidates: the
+// half-open range of grid indices whose times lie in job's window and
+// in [t1, t2−1], found by binary search over the grid times; an empty
+// range is (0, 0).
+func caseBScan(b *base, job sched.Job, t1, t2 int) (int, int) {
+	lo, hi := sort.SearchInts(b.grid, max(job.Release, t1)), sort.SearchInts(b.grid, min(job.Deadline, t2-1)+1)
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // randomFragment draws a small instance whose windows may straddle
@@ -33,50 +60,103 @@ func randomFragment(rng *rand.Rand) sched.Instance {
 	return sched.Instance{Jobs: jobs, Procs: 1 + rng.Intn(3)}
 }
 
+// sparseFragment draws an instance whose release ranks differ from
+// their grid indices: clusters of several releases within one anchor
+// neighbourhood, the clusters more than 2n apart so that their
+// neighbourhoods never merge, and now and then a window reaching into
+// the next cluster, so that case-B ranges cross the grid's gaps.
+func sparseFragment(rng *rand.Rand) sched.Instance {
+	n := 2 + rng.Intn(8)
+	stride := 2*n + 2 + rng.Intn(30)
+	clusters := 1 + rng.Intn(3)
+	jobs := make([]sched.Job, n)
+	for i := range jobs {
+		r := rng.Intn(clusters)*stride + rng.Intn(3)
+		d := r + rng.Intn(3)
+		if rng.Intn(4) == 0 {
+			d += stride
+		}
+		jobs[i] = sched.Job{Release: r, Deadline: d}
+	}
+	return sched.Instance{Jobs: jobs, Procs: 1 + rng.Intn(3)}
+}
+
 // TestReleasesOnGrid: every release lies on the candidate grid, and rel
-// indexes it, under the anchor grid and under FullGrid.
+// indexes it, under the anchor grid and under FullGrid — also for
+// releases at the ends of int, whose anchor neighbourhoods must clip
+// to the horizon rather than wrap.
 func TestReleasesOnGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
+	ins := []sched.Instance{
+		{Jobs: []sched.Job{{Release: math.MinInt, Deadline: math.MinInt}, {Release: math.MinInt + 5, Deadline: math.MinInt + 5}}, Procs: 1},
+		{Jobs: []sched.Job{{Release: math.MaxInt - 5, Deadline: math.MaxInt - 5}, {Release: math.MaxInt, Deadline: math.MaxInt}}, Procs: 1},
+	}
 	for trial := 0; trial < 400; trial++ {
-		in := randomFragment(rng)
+		ins = append(ins, randomFragment(rng))
+	}
+	var w workspace
+	for trial, in := range ins {
 		for _, full := range []bool{false, true} {
-			b := newBase(in, full)
+			w.reset(in, full)
 			for j, job := range in.Jobs {
-				if r := b.rel[j]; r >= len(b.grid) || b.grid[r] != job.Release {
+				if r := w.rel[j]; r >= len(w.grid) || w.grid[r] != job.Release {
 					t.Fatalf("trial %d, full grid %v: job %d released at %d, rel %d (grid %v)",
-						trial, full, j, job.Release, r, b.grid)
+						trial, full, j, job.Release, r, w.grid)
 				}
 			}
 		}
 	}
 }
 
-// TestPendingCountsMatchScan: the per-node pending counts equal the
-// per-candidate O(k) scan at every grid index of a random range, for
-// random intervals the engine can form and every k, under both grids.
+// TestPendingCountsMatchScan: the interval index answers every query
+// the engine makes as the per-interval lists it replaces did. For
+// random intervals the engine can form (t1 ≤ t2) and every k, under
+// both grids: the node's job count is the list's length, the k-th job
+// is the list's, j_k's case-B range is the one binary search over the
+// grid times finds, and the pending count at every grid time of the
+// interval equals the O(k) scan of the list. Half the fragments are
+// sparse, so release ranks and grid indices differ.
 func TestPendingCountsMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	checked := 0
-	for trial := 0; trial < 300; trial++ {
+	var w workspace
+	for trial := 0; trial < 400; trial++ {
 		in := randomFragment(rng)
+		if trial%2 == 1 {
+			in = sparseFragment(rng)
+		}
 		for _, full := range []bool{false, true} {
-			b := newBase(in, full)
-			e := newEngine(b, gapModel{p: b.p})
+			w.reset(in, full)
+			b := &w.base
 			g := len(b.grid)
 			for pair := 0; pair < 40; pair++ {
 				i1, i2 := rng.Intn(g+1), rng.Intn(g+1)
-				t1, t2 := e.t1val[i1], e.t2val[i2]
-				if t1 > t2 {
+				if i1 > i2 {
 					continue
 				}
-				list := b.list(t1, t2)
+				t1, t2 := b.t1val[i1], b.t2val[i2]
+				list := listScan(b, t1, t2)
+				lo, hi := b.columns(i1, i2)
+				if got := b.count(len(b.byDL), lo, hi); got != len(list) {
+					t.Fatalf("trial %d, full grid %v, [%d,%d]: %d jobs, list %v (jobs %v)", trial, full, t1, t2, got, list, in.Jobs)
+				}
 				for k := 1; k <= len(list); k++ {
-					giLo := rng.Intn(g)
-					giHi := giLo + 1 + rng.Intn(g-giLo)
-					pend := make([]int, giHi-giLo)
-					b.pendingCounts(list, k, giLo, giHi, pend)
-					for gi := giLo; gi < giHi; gi++ {
-						if got, want := pend[gi-giLo], pendingAfterScan(b.jobs, list, k, b.grid[gi]); got != want {
+					q := b.kth(k, lo, hi)
+					jk := b.byDL[q]
+					if jk != list[k-1] || b.count(q, lo, hi) != k-1 {
+						t.Fatalf("trial %d, full grid %v, [%d,%d] k=%d: j_k %d after %d own jobs, list %v (jobs %v)",
+							trial, full, t1, t2, k, jk, b.count(q, lo, hi), list, in.Jobs)
+					}
+					giLo, giHi := max(b.rel[jk], i1), min(b.dlx[jk], i2)
+					if giLo >= giHi {
+						giLo, giHi = 0, 0
+					}
+					if wantLo, wantHi := caseBScan(b, in.Jobs[jk], t1, t2); giLo != wantLo || giHi != wantHi {
+						t.Fatalf("trial %d, full grid %v, [%d,%d] k=%d: case-B range [%d,%d), scan [%d,%d) (jobs %v)",
+							trial, full, t1, t2, k, giLo, giHi, wantLo, wantHi, in.Jobs)
+					}
+					for gi := i1; gi < min(i2, g); gi++ {
+						if got, want := b.count(q, int(b.rank[gi+1]), hi), pendingAfterScan(b.jobs, list, k, b.grid[gi]); got != want {
 							t.Fatalf("trial %d, full grid %v, [%d,%d] k=%d, t′=%d: pending %d, scan %d (jobs %v)",
 								trial, full, t1, t2, k, b.grid[gi], got, want, in.Jobs)
 						}

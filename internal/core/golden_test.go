@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -167,15 +168,18 @@ func TestEngineCountsGolden(t *testing.T) {
 	}
 }
 
-// TestMemoPoolReuseMatchesGolden: a pooled memo table carries nothing
-// from one solve into the next. A large fragment first grows a table
-// through the size classes up to 65536 slots (it must memoize at least
-// 3/4·2^15 states, the load at which a 32768-slot table grows) and
-// hands them all back;
-// then every golden fragment is solved on recycled tables, serially and
-// from four goroutines at once (each after the large fragment again),
-// and each must reproduce its golden counts and the serial pass's
-// schedule.
+// TestMemoPoolReuseMatchesGolden: a reused workspace carries nothing
+// from one solve into the next. A large fragment first grows a memo
+// table through the size classes up to 65536 slots (it must memoize at
+// least 3/4·2^15 states, the load at which a 32768-slot table grows)
+// and hands them all back; then every golden fragment is solved on
+// recycled workspaces, serially and from four goroutines at once (each
+// after the large fragment again, then in its own order), and each
+// must reproduce its golden counts and the serial pass's schedule. The
+// fragments differ in their job count n and their release count R, so
+// each workspace's interval index is rebuilt over storage an earlier
+// fragment of another shape left behind, and the free list must end up
+// holding those index tables.
 func TestMemoPoolReuseMatchesGolden(t *testing.T) {
 	large := workload.FeasibleOneInterval(rand.New(rand.NewSource(1)), 44, 3, 44, 20)
 	solveLarge := func() error {
@@ -189,6 +193,15 @@ func TestMemoPoolReuseMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := goldenFragments()
+	shapes := map[[2]int]bool{}
+	for _, f := range fs {
+		var w workspace
+		w.reset(f.in, false)
+		shapes[[2]int{len(f.in.Jobs), w.cols - 1}] = true
+	}
+	if len(shapes) < 10 {
+		t.Fatalf("golden fragments cover only %d (n, R) shapes", len(shapes))
+	}
 	schedules := make([]sched.Schedule, len(fs))
 	for i, f := range fs {
 		got, s, err := f.solve()
@@ -224,4 +237,85 @@ func TestMemoPoolReuseMatchesGolden(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	if len(workspaces.free) == 0 {
+		t.Fatal("no workspace went back to the free list")
+	}
+	for _, w := range workspaces.free {
+		if cap(w.below) == 0 {
+			t.Error("a workspace on the free list holds no index table")
+		}
+	}
+}
+
+// TestSolveAllocations pins what the workspace saves: after one warm
+// solve, a solve of a 192-job dense fragment on two processors
+// allocates at most a quarter of what it did when the engine built a
+// job list per interval and leased memo tables from sync.Pools (1,577
+// allocations for gaps and 1,584 for power at α = 2 there). It reads
+// 27 for each; what remains is the feasibility sweep, the grid's anchor
+// intervals, and the copy and validation of the result.
+func TestSolveAllocations(t *testing.T) {
+	in := workload.StressDense(rand.New(rand.NewSource(1)), 192, 2)
+	for _, c := range []struct {
+		obj  Objective
+		most float64
+	}{
+		{Objective{}, 1577 / 4},
+		{Objective{Power: true, Alpha: 2}, 1584 / 4},
+	} {
+		if _, err := Solve(in, c.obj, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(5, func() { Solve(in, c.obj, Options{}) }); got > c.most {
+			t.Errorf("%+v: %v allocations per solve, want at most %v", c.obj, got, c.most)
+		}
+	}
+}
+
+// TestWorkspaceRetention: a workspace goes back to the free list
+// without any buffer above maxKeptBytes, and without the solved
+// instance's jobs, even after a solve whose interval index exceeds the
+// cap (a 1,600-job dense fragment with over a thousand distinct
+// releases); the free list never holds more than GOMAXPROCS
+// workspaces.
+func TestWorkspaceRetention(t *testing.T) {
+	in := workload.StressDense(rand.New(rand.NewSource(5)), 1600, 1)
+	var probe workspace
+	probe.reset(in, false)
+	if bytesOf(probe.below) <= maxKeptBytes {
+		t.Fatalf("index table of %d bytes does not exceed the cap", bytesOf(probe.below))
+	}
+	if _, err := Solve(in, Objective{}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	if n := len(workspaces.free); n == 0 || n > runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d workspaces on the free list, want 1 to GOMAXPROCS = %d", n, runtime.GOMAXPROCS(0))
+	}
+	for _, w := range workspaces.free {
+		if w.jobs != nil {
+			t.Error("a kept workspace still references the solved jobs")
+		}
+		for name, size := range keptBytes(w) {
+			if size > maxKeptBytes {
+				t.Errorf("a kept workspace holds %s of %d bytes, above the cap %d", name, size, maxKeptBytes)
+			}
+		}
+	}
+}
+
+// keptBytes lists the storage of every buffer w holds.
+func keptBytes(w *workspace) map[string]int {
+	m := map[string]int{
+		"byDL": bytesOf(w.byDL), "grid": bytesOf(w.grid), "rel": bytesOf(w.rel), "dlx": bytesOf(w.dlx),
+		"t1val": bytesOf(w.t1val), "t2val": bytesOf(w.t2val), "rank": bytesOf(w.rank), "below": bytesOf(w.below),
+		"rights": bytesOf(w.rights), "placed": bytesOf(w.placed), "greedy": w.greedy.Bytes(),
+	}
+	for b, a := range w.slots {
+		m[fmt.Sprintf("memo class %d", b)] = max(bytesOf(a.hot), bytesOf(a.cold))
+	}
+	return m
 }

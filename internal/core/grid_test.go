@@ -33,7 +33,9 @@ func TestCandidateGridIsAnchorUnion(t *testing.T) {
 				}
 			}
 		}
-		if got := newBase(in, false).grid; !slices.Equal(got, want) {
+		var w workspace
+		w.reset(in, false)
+		if got := w.grid; !slices.Equal(got, want) {
 			t.Fatalf("trial %d: grid %v, anchor union %v (jobs %v)", trial, got, want, jobs)
 		}
 	}

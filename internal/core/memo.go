@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // memoTable memoizes DP entries under a flat, index-encoded key: a node
 // is folded into a single dense integer (interval-pair index × k × l1 ×
@@ -18,10 +15,11 @@ import (
 // whether it is a prune marker, so the probed array holds 16-byte hot
 // slots {key, cost}, with the marker flag in the key's sign bit; the
 // reconstruction fields sit in a parallel cold array that only put
-// writes and only rebuild reads. Both arrays are leased from a pool per
-// power-of-two size class and handed back by release once the solve has
-// rebuilt its schedule, so a fragment solve allocates no table after
-// warm-up and clears only the hot slots it leases.
+// writes and only rebuild reads. Both arrays are leased from the
+// workspace's slotStore, one pair per power-of-two size class, and
+// handed back by release once the solve has rebuilt its schedule, so a
+// fragment solve allocates no table after warm-up and clears only the
+// hot slots it leases.
 //
 // For pathologically large instances whose index space would overflow
 // int64, the table degrades to a hash map keyed by the node itself.
@@ -30,7 +28,8 @@ type memoTable struct {
 	// ((((i1·d1 + i2)·d2 + k)·d3 + l1)·d3 + l2)·d3 + c2.
 	d1, d2, d3 int64
 
-	tab    *slotArrays    // leased storage; nil once released
+	store  *slotStore     // where tab is leased from and returned to
+	tab    slotArrays     // leased storage; empty once released
 	mask   uint64         // len(tab.hot) − 1
 	sparse map[node]entry // fallback when the index space overflows
 	size   int            // number of memoized entries
@@ -74,22 +73,32 @@ const (
 	markerBit = -1 << 63
 )
 
-// slotPools recycles slot arrays by size class: slotPools[b] holds
-// arrays of 1<<b slots.
-var slotPools [64]sync.Pool
+// slotStore keeps memo storage between solves: at most one pair of
+// arrays per size class, slotStore[b] holding 1<<b slots, up to
+// maxKeptClass. A larger pair is never kept (see maxKeptBytes).
+type slotStore [maxKeptClass + 1]slotArrays
 
-// leaseSlots returns arrays of size slots (a power of two) with every
-// hot slot empty, recycled when the size class has any.
-func leaseSlots(size int) *slotArrays {
-	if a, ok := slotPools[bits.TrailingZeros(uint(size))].Get().(*slotArrays); ok {
+// maxKeptClass is the largest size class a slotStore keeps: 2^18 slots,
+// whose hot half is maxKeptBytes and cold half three quarters of it.
+const maxKeptClass = 18
+
+// lease returns arrays of size slots (a power of two) with every hot
+// slot empty, taken from the store when it holds that class.
+func (s *slotStore) lease(size int) slotArrays {
+	if b := bits.TrailingZeros(uint(size)); b < len(s) && s[b].hot != nil {
+		a := s[b]
+		s[b] = slotArrays{}
 		clear(a.hot)
 		return a
 	}
-	return &slotArrays{hot: make([]hotSlot, size), cold: make([]coldSlot, size)}
+	return slotArrays{hot: make([]hotSlot, size), cold: make([]coldSlot, size)}
 }
 
-func returnSlots(a *slotArrays) {
-	slotPools[bits.TrailingZeros(uint(len(a.hot)))].Put(a)
+// put keeps a for a later lease, unless its class is above the cap.
+func (s *slotStore) put(a slotArrays) {
+	if b := bits.TrailingZeros(uint(len(a.hot))); b < len(s) {
+		s[b] = a
+	}
 }
 
 // initialSlots sizes a fresh table for an n-job fragment: 16 slots per
@@ -119,26 +128,27 @@ func denseIndexSpaceFits(g, n, p int) bool {
 	return true
 }
 
-func newMemoTable(g, n, p int) *memoTable {
-	m := &memoTable{d1: int64(g) + 1, d2: int64(n) + 1, d3: int64(p) + 1}
+// init makes m an empty table for a (g, n, p)-shaped fragment whose
+// storage is leased from store.
+func (m *memoTable) init(g, n, p int, store *slotStore) {
+	*m = memoTable{d1: int64(g) + 1, d2: int64(n) + 1, d3: int64(p) + 1, store: store}
 	if !denseIndexSpaceFits(g, n, p) {
 		m.sparse = make(map[node]entry)
-		return m
+		return
 	}
-	m.use(leaseSlots(initialSlots(n)))
-	return m
+	m.use(store.lease(initialSlots(n)))
 }
 
-func (m *memoTable) use(a *slotArrays) {
+func (m *memoTable) use(a slotArrays) {
 	m.tab, m.mask = a, uint64(len(a.hot)-1)
 }
 
-// release hands the slot arrays back to their pool. The table must not
+// release hands the slot arrays back to the store. The table must not
 // be read or written afterwards; entries stays valid.
 func (m *memoTable) release() {
-	if m.tab != nil {
-		returnSlots(m.tab)
-		m.tab = nil
+	if m.tab.hot != nil {
+		m.store.put(m.tab)
+		m.tab = slotArrays{}
 	}
 }
 
@@ -262,15 +272,15 @@ func mergeEntry(old, new entry) entry {
 }
 
 // grow moves every slot into arrays of the next size class and returns
-// the old arrays to their pool.
+// the old arrays to the store.
 func (m *memoTable) grow() {
 	old := m.tab
-	m.use(leaseSlots(2 * len(old.hot)))
+	m.use(m.store.lease(2 * len(old.hot)))
 	for i, h := range old.hot {
 		if h.key != 0 {
 			j, _ := m.find(h.key &^ markerBit)
 			m.tab.hot[j], m.tab.cold[j] = h, old.cold[i]
 		}
 	}
-	returnSlots(old)
+	m.store.put(old)
 }

@@ -32,8 +32,9 @@ func TestMergeEntry(t *testing.T) {
 // every lookup alike and count the same entries.
 func TestMemoSparseFallbackMatchesDense(t *testing.T) {
 	const g, n, p = 7, 6, 3
-	dense := newMemoTable(g, n, p)
-	sparse := newMemoTable(1<<20, 1<<12, 1<<12)
+	var dense, sparse memoTable
+	dense.init(g, n, p, new(slotStore))
+	sparse.init(1<<20, 1<<12, 1<<12, new(slotStore))
 	if dense.sparse != nil || sparse.sparse == nil {
 		t.Fatalf("want one dense and one sparse table, got sparse maps %v and %v",
 			dense.sparse != nil, sparse.sparse != nil)

@@ -174,10 +174,11 @@ func TestNodeLBAdmissible(t *testing.T) {
 // number checked.
 func checkNodeLB[M costModel](t *testing.T, in sched.Instance, model func(p int) M) int {
 	t.Helper()
-	b := newBase(in, false)
-	e := newEngine(b, model(b.p))
-	defer e.memo.release()
-	if e.dp(b.root(), infinite) >= infinite {
+	w := new(workspace)
+	w.reset(in, false)
+	var e engine[M]
+	e.init(w, model(w.p))
+	if e.dp(w.root(), infinite) >= infinite {
 		t.Fatalf("%T: unbounded solve found no schedule (jobs %v procs %d)", e.model, in.Jobs, in.Procs)
 	}
 	checked := 0

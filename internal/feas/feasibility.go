@@ -54,7 +54,7 @@ func sweepEDF(in sched.Instance, slots []sched.Assignment) bool {
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Compare(in.Jobs[a].Release, in.Jobs[b].Release)
 	})
-	q := NewEDFQueue(in.Jobs, n)
+	q := NewEDFQueue(in.Jobs, make([]int, 0, n))
 	next, t := 0, 0
 	for next < n || q.Len() > 0 {
 		if q.Len() == 0 {
@@ -86,10 +86,10 @@ type EDFQueue struct {
 	heap []int
 }
 
-// NewEDFQueue returns an empty queue over jobs with room for capacity
-// indices before it grows.
-func NewEDFQueue(jobs []sched.Job, capacity int) EDFQueue {
-	return EDFQueue{jobs: jobs, heap: make([]int, 0, capacity)}
+// NewEDFQueue returns an empty queue over jobs that keeps its indices
+// in buf's storage until they outgrow its capacity.
+func NewEDFQueue(jobs []sched.Job, buf []int) EDFQueue {
+	return EDFQueue{jobs: jobs, heap: buf[:0]}
 }
 
 func (q *EDFQueue) less(a, b int) bool {

@@ -54,9 +54,12 @@
 package heur
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/feas"
 	"repro/internal/sched"
@@ -76,14 +79,34 @@ var ErrInfeasible = errors.New("heur: instance is infeasible")
 // every busy time). It returns ErrInfeasible when and only when the
 // instance admits no feasible schedule.
 func Greedy(in sched.Instance) (sched.Schedule, error) {
+	return new(Scratch).Greedy(in)
+}
+
+// Scratch holds Greedy's working arrays, so that a caller running many
+// greedy schedules in turn reuses them instead of allocating each run's
+// own. The zero value is ready to use; a Scratch serves one run at a
+// time.
+type Scratch struct {
+	jobs                     []sched.Job
+	byRel, dls, f, remaining []int
+	heap                     []int // the pending queue's storage
+	tree                     minTree
+	slots                    []sched.Assignment
+}
+
+// Greedy runs the package-level Greedy in s's arrays. The returned
+// schedule's slots belong to s: they stay valid only until s's next
+// run.
+func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return sched.Schedule{}, err
 	}
 	n := len(in.Jobs)
-	out := sched.Schedule{Procs: in.Procs, Slots: make([]sched.Assignment, n)}
 	if n == 0 {
-		return out, nil
+		return sched.Schedule{Procs: in.Procs, Slots: []sched.Assignment{}}, nil
 	}
+	s.slots = resize(s.slots, n)
+	out := sched.Schedule{Procs: in.Procs, Slots: s.slots}
 	// No schedule occupies more than n processors at once; the smaller
 	// p also helps keep p·(e+1) small in the wake-bound arithmetic.
 	p := in.Procs
@@ -96,29 +119,28 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 	// Residual pathologies (window widths near MaxInt/p) are handled
 	// by saturating the wake-bound values below.
 	lo, _ := in.TimeHorizon()
-	jobs := make([]sched.Job, n)
+	jobs := resize(s.jobs, n)
+	s.jobs = jobs
 	for i, j := range in.Jobs {
 		jobs[i] = sched.Job{Release: j.Release - lo, Deadline: j.Deadline - lo}
 	}
 
 	// Arrivals in release order; deadlines deduplicated for the wake
 	// tree's coordinate axis.
-	byRel := make([]int, n)
+	byRel := resize(s.byRel, n)
+	s.byRel = byRel
 	for i := range byRel {
 		byRel[i] = i
 	}
-	sort.Slice(byRel, func(x, y int) bool {
-		a, b := jobs[byRel[x]], jobs[byRel[y]]
-		if a.Release != b.Release {
-			return a.Release < b.Release
-		}
-		return byRel[x] < byRel[y]
+	slices.SortFunc(byRel, func(x, y int) int {
+		return cmp.Or(cmp.Compare(jobs[x].Release, jobs[y].Release), cmp.Compare(x, y))
 	})
-	dls := make([]int, n)
+	dls := resize(s.dls, n)
+	s.dls = dls
 	for i, j := range jobs {
 		dls[i] = j.Deadline
 	}
-	sort.Ints(dls)
+	slices.Sort(dls)
 	dls = dedupe(dls)
 	rank := func(d int) int { return sort.SearchInts(dls, d) }
 
@@ -130,8 +152,11 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 	// term only pulls the wake bound earlier, and when that drags it
 	// below the next arrival the slow path below re-checks the Hall
 	// condition with overflow-safe arithmetic before believing it.
-	f := make([]int, len(dls))
-	remaining := make([]int, len(dls))
+	f := resize(s.f, len(dls))
+	remaining := resize(s.remaining, len(dls))
+	s.f, s.remaining = f, remaining
+	clear(f)
+	clear(remaining)
 	for _, j := range jobs {
 		f[rank(j.Deadline)]--
 		remaining[rank(j.Deadline)]++
@@ -145,7 +170,8 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 		}
 		f[i] = pe + run
 	}
-	tree := newMinTree(f)
+	tree := &s.tree
+	tree.reset(f)
 
 	// hallViolated re-derives the wake-bound verdict for waking at r
 	// without the saturating encoding: is there a deadline e ≥ r whose
@@ -165,7 +191,8 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 		return false
 	}
 
-	pend := feas.NewEDFQueue(jobs, 0)
+	s.heap = resize(s.heap, n) // each job is queued once
+	pend := feas.NewEDFQueue(jobs, s.heap)
 	next, scheduled := 0, 0
 	for scheduled < n {
 		// Asleep with an empty pending set: every unscheduled job is a
@@ -206,6 +233,28 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 	return out, nil
 }
 
+// Bytes reports the memory s's arrays hold, so that a caller keeping
+// a Scratch between runs can drop one that an oversized run grew.
+func (s *Scratch) Bytes() int {
+	return bytesOf(s.jobs) + bytesOf(s.byRel) + bytesOf(s.dls) + bytesOf(s.f) + bytesOf(s.remaining) +
+		bytesOf(s.heap) + bytesOf(s.tree.mn) + bytesOf(s.tree.lazy) + bytesOf(s.slots)
+}
+
+// bytesOf is the size of buf's storage.
+func bytesOf[T any](buf []T) int {
+	var elem T
+	return cap(buf) * int(unsafe.Sizeof(elem))
+}
+
+// resize returns buf with length n, reusing its storage when it is
+// large enough; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // floorDiv is floor(a/b) for b > 0 (Go's / truncates toward zero).
 func floorDiv(a, b int) int {
 	q := a / b
@@ -234,10 +283,12 @@ type minTree struct {
 	lazy []int
 }
 
-func newMinTree(vals []int) *minTree {
-	t := &minTree{n: len(vals), mn: make([]int, 4*len(vals)), lazy: make([]int, 4*len(vals))}
+// reset rebuilds t over vals, reusing its arrays.
+func (t *minTree) reset(vals []int) {
+	t.n = len(vals)
+	t.mn, t.lazy = resize(t.mn, 4*t.n), resize(t.lazy, 4*t.n)
+	clear(t.lazy)
 	t.build(1, 0, t.n-1, vals)
-	return t
 }
 
 func (t *minTree) build(nd, lo, hi int, vals []int) {

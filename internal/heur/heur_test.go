@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	gapsched "repro"
@@ -190,6 +191,44 @@ func TestLowerBoundShapes(t *testing.T) {
 	}
 	if lb := lowerBound(t, heurPower(2), sched.Instance{Procs: 1}); lb != 0 {
 		t.Errorf("empty power LB %v, want 0", lb)
+	}
+}
+
+// TestBoundsOnFullIntWindow: the density bound of one job whose window
+// is [MinInt, MaxInt] is 1; its width, 2^64, must not wrap to 0 and
+// divide by zero.
+func TestBoundsOnFullIntWindow(t *testing.T) {
+	in := sched.NewInstance([]sched.Job{{Release: math.MinInt, Deadline: math.MaxInt}})
+	if got := heur.FragmentSpanLB(in); got != 1 {
+		t.Errorf("FragmentSpanLB = %d, want 1", got)
+	}
+	if got := heur.FragmentPowerLB(in, 2); got != 3 {
+		t.Errorf("FragmentPowerLB at α = 2 = %v, want 3", got)
+	}
+}
+
+// TestScratchReuseMatchesGreedy: a Scratch reused across instances of
+// growing and shrinking size, feasible or not, returns what a fresh
+// Greedy returns on each, so its arrays carry nothing from one run into
+// the next.
+func TestScratchReuseMatchesGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var s heur.Scratch
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%3 == 0 {
+			n = rng.Intn(4)
+		}
+		in := workload.Multiproc(rng, n, 1+rng.Intn(3), 4+rng.Intn(60), 1+rng.Intn(8))
+		want, wantErr := heur.Greedy(in)
+		got, err := s.Greedy(in)
+		if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused Scratch gave (%v, %v), fresh Greedy (%v, %v) (jobs %v procs %d)",
+				trial, got, err, want, wantErr, in.Jobs, in.Procs)
+		}
+	}
+	if s.Bytes() == 0 {
+		t.Fatal("the Scratch kept no arrays")
 	}
 }
 

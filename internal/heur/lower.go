@@ -146,15 +146,25 @@ func densityLB(in sched.Instance) int {
 		}
 		for k := i; k < j; k++ {
 			jb := in.Jobs[order[k]]
-			cnt := fen.prefix(rank(jb.Deadline))
-			width := jb.Deadline - jb.Release + 1
-			if m := (cnt + width - 1) / width; m > best {
+			if m := windowLevel(fen.prefix(rank(jb.Deadline)), jb.Release, jb.Deadline); m > best {
 				best = m
 			}
 		}
 		i = j
 	}
 	return best
+}
+
+// windowLevel is ⌈cnt / (d − r + 1)⌉ for 1 ≤ cnt and r ≤ d, computed
+// so that nothing wraps: the width d − r + 1 exceeds MaxInt for windows
+// near the ends of int (for [MinInt, MaxInt] it wraps to 0 in int), and
+// a width of at least cnt gives level 1 without dividing.
+func windowLevel(cnt, r, d int) int {
+	if span := uint(d) - uint(r); span >= uint(cnt) {
+		return 1
+	}
+	width := d - r + 1 // at most cnt ≤ n
+	return (cnt + width - 1) / width
 }
 
 // fenwick is a classic binary indexed tree over 0-based positions.

@@ -25,7 +25,7 @@ const pruneDiscount = 32
 // the exact DP on one instance (typically a fragment after Decompose)
 // that ModeAuto compares with its state budget: the engine's
 // index-space shape G²·(n+1)·(p+1)³ divided by pruneDiscount, where G
-// is the size of the candidate execution grid (Grid) and p is Procs
+// is the size of the candidate execution grid (AppendGrid) and p is Procs
 // capped at n like the engine caps it. With at most one effective
 // processor it is the smaller of that and G·(n+1): at p = 1 every level
 // dimension of the engine's state collapses to a bit, so this
@@ -61,18 +61,20 @@ func AdmissionEstimate(in sched.Instance) int {
 // gridSize computes the size of the exact engine's candidate execution
 // grid without materialising it: the measure of the union of the
 // clipped anchor neighbourhoods [a−n, a+n] over all releases and
-// deadlines a — exactly the grid Grid lists.
+// deadlines a — exactly the grid AppendGrid lists.
 func gridSize(in sched.Instance) int {
 	_, size := gridRuns(in)
 	return size
 }
 
-// Grid lists the exact engine's candidate execution grid in ascending
-// order: every time within distance n of a release or a deadline,
-// clipped to the horizon (the span-anchoring argument of internal/core).
-func Grid(in sched.Instance) []int {
+// AppendGrid appends the exact engine's candidate execution grid to
+// grid, in ascending order, and returns the extended slice: every time
+// within distance n of a release or a deadline, clipped to the horizon
+// (the span-anchoring argument of internal/core). Passing the previous
+// grid's storage reuses it.
+func AppendGrid(grid []int, in sched.Instance) []int {
 	runs, size := gridRuns(in)
-	grid := make([]int, 0, size)
+	grid = slices.Grow(grid, size)
 	for _, r := range runs {
 		// Stop at r[1] before incrementing: t <= r[1] holds for every
 		// t when r[1] is MaxInt.
@@ -96,7 +98,7 @@ func gridRuns(in sched.Instance) (runs [][2]int, size int) {
 	ivs := make([][2]int, 0, 2*n)
 	for _, j := range in.Jobs {
 		for _, a := range [2]int{j.Release, j.Deadline} {
-			if from, to := max(a-n, lo), min(a+n, hi); from <= to {
+			if from, to := max(satAdd(a, -n), lo), min(satAdd(a, n), hi); from <= to {
 				ivs = append(ivs, [2]int{from, to})
 			}
 		}
@@ -115,6 +117,19 @@ func gridRuns(in sched.Instance) (runs [][2]int, size int) {
 		}
 	}
 	return runs, size
+}
+
+// satAdd adds a and b, saturating at MinInt and MaxInt: the anchor
+// neighbourhoods of times near the ends of int must clip to the
+// horizon, not wrap past it.
+func satAdd(a, b int) int {
+	switch {
+	case b > 0 && a > math.MaxInt-b:
+		return math.MaxInt
+	case b < 0 && a < math.MinInt-b:
+		return math.MinInt
+	}
+	return a + b
 }
 
 // satMul multiplies non-negative ints, saturating at MaxInt.

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -198,15 +200,22 @@ func minF(a, b float64) float64 {
 // the same jobs at the same times.
 func (s Schedule) Staircase() Schedule {
 	out := s.Clone()
-	byTime := make(map[int][]int)
-	for i, a := range s.Slots {
-		byTime[a.Time] = append(byTime[a.Time], i)
+	// Job indices sorted by (time, index): each job's processor is its
+	// rank within its time.
+	order := make([]int, len(s.Slots))
+	for i := range order {
+		order[i] = i
 	}
-	for t, jobs := range byTime {
-		sort.Ints(jobs)
-		for q, i := range jobs {
-			out.Slots[i] = Assignment{Proc: q, Time: t}
+	slices.SortFunc(order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(s.Slots[x].Time, s.Slots[y].Time), cmp.Compare(x, y))
+	})
+	q := 0
+	for x, i := range order {
+		if x > 0 && s.Slots[order[x-1]].Time != s.Slots[i].Time {
+			q = 0
 		}
+		out.Slots[i] = Assignment{Proc: q, Time: s.Slots[i].Time}
+		q++
 	}
 	return out
 }

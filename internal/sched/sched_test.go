@@ -205,6 +205,43 @@ func TestStaircaseNeverWorse(t *testing.T) {
 	}
 }
 
+// staircaseByMap is Staircase as it was first written, one map entry
+// and one slice per distinct time, kept as the reference for the
+// sorted version.
+func staircaseByMap(s Schedule) Schedule {
+	out := s.Clone()
+	byTime := make(map[int][]int)
+	for i, a := range s.Slots {
+		byTime[a.Time] = append(byTime[a.Time], i)
+	}
+	for t, jobs := range byTime {
+		sort.Ints(jobs)
+		for q, i := range jobs {
+			out.Slots[i] = Assignment{Proc: q, Time: t}
+		}
+	}
+	return out
+}
+
+// TestStaircaseMatchesMapVersion: Staircase gives every schedule the
+// same layout as the map-based reference, on random schedules with
+// many jobs sharing a time, negative times, arbitrary processor
+// fields, and the empty schedule.
+func TestStaircaseMatchesMapVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(30)
+		spread := 1 + rng.Intn(12)
+		s := Schedule{Procs: 1 + rng.Intn(4), Slots: make([]Assignment, n)}
+		for i := range s.Slots {
+			s.Slots[i] = Assignment{Proc: rng.Intn(5), Time: rng.Intn(spread) - spread/2}
+		}
+		if got, want := s.Staircase(), staircaseByMap(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Staircase %v, map version %v (slots %v)", trial, got.Slots, want.Slots, s.Slots)
+		}
+	}
+}
+
 func TestMultiJobNormalize(t *testing.T) {
 	// All four intervals are contiguous as time sets: {1..9}.
 	j := NewMultiJob(Interval{5, 7}, Interval{1, 2}, Interval{3, 4}, Interval{6, 9})
