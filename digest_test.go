@@ -95,15 +95,27 @@ func solveEach(s Solver, corpus []Instance) []BatchResult {
 // the default budget and ModeAuto at digestMixedBudget, and through one
 // SolveBatch of the whole corpus over a shared FragmentCache at Workers
 // 1 and at Workers 4, and compares the digests of every answer and
-// every state count with the committed constants. The batch subtest
-// also checks its two worker counts against each other, so it can run
-// alone (repeated under the race detector) without the digests.
+// every state count with the committed constants. Every answer's
+// schedule must also validate against its instance and count the
+// Solution's Spans: the facade assembles both from per-fragment
+// records. The batch subtest also checks its two worker counts against
+// each other, so it can run alone (repeated under the race detector)
+// without the digests.
 func TestDifferentialDigest(t *testing.T) {
 	corpus := digestCorpus()
 	answers, counts := sha256.New(), sha256.New()
-	record := func(section string, base Solver, results []BatchResult) (lines []string) {
+	record := func(t *testing.T, section string, base Solver, results []BatchResult) (lines []string) {
 		for i, r := range results {
-			a, c := digestLines(fmt.Sprintf("%s/%v/%v/%d", section, base.Objective, base.Alpha, i), base.Objective, r)
+			label := fmt.Sprintf("%s/%v/%v/%d", section, base.Objective, base.Alpha, i)
+			if sol := r.Solution; r.Err == nil {
+				if err := sol.Schedule.Validate(corpus[i]); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := sol.Schedule.Spans(); got != sol.Spans {
+					t.Fatalf("%s: Solution.Spans %d, the schedule has %d", label, sol.Spans, got)
+				}
+			}
+			a, c := digestLines(label, base.Objective, r)
 			io.WriteString(answers, a)
 			io.WriteString(counts, c)
 			lines = append(lines, a, c)
@@ -115,19 +127,19 @@ func TestDifferentialDigest(t *testing.T) {
 		name string
 		run  func(t *testing.T, base Solver)
 	}{
-		{"exact", func(t *testing.T, base Solver) { record("exact", base, solveEach(base, corpus)) }},
+		{"exact", func(t *testing.T, base Solver) { record(t, "exact", base, solveEach(base, corpus)) }},
 		{"heuristic", func(t *testing.T, base Solver) {
 			base.Mode = ModeHeuristic
-			record("heuristic", base, solveEach(base, corpus))
+			record(t, "heuristic", base, solveEach(base, corpus))
 		}},
 		{"auto-default", func(t *testing.T, base Solver) {
 			base.Mode = ModeAuto
-			record("auto-default", base, solveEach(base, corpus))
+			record(t, "auto-default", base, solveEach(base, corpus))
 		}},
 		{"auto-mixed", func(t *testing.T, base Solver) {
 			base.Mode, base.StateBudget = ModeAuto, digestMixedBudget
 			results := solveEach(base, corpus)
-			record("auto-mixed", base, results)
+			record(t, "auto-mixed", base, results)
 			heurFrags, dpFrags := 0, 0
 			for _, r := range results {
 				heurFrags += r.Solution.HeuristicFragments
@@ -144,7 +156,7 @@ func TestDifferentialDigest(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				s := base
 				s.Workers, s.Cache = workers, NewFragmentCache(1024)
-				lines := record("batch", base, s.SolveBatch(corpus))
+				lines := record(t, "batch", base, s.SolveBatch(corpus))
 				for i := range prev {
 					if lines[i] != prev[i] {
 						t.Fatalf("%v α=%v: Workers 4 answered\n%s Workers 1 answered\n%s", base.Objective, base.Alpha, lines[i], prev[i])

@@ -45,6 +45,7 @@ import (
 	"sort"
 
 	"repro/internal/feas"
+	"repro/internal/heur"
 	"repro/internal/prep"
 	"repro/internal/sched"
 )
@@ -63,6 +64,8 @@ type base struct {
 	grid []int // candidate execution times, sorted ascending
 	rel  []int // rel[j] is the grid index of job j's release
 	dlx  []int // dlx[j] is the number of grid times at or before job j's deadline
+
+	anchors []int // storage for prep.AppendGrid's sorted anchors
 
 	// t1val[i] is the left endpoint encoded by index i: t1val[0] is the
 	// virtual start (grid[0]−1) and t1val[g+1] is grid[g]+1, the right
@@ -103,7 +106,13 @@ func (b *base) reset(in sched.Instance, fullGrid bool) {
 	}
 	slices.SortFunc(b.byDL, func(x, y int) int {
 		a, c := in.Jobs[x], in.Jobs[y]
-		return cmp.Or(cmp.Compare(a.Deadline, c.Deadline), cmp.Compare(a.Release, c.Release), cmp.Compare(x, y))
+		if a.Deadline != c.Deadline {
+			return cmp.Compare(a.Deadline, c.Deadline)
+		}
+		if a.Release != c.Release {
+			return cmp.Compare(a.Release, c.Release)
+		}
+		return cmp.Compare(x, y)
 	})
 
 	if fullGrid {
@@ -118,7 +127,7 @@ func (b *base) reset(in sched.Instance, fullGrid bool) {
 			}
 		}
 	} else {
-		b.grid = prep.AppendGrid(b.grid[:0], in)
+		b.grid = prep.AppendGrid(b.grid[:0], in, &b.anchors)
 	}
 	g := len(b.grid)
 	b.t1val, b.t2val = resize(b.t1val, g+1), resize(b.t2val, g+1)
@@ -265,6 +274,10 @@ type Result struct {
 	PrunedStates int
 	// ExpandedStates counts subproblems the recursion actually expanded.
 	ExpandedStates int
+	// LowerBound is a certified lower bound on the optimum, in Cost's
+	// units: Cost itself for Solve, the internal/heur certificate for
+	// Greedy.
+	LowerBound float64
 }
 
 var errInvalidAlpha = errors.New("core: transition cost alpha is outside [0, 2^53]")
@@ -282,14 +295,8 @@ var errInvalidAlpha = errors.New("core: transition cost alpha is outside [0, 2^5
 // allocates none of the engine's buffers. It returns ErrInfeasible
 // when no feasible schedule exists.
 func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
-	if err := in.Validate(); err != nil {
+	if err := validate(in, obj); err != nil {
 		return Result{}, err
-	}
-	if err := in.CheckTimes(); err != nil {
-		return Result{}, err
-	}
-	if obj.Power && !sched.ValidAlpha(obj.Alpha) {
-		return Result{}, errInvalidAlpha
 	}
 	n := len(in.Jobs)
 	if n == 0 {
@@ -331,7 +338,57 @@ func Solve(in sched.Instance, obj Objective, opts Options) (Result, error) {
 	if err := r.Schedule.Validate(in); err != nil {
 		return Result{}, err
 	}
+	r.LowerBound = r.Cost
 	return r, nil
+}
+
+// Greedy serves in on the heuristic tier under obj, with Solve's
+// validation: the internal/heur greedy schedule, checked against in,
+// priced by obj, and certified by the internal/heur bound in
+// Result.LowerBound, which the greedy's own index yields without
+// sorting the jobs again. The state counts are 0. The greedy runs in a
+// workspace from the free list, like Solve's incumbent, and the result
+// shares nothing with it. It returns ErrInfeasible when no feasible
+// schedule exists.
+func Greedy(in sched.Instance, obj Objective) (Result, error) {
+	if err := validate(in, obj); err != nil {
+		return Result{}, err
+	}
+	w := getWorkspace()
+	defer putWorkspace(w)
+	s, err := w.greedy.Greedy(in)
+	if errors.Is(err, heur.ErrInfeasible) {
+		return Result{}, ErrInfeasible
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	s.Slots = slices.Clone(s.Slots)
+	if err := s.Validate(in); err != nil {
+		return Result{}, err
+	}
+	r := Result{Cost: obj.Price(s), Schedule: s}
+	if obj.Power {
+		r.LowerBound = w.greedy.PowerLB(obj.Alpha)
+	} else {
+		r.LowerBound = float64(w.greedy.SpanLB())
+	}
+	return r, nil
+}
+
+// validate applies the checks Solve and Greedy share: the instance,
+// its time range (sched.Instance.CheckTimes) and then the alpha.
+func validate(in sched.Instance, obj Objective) error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	if err := in.CheckTimes(); err != nil {
+		return err
+	}
+	if obj.Power && !sched.ValidAlpha(obj.Alpha) {
+		return errInvalidAlpha
+	}
+	return nil
 }
 
 // search runs the engine for model m on w's fragment: a run under the

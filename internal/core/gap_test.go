@@ -77,6 +77,31 @@ func TestSolveRejectsOutOfRangeTimes(t *testing.T) {
 	}
 }
 
+// TestGreedyRejectsWhatSolveRejects: the heuristic entry applies
+// Solve's input checks — the instance, the time-range rule, the alpha
+// — and reports an infeasible instance as ErrInfeasible, the error
+// Solve and the facade report, not the greedy's own.
+func TestGreedyRejectsWhatSolveRejects(t *testing.T) {
+	clash := sched.NewInstance([]sched.Job{{Release: 0, Deadline: 0}, {Release: 0, Deadline: 0}})
+	if _, err := Greedy(clash, Objective{}); err != ErrInfeasible {
+		t.Errorf("clash: err = %v, want ErrInfeasible", err)
+	}
+	edge := sched.NewInstance([]sched.Job{{Release: math.MaxInt - 3, Deadline: math.MaxInt - 1}, {Release: 0, Deadline: 0}})
+	if _, err := Greedy(edge, Objective{}); !errors.Is(err, sched.ErrTimeRange) {
+		t.Errorf("times near MaxInt: err = %v, want sched.ErrTimeRange", err)
+	}
+	if _, err := Greedy(sched.NewInstance([]sched.Job{{Release: 2, Deadline: 1}}), Objective{}); err == nil {
+		t.Error("an empty window was accepted")
+	}
+	if _, err := Greedy(sched.NewInstance([]sched.Job{{Release: 0, Deadline: 1}}), Objective{Power: true, Alpha: -1}); err != errInvalidAlpha {
+		t.Errorf("alpha −1: err = %v, want errInvalidAlpha", err)
+	}
+	r, err := Greedy(sched.Instance{Procs: 2}, Objective{Power: true, Alpha: 2})
+	if err != nil || r.Cost != 0 || r.LowerBound != 0 || len(r.Schedule.Slots) != 0 || r.Schedule.Procs != 2 {
+		t.Errorf("empty instance: %+v, %v", r, err)
+	}
+}
+
 func TestSolveGapsMatchesOracleSingleProc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {

@@ -253,9 +253,9 @@ func TestMemoPoolReuseMatchesGolden(t *testing.T) {
 // solve, a solve of a 192-job dense fragment on two processors
 // allocates at most a quarter of what it did when the engine built a
 // job list per interval and leased memo tables from sync.Pools (1,577
-// allocations for gaps and 1,584 for power at α = 2 there). It reads
-// 27 for each; what remains is the feasibility sweep, the grid's anchor
-// intervals, and the copy and validation of the result.
+// allocations for gaps and 1,584 for power at α = 2 there). It reads 9
+// for each; what remains is the feasibility sweep, pricing the greedy
+// incumbent, and the copy and validation of the result.
 func TestSolveAllocations(t *testing.T) {
 	in := workload.StressDense(rand.New(rand.NewSource(1)), 192, 2)
 	for _, c := range []struct {
@@ -270,6 +270,43 @@ func TestSolveAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(5, func() { Solve(in, c.obj, Options{}) }); got > c.most {
 			t.Errorf("%+v: %v allocations per solve, want at most %v", c.obj, got, c.most)
+		}
+	}
+}
+
+// TestResetAllocatesNothing: rebuilding a warm workspace for the same
+// fragment allocates nothing, the sorted grid anchors included, on the
+// anchor grid and on the full grid.
+func TestResetAllocatesNothing(t *testing.T) {
+	in := workload.StressDense(rand.New(rand.NewSource(1)), 192, 2)
+	for _, fullGrid := range []bool{false, true} {
+		var w workspace
+		w.reset(in, fullGrid)
+		if got := testing.AllocsPerRun(5, func() { w.reset(in, fullGrid) }); got != 0 {
+			t.Errorf("FullGrid %v: a warm reset allocates %v times, want 0", fullGrid, got)
+		}
+	}
+}
+
+// TestGreedyAllocations pins the heuristic entry's reuse: after one
+// warm call, Greedy on a 5,000-job fragment allocates at most 24 times
+// for either objective — the returned schedule, Schedule.Validate's
+// map and the rows that price the schedule — where a greedy with a
+// Scratch of its own and a certificate that sorted the jobs itself
+// allocated its index arrays on every call.
+func TestGreedyAllocations(t *testing.T) {
+	for _, prof := range []string{workload.ProfileBursty, workload.ProfileDense} {
+		in, err := workload.Stress(rand.New(rand.NewSource(2)), prof, 5000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []Objective{{}, {Power: true, Alpha: 2}} {
+			if _, err := Greedy(in, obj); err != nil {
+				t.Fatalf("%s %+v: %v", prof, obj, err)
+			}
+			if got := testing.AllocsPerRun(5, func() { Greedy(in, obj) }); got > 24 {
+				t.Errorf("%s %+v: %v allocations per warm Greedy, want at most 24", prof, obj, got)
+			}
 		}
 	}
 }
@@ -310,7 +347,7 @@ func TestWorkspaceRetention(t *testing.T) {
 // keptBytes lists the storage of every buffer w holds.
 func keptBytes(w *workspace) map[string]int {
 	m := map[string]int{
-		"byDL": bytesOf(w.byDL), "grid": bytesOf(w.grid), "rel": bytesOf(w.rel), "dlx": bytesOf(w.dlx),
+		"byDL": bytesOf(w.byDL), "grid": bytesOf(w.grid), "rel": bytesOf(w.rel), "dlx": bytesOf(w.dlx), "anchors": bytesOf(w.anchors),
 		"t1val": bytesOf(w.t1val), "t2val": bytesOf(w.t2val), "rank": bytesOf(w.rank), "below": bytesOf(w.below),
 		"rights": bytesOf(w.rights), "placed": bytesOf(w.placed), "greedy": w.greedy.Bytes(),
 	}

@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/heur"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -80,4 +83,79 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestConcurrentTiersMatchFresh runs both tiers at once on the
+// workspace free list: goroutines interleave Greedy on heuristic-sized
+// fragments with exact Solves of dense ones, each in its own order, so
+// the greedy's index and the engine's buffers are rebuilt over storage
+// the other tier left behind. Every answer must equal the one computed
+// with fresh storage: a Solve on an emptied free list, and the
+// package-level heur.Greedy with the certificates' own index.
+func TestConcurrentTiersMatchFresh(t *testing.T) {
+	type solveCase struct {
+		in    sched.Instance
+		obj   Objective
+		exact bool
+		want  Result
+	}
+	var cases []solveCase
+	rng := rand.New(rand.NewSource(29))
+	for _, obj := range []Objective{{}, {Power: true, Alpha: 1.5}} {
+		for i := 0; i < 3; i++ {
+			cases = append(cases, solveCase{in: workload.StressDense(rng, 24+8*i, 1+i%2), obj: obj, exact: true})
+			in, err := workload.Stress(rng, workload.StressProfiles[i], 300+200*i, 1+i%3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, solveCase{in: in, obj: obj})
+		}
+	}
+	for i := range cases {
+		c := &cases[i]
+		if c.exact {
+			workspaces.Lock()
+			workspaces.free = nil
+			workspaces.Unlock()
+			r, err := Solve(c.in, c.obj, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.want = r
+			continue
+		}
+		s, err := heur.Greedy(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.want = Result{Cost: c.obj.Price(s), Schedule: s, LowerBound: float64(heur.FragmentSpanLB(c.in))}
+		if c.obj.Power {
+			c.want.LowerBound = heur.FragmentPowerLB(c.in, c.obj.Alpha)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for _, i := range rand.New(rand.NewSource(int64(10*g + round))).Perm(len(cases)) {
+					c := cases[i]
+					var got Result
+					var err error
+					if c.exact {
+						got, err = Solve(c.in, c.obj, Options{})
+					} else {
+						got, err = Greedy(c.in, c.obj)
+					}
+					if err != nil || !reflect.DeepEqual(got, c.want) {
+						t.Errorf("goroutine %d, case %d (exact %v, %+v, %d jobs): got cost %v lb %v err %v, want cost %v lb %v",
+							g, i, c.exact, c.obj, len(c.in.Jobs), got.Cost, got.LowerBound, err, c.want.Cost, c.want.LowerBound)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

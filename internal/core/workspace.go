@@ -83,7 +83,7 @@ func putWorkspace(w *workspace) {
 // to the last solve's jobs.
 func (w *workspace) trim() {
 	w.jobs = nil
-	w.byDL, w.grid, w.rel, w.dlx = keep(w.byDL), keep(w.grid), keep(w.rel), keep(w.dlx)
+	w.byDL, w.grid, w.rel, w.dlx, w.anchors = keep(w.byDL), keep(w.grid), keep(w.rel), keep(w.dlx), keep(w.anchors)
 	w.t1val, w.t2val = keep(w.t1val), keep(w.t2val)
 	w.rank, w.below = keep(w.rank), keep(w.below)
 	w.rights, w.placed = keep(w.rights), keep(w.placed)

@@ -47,10 +47,12 @@
 // FragmentSpanLB and FragmentPowerLB (lower.go) are certified lower
 // bounds on the optimal cost of one fragment, so a heuristic answer
 // bounds its own optimality gap: LowerBound ≤ OPT ≤ cost. The facade
-// (gapsched.Solver with Mode ModeHeuristic or ModeAuto) runs Greedy on
-// each fragment, prices the schedule under its objective, and sums
-// into Solution.LowerBound exact fragment costs where fragments were
-// solved exactly and these bounds where they were not.
+// (gapsched.Solver with Mode ModeHeuristic or ModeAuto) serves each
+// heuristic fragment through core.Greedy, which runs Scratch.Greedy,
+// prices the schedule under its objective and reads the certificate
+// from the same Scratch, and sums into Solution.LowerBound exact
+// fragment costs where fragments were solved exactly and these bounds
+// where they were not.
 package heur
 
 import (
@@ -84,23 +86,122 @@ func Greedy(in sched.Instance) (sched.Schedule, error) {
 
 // Scratch holds Greedy's working arrays, so that a caller running many
 // greedy schedules in turn reuses them instead of allocating each run's
-// own. The zero value is ready to use; a Scratch serves one run at a
-// time.
+// own. Its core is the index of one instance, which Greedy builds once
+// and the certificates (SpanLB, PowerLB) read again: the jobs on a
+// zero-based timeline, their release order, the distinct deadlines and
+// each job's rank among them. The zero value is ready to use; a Scratch
+// serves one run at a time.
 type Scratch struct {
-	jobs                     []sched.Job
-	byRel, dls, f, remaining []int
-	heap                     []int // the pending queue's storage
-	tree                     minTree
-	slots                    []sched.Assignment
+	lo     int         // the earliest release, the zero-based timeline's origin
+	jobs   []sched.Job // the jobs shifted by −lo
+	byRel  []int       // job indices in (release, index) order
+	dls    []int       // the distinct deadlines, ascending, in the instance's times
+	dlRank []int       // dlRank[j] is the index in dls of job j's deadline
+	at     []int       // countIndex's counts and ranks per zero-based time
+
+	f, remaining []int
+	heap         []int // the pending queue's storage
+	tree         minTree
+	fen          fenwick // the density certificate's counts over deadline ranks
+	slots        []sched.Assignment
+}
+
+// countWidth bounds, in times per job, the zero-based horizon that
+// index sorts by counting; a wider one is sorted by comparison. Both
+// give the same index.
+const countWidth = 8
+
+// index builds s's index of in. When every window is non-empty and
+// the horizon holds fewer than countWidth times per job it counts: one
+// pass over the times orders the releases and another lists the
+// distinct deadlines with their ranks, with no comparison sort.
+// Otherwise it sorts, comparing the instance's own times, which never
+// wrap. The zero-based copies serve the greedy's arithmetic and
+// differences of times, which the shift leaves alone.
+func (s *Scratch) index(in sched.Instance) {
+	n := len(in.Jobs)
+	lo, hi := in.TimeHorizon()
+	s.lo = lo
+	s.jobs = resize(s.jobs, n)
+	valid := true
+	for i, j := range in.Jobs {
+		s.jobs[i] = sched.Job{Release: j.Release - lo, Deadline: j.Deadline - lo}
+		valid = valid && j.Valid()
+	}
+	s.byRel, s.dlRank = resize(s.byRel, n), resize(s.dlRank, n)
+	if span := uint(hi) - uint(lo); valid && span < countWidth*uint(n) {
+		s.countIndex(int(span) + 1)
+	} else {
+		s.sortIndex(in)
+	}
+}
+
+// sortIndex builds the index by sorting the instance's times.
+func (s *Scratch) sortIndex(in sched.Instance) {
+	for i := range s.byRel {
+		s.byRel[i] = i
+	}
+	slices.SortFunc(s.byRel, func(x, y int) int {
+		if a, b := in.Jobs[x].Release, in.Jobs[y].Release; a != b {
+			return cmp.Compare(a, b)
+		}
+		return cmp.Compare(x, y)
+	})
+	dls := resize(s.dls, len(in.Jobs))
+	for i, j := range in.Jobs {
+		dls[i] = j.Deadline
+	}
+	slices.Sort(dls)
+	s.dls = dedupe(dls)
+	for i, j := range in.Jobs {
+		s.dlRank[i] = sort.SearchInts(s.dls, j.Deadline)
+	}
+}
+
+// countIndex builds the index by counting over the width zero-based
+// times of s.jobs: the release order is a counting sort, stable in the
+// job index, and the deadline axis is the marked times in order, each
+// mark then replaced by its rank.
+func (s *Scratch) countIndex(width int) {
+	at := resize(s.at, width+1)
+	s.at = at
+	clear(at)
+	for _, j := range s.jobs {
+		at[j.Release+1]++
+	}
+	for t := 1; t <= width; t++ {
+		at[t] += at[t-1]
+	}
+	for i, j := range s.jobs {
+		s.byRel[at[j.Release]] = i
+		at[j.Release]++
+	}
+	clear(at)
+	for _, j := range s.jobs {
+		at[j.Deadline] = 1
+	}
+	dls := resize(s.dls, len(s.jobs))[:0]
+	for t, marked := range at[:width] {
+		if marked != 0 {
+			at[t] = len(dls)
+			dls = append(dls, t+s.lo)
+		}
+	}
+	s.dls = dls
+	for i, j := range s.jobs {
+		s.dlRank[i] = at[j.Deadline]
+	}
 }
 
 // Greedy runs the package-level Greedy in s's arrays. The returned
 // schedule's slots belong to s: they stay valid only until s's next
-// run.
+// run. Every call that gets past the instance's validation indexes the
+// instance, so SpanLB and PowerLB certify it afterwards.
 func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return sched.Schedule{}, err
 	}
+	s.index(in)
 	n := len(in.Jobs)
 	if n == 0 {
 		return sched.Schedule{Procs: in.Procs, Slots: []sched.Assignment{}}, nil
@@ -118,31 +219,10 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 	// timestamps, say — must not push p·(e+1) anywhere near overflow.
 	// Residual pathologies (window widths near MaxInt/p) are handled
 	// by saturating the wake-bound values below.
-	lo, _ := in.TimeHorizon()
-	jobs := resize(s.jobs, n)
-	s.jobs = jobs
-	for i, j := range in.Jobs {
-		jobs[i] = sched.Job{Release: j.Release - lo, Deadline: j.Deadline - lo}
-	}
-
-	// Arrivals in release order; deadlines deduplicated for the wake
-	// tree's coordinate axis.
-	byRel := resize(s.byRel, n)
-	s.byRel = byRel
-	for i := range byRel {
-		byRel[i] = i
-	}
-	slices.SortFunc(byRel, func(x, y int) int {
-		return cmp.Or(cmp.Compare(jobs[x].Release, jobs[y].Release), cmp.Compare(x, y))
-	})
-	dls := resize(s.dls, n)
-	s.dls = dls
-	for i, j := range jobs {
-		dls[i] = j.Deadline
-	}
-	slices.Sort(dls)
-	dls = dedupe(dls)
-	rank := func(d int) int { return sort.SearchInts(dls, d) }
+	lo, jobs, byRel, dls, rank := s.lo, s.jobs, s.byRel, s.dls, s.dlRank
+	// rankOf is the index in dls of the first deadline at or after the
+	// zero-based time t.
+	rankOf := func(t int) int { return sort.SearchInts(dls, t+lo) }
 
 	// f(e) = p·(e+1) − N(e) with N(e) the unscheduled jobs with
 	// deadline ≤ e; the latest safe wake from an idle state with next
@@ -157,12 +237,13 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 	s.f, s.remaining = f, remaining
 	clear(f)
 	clear(remaining)
-	for _, j := range jobs {
-		f[rank(j.Deadline)]--
-		remaining[rank(j.Deadline)]++
+	for _, r := range rank {
+		f[r]--
+		remaining[r]++
 	}
 	run := 0
-	for i, e := range dls {
+	for i, d := range dls {
+		e := d - lo
 		run += f[i]
 		pe := math.MaxInt - n
 		if e <= (math.MaxInt-n)/p-1 {
@@ -181,9 +262,9 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 	// reaches it.
 	hallViolated := func(r int) bool {
 		cum := 0
-		for i := rank(r); i < len(dls); i++ {
+		for i := rankOf(r); i < len(dls); i++ {
 			cum += remaining[i]
-			width := dls[i] - r + 1
+			width := dls[i] - lo - r + 1
 			if width <= (math.MaxInt-1)/p && cum > p*width {
 				return true
 			}
@@ -198,7 +279,7 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 		// Asleep with an empty pending set: every unscheduled job is a
 		// future arrival.
 		rNext := jobs[byRel[next]].Release
-		w := floorDiv(tree.minSuffix(rank(rNext)), p)
+		w := floorDiv(tree.minSuffix(rankOf(rNext)), p)
 		if w < rNext {
 			if hallViolated(rNext) {
 				// Even waking at the next arrival cannot meet some
@@ -224,8 +305,8 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 					return sched.Schedule{}, ErrInfeasible
 				}
 				out.Slots[j] = sched.Assignment{Proc: q, Time: t + lo}
-				tree.addSuffix(rank(jobs[j].Deadline), 1)
-				remaining[rank(jobs[j].Deadline)]--
+				tree.addSuffix(rank[j], 1)
+				remaining[rank[j]]--
 				scheduled++
 			}
 		}
@@ -236,8 +317,8 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 // Bytes reports the memory s's arrays hold, so that a caller keeping
 // a Scratch between runs can drop one that an oversized run grew.
 func (s *Scratch) Bytes() int {
-	return bytesOf(s.jobs) + bytesOf(s.byRel) + bytesOf(s.dls) + bytesOf(s.f) + bytesOf(s.remaining) +
-		bytesOf(s.heap) + bytesOf(s.tree.mn) + bytesOf(s.tree.lazy) + bytesOf(s.slots)
+	return bytesOf(s.jobs) + bytesOf(s.byRel) + bytesOf(s.dls) + bytesOf(s.dlRank) + bytesOf(s.at) + bytesOf(s.f) + bytesOf(s.remaining) +
+		bytesOf(s.heap) + bytesOf(s.tree.mn) + bytesOf(s.tree.lazy) + bytesOf(s.fen) + bytesOf(s.slots)
 }
 
 // bytesOf is the size of buf's storage.

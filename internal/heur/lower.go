@@ -23,14 +23,12 @@ package heur
 // The density maximum is evaluated over the candidate windows
 // {[r_j, d_j] : j a job of the fragment} — a sound restriction of the
 // full release×deadline candidate set (any subset of windows yields a
-// valid bound) computable in O(n log n) by a Fenwick sweep. E20 and
-// FuzzHeuristicQuality measure and certify LowerBound ≤ OPT.
+// valid bound) computable in O(n log n) by a Fenwick sweep over the
+// Scratch index that Greedy builds, so certifying a greedy schedule
+// sorts nothing again. E20 and FuzzHeuristicQuality measure and
+// certify LowerBound ≤ OPT.
 
-import (
-	"sort"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // FragmentSpanLB is the per-fragment span certificate: the density
 // level bound, at least 1 for any non-empty fragment. It assumes
@@ -38,10 +36,9 @@ import (
 // splittable idle runs it is merely a weaker (but sound) bound than
 // its sum over the instance's fragments.
 func FragmentSpanLB(in sched.Instance) int {
-	if len(in.Jobs) == 0 {
-		return 0
-	}
-	return max(1, densityLB(in))
+	var s Scratch
+	s.index(in)
+	return s.SpanLB()
 }
 
 // FragmentPowerLB is the per-fragment power certificate: the
@@ -49,10 +46,27 @@ func FragmentSpanLB(in sched.Instance) int {
 // FragmentSpanLB, it is sound on any instance and tight on a single
 // power fragment.
 func FragmentPowerLB(in sched.Instance, alpha float64) float64 {
-	if len(in.Jobs) == 0 {
+	var s Scratch
+	s.index(in)
+	return s.PowerLB(alpha)
+}
+
+// SpanLB is FragmentSpanLB of the instance s last indexed — after a
+// Greedy call, the instance it scheduled — read from s's index.
+func (s *Scratch) SpanLB() int {
+	if len(s.jobs) == 0 {
 		return 0
 	}
-	return float64(len(in.Jobs)) + alpha*float64(max(1, densityLB(in)))
+	return max(1, s.density())
+}
+
+// PowerLB is FragmentPowerLB of the instance s last indexed, like
+// SpanLB.
+func (s *Scratch) PowerLB(alpha float64) float64 {
+	if len(s.jobs) == 0 {
+		return 0
+	}
+	return float64(len(s.jobs)) + alpha*float64(max(1, s.density()))
 }
 
 // SubSpanLB restricts the span bound to one DP subproblem of the exact
@@ -107,46 +121,27 @@ func SubPowerLB(k, l1, l2, c2, t1, t2 int, alpha float64) float64 {
 	return lb
 }
 
-// densityLB computes max over job windows [r_j, d_j] of
-// ⌈|{i : r_i ≥ r_j, d_i ≤ d_j}| / (d_j − r_j + 1)⌉ — the largest
+// density computes, on s's index, the max over job windows [r_j, d_j]
+// of ⌈|{i : r_i ≥ r_j, d_i ≤ d_j}| / (d_j − r_j + 1)⌉ — the largest
 // profile level any schedule of the instance must reach, per the
 // density argument above. Jobs are swept in decreasing release order
-// with a Fenwick tree over deadline ranks, so each window's contained
-// count is one prefix query.
-func densityLB(in sched.Instance) int {
-	n := len(in.Jobs)
-	if n == 0 {
-		return 0
-	}
-	dls := make([]int, n)
-	for i, j := range in.Jobs {
-		dls[i] = j.Deadline
-	}
-	sort.Ints(dls)
-	dls = dedupe(dls)
-	rank := func(d int) int { return sort.SearchInts(dls, d) }
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		return in.Jobs[order[x]].Release > in.Jobs[order[y]].Release
-	})
-
-	fen := newFenwick(len(dls))
+// (the release order backwards) with a Fenwick tree over deadline
+// ranks, so each window's contained count is one prefix query.
+func (s *Scratch) density() int {
+	s.fen = resize(s.fen, len(s.dls)+1)
+	clear(s.fen)
 	best := 0
-	for i := 0; i < n; {
+	for i := len(s.byRel) - 1; i >= 0; {
 		// Insert the whole equal-release group before querying any of
 		// its members: "release ≥ r_j" includes ties.
+		r := s.jobs[s.byRel[i]].Release
 		j := i
-		for j < n && in.Jobs[order[j]].Release == in.Jobs[order[i]].Release {
-			fen.add(rank(in.Jobs[order[j]].Deadline), 1)
-			j++
+		for ; j >= 0 && s.jobs[s.byRel[j]].Release == r; j-- {
+			s.fen.add(s.dlRank[s.byRel[j]], 1)
 		}
-		for k := i; k < j; k++ {
-			jb := in.Jobs[order[k]]
-			if m := windowLevel(fen.prefix(rank(jb.Deadline)), jb.Release, jb.Deadline); m > best {
+		for k := i; k > j; k-- {
+			jb := s.byRel[k]
+			if m := windowLevel(s.fen.prefix(s.dlRank[jb]), r, s.jobs[jb].Deadline); m > best {
 				best = m
 			}
 		}
@@ -158,7 +153,9 @@ func densityLB(in sched.Instance) int {
 // windowLevel is ⌈cnt / (d − r + 1)⌉ for 1 ≤ cnt and r ≤ d, computed
 // so that nothing wraps: the width d − r + 1 exceeds MaxInt for windows
 // near the ends of int (for [MinInt, MaxInt] it wraps to 0 in int), and
-// a width of at least cnt gives level 1 without dividing.
+// a width of at least cnt gives level 1 without dividing. It reads only
+// d − r, so times shifted by a common origin give the same level even
+// where the shift wraps.
 func windowLevel(cnt, r, d int) int {
 	if span := uint(d) - uint(r); span >= uint(cnt) {
 		return 1
@@ -167,22 +164,21 @@ func windowLevel(cnt, r, d int) int {
 	return (cnt + width - 1) / width
 }
 
-// fenwick is a classic binary indexed tree over 0-based positions.
-type fenwick struct{ tree []int }
+// fenwick is a classic binary indexed tree over 0-based positions,
+// stored in a slice of length positions+1.
+type fenwick []int
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
-
-func (f *fenwick) add(pos, delta int) {
-	for i := pos + 1; i < len(f.tree); i += i & -i {
-		f.tree[i] += delta
+func (f fenwick) add(pos, delta int) {
+	for i := pos + 1; i < len(f); i += i & -i {
+		f[i] += delta
 	}
 }
 
 // prefix sums positions [0, pos].
-func (f *fenwick) prefix(pos int) int {
+func (f fenwick) prefix(pos int) int {
 	s := 0
 	for i := pos + 1; i > 0; i -= i & -i {
-		s += f.tree[i]
+		s += f[i]
 	}
 	return s
 }

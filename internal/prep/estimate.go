@@ -5,7 +5,6 @@ package prep
 // running it, by comparing AdmissionEstimate with Solver.StateBudget.
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -63,7 +62,8 @@ func AdmissionEstimate(in sched.Instance) int {
 // clipped anchor neighbourhoods [a−n, a+n] over all releases and
 // deadlines a — exactly the grid AppendGrid lists.
 func gridSize(in sched.Instance) int {
-	_, size := gridRuns(in)
+	size := 0
+	gridRuns(sortedAnchors(nil, in), in, func(from, to int) { size += to - from + 1 })
 	return size
 }
 
@@ -71,52 +71,72 @@ func gridSize(in sched.Instance) int {
 // grid, in ascending order, and returns the extended slice: every time
 // within distance n of a release or a deadline, clipped to the horizon
 // (the span-anchoring argument of internal/core). Passing the previous
-// grid's storage reuses it.
-func AppendGrid(grid []int, in sched.Instance) []int {
-	runs, size := gridRuns(in)
+// grid's storage reuses it. When anchors is non-nil, the 2n anchors are
+// sorted in its storage, which is kept there for the next call, so a
+// warm caller allocates nothing.
+func AppendGrid(grid []int, in sched.Instance, anchors *[]int) []int {
+	var buf []int
+	if anchors != nil {
+		buf = *anchors
+	}
+	buf = sortedAnchors(buf, in)
+	if anchors != nil {
+		*anchors = buf
+	}
+	size := 0
+	gridRuns(buf, in, func(from, to int) { size += to - from + 1 })
 	grid = slices.Grow(grid, size)
-	for _, r := range runs {
-		// Stop at r[1] before incrementing: t <= r[1] holds for every
-		// t when r[1] is MaxInt.
-		for t := r[0]; ; t++ {
+	gridRuns(buf, in, func(from, to int) {
+		// Stop at to before incrementing: t <= to holds for every t
+		// when to is MaxInt.
+		for t := from; ; t++ {
 			grid = append(grid, t)
-			if t == r[1] {
+			if t == to {
 				break
 			}
 		}
-	}
+	})
 	return grid
 }
 
-// gridRuns returns the candidate grid as ascending, disjoint runs of
-// consecutive times [lo, hi], plus its size, by one sort and one sweep
-// over the 2n clipped anchor neighbourhoods — so measuring the grid
-// costs O(n log n) however large it is.
-func gridRuns(in sched.Instance) (runs [][2]int, size int) {
+// sortedAnchors returns in's 2n anchors, every release and deadline, in
+// ascending order, in buf's storage.
+func sortedAnchors(buf []int, in sched.Instance) []int {
+	buf = buf[:0]
+	for _, j := range in.Jobs {
+		buf = append(buf, j.Release, j.Deadline)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// gridRuns calls run for each of the candidate grid's ascending,
+// disjoint runs of consecutive times [from, to], given in's anchors in
+// ascending order. Every neighbourhood [a−n, a+n] has the same radius
+// n, so the anchors' order is the order of the neighbourhoods' starts,
+// and one sweep merges them: measuring or listing the grid costs one
+// sort of 2n ints however large the grid is.
+func gridRuns(anchors []int, in sched.Instance, run func(from, to int)) {
 	n := len(in.Jobs)
 	lo, hi := in.TimeHorizon()
-	ivs := make([][2]int, 0, 2*n)
-	for _, j := range in.Jobs {
-		for _, a := range [2]int{j.Release, j.Deadline} {
-			if from, to := max(satAdd(a, -n), lo), min(satAdd(a, n), hi); from <= to {
-				ivs = append(ivs, [2]int{from, to})
-			}
+	open := false
+	var from, to int
+	for _, a := range anchors {
+		f, t := max(satAdd(a, -n), lo), min(satAdd(a, n), hi)
+		switch {
+		case f > t:
+			continue
+		case open && f <= to:
+			to = max(to, t)
+			continue
+		case open:
+			run(from, to)
 		}
+		open, from, to = true, f, t
 	}
-	slices.SortFunc(ivs, func(x, y [2]int) int { return cmp.Compare(x[0], y[0]) })
-	runs = ivs[:0] // merges in place: runs never outgrows the intervals read
-	for _, v := range ivs {
-		if k := len(runs) - 1; k >= 0 && v[0] <= runs[k][1] {
-			if v[1] > runs[k][1] {
-				size += v[1] - runs[k][1]
-				runs[k][1] = v[1]
-			}
-		} else {
-			runs = append(runs, v)
-			size += v[1] - v[0] + 1
-		}
+	if open {
+		run(from, to)
 	}
-	return runs, size
 }
 
 // satAdd adds a and b, saturating at MinInt and MaxInt: the anchor

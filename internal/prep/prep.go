@@ -29,8 +29,9 @@
 package prep
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -80,7 +81,9 @@ func ForPower(in sched.Instance, alpha float64) *Plan { return Decompose(in, alp
 // (and width ≥ 1) and translates each fragment to a zero-based origin.
 // Fragments appear in increasing time order; job order within a
 // fragment follows the original instance. The empty instance yields an
-// empty plan.
+// empty plan. Every fragment's jobs and index list are capped windows
+// of two arrays shared by the whole plan, so a decomposition into any
+// number of fragments costs a handful of allocations.
 func Decompose(in sched.Instance, splitWidth float64) *Plan {
 	pl := &Plan{procs: in.Procs, n: len(in.Jobs)}
 	if len(in.Jobs) == 0 {
@@ -91,55 +94,45 @@ func Decompose(in sched.Instance, splitWidth float64) *Plan {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := in.Jobs[order[x]], in.Jobs[order[y]]
-		if a.Release != b.Release {
-			return a.Release < b.Release
+	slices.SortFunc(order, func(x, y int) int {
+		if a, b := in.Jobs[x].Release, in.Jobs[y].Release; a != b {
+			return cmp.Compare(a, b)
 		}
-		return order[x] < order[y]
+		return cmp.Compare(x, y)
 	})
 
 	// Sweep windows in release order; a new fragment starts whenever the
 	// next window opens beyond the current coverage by a splittable
-	// idle run.
-	var cur []int
-	curEnd := 0
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		sort.Ints(cur) // restore original job order within the fragment
-		offset := in.Jobs[cur[0]].Release
-		for _, j := range cur {
-			if r := in.Jobs[j].Release; r < offset {
-				offset = r
-			}
-		}
-		jobs := make([]sched.Job, len(cur))
-		for i, j := range cur {
-			jobs[i] = sched.Job{
+	// idle run. Each fragment is a contiguous block of order.
+	jobs := make([]sched.Job, len(in.Jobs))
+	flush := func(from, to int) {
+		offset := in.Jobs[order[from]].Release // the block's earliest release
+		ids := order[from:to:to]
+		slices.Sort(ids) // restore original job order within the fragment
+		fr := jobs[from:to:to]
+		for i, j := range ids {
+			fr[i] = sched.Job{
 				Release:  in.Jobs[j].Release - offset,
 				Deadline: in.Jobs[j].Deadline - offset,
 			}
 		}
 		pl.Subs = append(pl.Subs, Sub{
-			Instance: sched.Instance{Jobs: jobs, Procs: in.Procs},
-			Jobs:     cur,
+			Instance: sched.Instance{Jobs: fr, Procs: in.Procs},
+			Jobs:     ids,
 			Offset:   offset,
 		})
-		cur = nil
 	}
-	for _, j := range order {
+	first, curEnd := 0, in.Jobs[order[0]].Deadline
+	for x, j := range order[1:] {
 		job := in.Jobs[j]
-		if len(cur) > 0 && Splits(job.Release-curEnd-1, splitWidth) {
-			flush()
+		if Splits(job.Release-curEnd-1, splitWidth) {
+			flush(first, x+1)
+			first, curEnd = x+1, job.Deadline
+			continue
 		}
-		cur = append(cur, j)
-		if job.Deadline > curEnd || len(cur) == 1 {
-			curEnd = job.Deadline
-		}
+		curEnd = max(curEnd, job.Deadline)
 	}
-	flush()
+	flush(first, len(order))
 	return pl
 }
 

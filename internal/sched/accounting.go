@@ -11,11 +11,16 @@ import (
 // SpansOfTimes returns the number of maximal runs of consecutive integers
 // in ts (which need not be sorted; duplicates are ignored).
 func SpansOfTimes(ts []int) int {
-	if len(ts) == 0 {
-		return 0
-	}
 	sorted := append([]int(nil), ts...)
 	sort.Ints(sorted)
+	return spansOfSorted(sorted)
+}
+
+// spansOfSorted is SpansOfTimes for times already in ascending order.
+func spansOfSorted(sorted []int) int {
+	if len(sorted) == 0 {
+		return 0
+	}
 	spans := 1
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
@@ -51,7 +56,7 @@ func GapLengths(ts []int) []int {
 func (s Schedule) Spans() int {
 	total := 0
 	for _, ts := range s.BusyRows() {
-		total += SpansOfTimes(ts)
+		total += spansOfSorted(ts)
 	}
 	return total
 }
@@ -100,16 +105,16 @@ func SpansOfProfile(profile map[int]int) int {
 // through a gap: activeUnits + α·transitions with each finite gap of
 // length ℓ contributing min(ℓ, α). Processors begin asleep (the first
 // wake-up on each used processor costs α) and the final return to sleep
-// is free.
+// is free. The terms are added row by row, each gap in time order, as
+// GapLengths lists them.
 func (s Schedule) PowerCost(alpha float64) float64 {
 	total := 0.0
 	for _, ts := range s.BusyRows() {
-		if len(ts) == 0 {
-			continue
-		}
 		total += float64(distinct(ts)) + alpha // busy units + initial wake
-		for _, g := range GapLengths(ts) {
-			total += minF(float64(g), alpha)
+		for i := 1; i < len(ts); i++ {
+			if d := ts[i] - ts[i-1]; d > 1 {
+				total += minF(float64(d-1), alpha)
+			}
 		}
 	}
 	return total
@@ -207,7 +212,10 @@ func (s Schedule) Staircase() Schedule {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(x, y int) int {
-		return cmp.Or(cmp.Compare(s.Slots[x].Time, s.Slots[y].Time), cmp.Compare(x, y))
+		if a, b := s.Slots[x].Time, s.Slots[y].Time; a != b {
+			return cmp.Compare(a, b)
+		}
+		return cmp.Compare(x, y)
 	})
 	q := 0
 	for x, i := range order {

@@ -75,6 +75,80 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// TestCheckSlots: CheckSlots rejects what Validate rejects slot by
+// slot — counts, processors out of range, times outside windows — and,
+// by design, not two jobs sharing a slot.
+func TestCheckSlots(t *testing.T) {
+	in := NewMultiprocInstance([]Job{{0, 2}, {0, 2}}, 2)
+	for _, c := range []struct {
+		name string
+		s    Schedule
+		ok   bool
+	}{
+		{"valid", Schedule{Procs: 2, Slots: []Assignment{{0, 0}, {1, 0}}}, true},
+		{"shared slot", Schedule{Procs: 2, Slots: []Assignment{{0, 0}, {0, 0}}}, true},
+		{"outside window", Schedule{Procs: 2, Slots: []Assignment{{0, 0}, {1, 3}}}, false},
+		{"before window", Schedule{Procs: 2, Slots: []Assignment{{0, -1}, {1, 0}}}, false},
+		{"processor out of range", Schedule{Procs: 2, Slots: []Assignment{{0, 0}, {2, 0}}}, false},
+		{"negative processor", Schedule{Procs: 2, Slots: []Assignment{{-1, 0}, {1, 0}}}, false},
+		{"slot count", Schedule{Procs: 2, Slots: []Assignment{{0, 0}}}, false},
+		{"processor count", Schedule{Procs: 3, Slots: []Assignment{{0, 0}, {1, 0}}}, false},
+	} {
+		if err := c.s.CheckSlots(in); (err == nil) != c.ok {
+			t.Errorf("%s: CheckSlots = %v, want ok %v", c.name, err, c.ok)
+		}
+		if c.name != "shared slot" && (c.s.Validate(in) == nil) != c.ok {
+			t.Errorf("%s: Validate disagrees with CheckSlots", c.name)
+		}
+	}
+}
+
+// TestCostsMatchPerRowReference: Spans, PowerCost and BusyRows equal
+// the row-by-row computation through SpansOfTimes and GapLengths on
+// per-processor rows built by appending, bit for bit, on random
+// schedules with shared times, idle processors and negative times.
+func TestCostsMatchPerRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 500; trial++ {
+		procs := 1 + rng.Intn(5)
+		s := Schedule{Procs: procs, Slots: make([]Assignment, rng.Intn(40))}
+		for i := range s.Slots {
+			s.Slots[i] = Assignment{Proc: rng.Intn(procs), Time: rng.Intn(60) - 30}
+		}
+		var rows [][]int
+		for q := 0; q < procs; q++ {
+			var ts []int
+			for _, a := range s.Slots {
+				if a.Proc == q {
+					ts = append(ts, a.Time)
+				}
+			}
+			if len(ts) > 0 {
+				sort.Ints(ts)
+				rows = append(rows, ts)
+			}
+		}
+		if got := s.BusyRows(); !(len(got) == 0 && len(rows) == 0) && !reflect.DeepEqual(got, rows) {
+			t.Fatalf("BusyRows = %v, reference %v", got, rows)
+		}
+		alpha := float64(rng.Intn(40)) / 7
+		spans, power := 0, 0.0
+		for _, ts := range rows {
+			spans += SpansOfTimes(ts)
+			power += float64(distinct(ts)) + alpha
+			for _, g := range GapLengths(ts) {
+				power += minF(float64(g), alpha)
+			}
+		}
+		if got := s.Spans(); got != spans {
+			t.Fatalf("Spans = %d, reference %d (slots %v)", got, spans, s.Slots)
+		}
+		if got := s.PowerCost(alpha); got != power {
+			t.Fatalf("PowerCost(%v) = %v, reference %v (slots %v)", alpha, got, power, s.Slots)
+		}
+	}
+}
+
 func TestSpansOfTimes(t *testing.T) {
 	cases := []struct {
 		ts   []int

@@ -133,24 +133,59 @@ func (s Schedule) Clone() Schedule {
 // job, times within windows, processors in range, no two jobs sharing a
 // (processor, time) slot.
 func (s Schedule) Validate(in Instance) error {
+	if err := s.checkShape(in); err != nil {
+		return err
+	}
+	used := make(map[Assignment]int, len(s.Slots))
+	for i, a := range s.Slots {
+		if err := s.checkSlot(in, i); err != nil {
+			return err
+		}
+		if prev, dup := used[a]; dup {
+			return fmt.Errorf("sched: jobs %d and %d share slot (proc %d, time %d)", prev, i, a.Proc, a.Time)
+		}
+		used[a] = i
+	}
+	return nil
+}
+
+// CheckSlots is Validate without the pairwise check: one assignment
+// per job, processors in range and times within windows, in one pass
+// that allocates nothing. It suffices for a schedule whose jobs cannot
+// collide by construction, such as one assembled from validated
+// schedules of instances whose windows are disjoint.
+func (s Schedule) CheckSlots(in Instance) error {
+	if err := s.checkShape(in); err != nil {
+		return err
+	}
+	for i := range s.Slots {
+		if err := s.checkSlot(in, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkShape checks the slot and processor counts against in.
+func (s Schedule) checkShape(in Instance) error {
 	if len(s.Slots) != len(in.Jobs) {
 		return fmt.Errorf("sched: schedule has %d slots for %d jobs", len(s.Slots), len(in.Jobs))
 	}
 	if s.Procs != in.Procs {
 		return fmt.Errorf("sched: schedule has %d procs, instance has %d", s.Procs, in.Procs)
 	}
-	used := make(map[Assignment]int, len(s.Slots))
-	for i, a := range s.Slots {
-		if a.Proc < 0 || a.Proc >= s.Procs {
-			return fmt.Errorf("sched: job %d on processor %d out of range [0,%d)", i, a.Proc, s.Procs)
-		}
-		if !in.Jobs[i].Contains(a.Time) {
-			return fmt.Errorf("sched: job %d at time %d outside window %v", i, a.Time, in.Jobs[i])
-		}
-		if prev, dup := used[a]; dup {
-			return fmt.Errorf("sched: jobs %d and %d share slot (proc %d, time %d)", prev, i, a.Proc, a.Time)
-		}
-		used[a] = i
+	return nil
+}
+
+// checkSlot checks job i's assignment: its processor in range, its
+// time in the job's window.
+func (s Schedule) checkSlot(in Instance, i int) error {
+	a := s.Slots[i]
+	if a.Proc < 0 || a.Proc >= s.Procs {
+		return fmt.Errorf("sched: job %d on processor %d out of range [0,%d)", i, a.Proc, s.Procs)
+	}
+	if !in.Jobs[i].Contains(a.Time) {
+		return fmt.Errorf("sched: job %d at time %d outside window %v", i, a.Time, in.Jobs[i])
 	}
 	return nil
 }
@@ -190,13 +225,35 @@ func (s Schedule) BusyRows() [][]int {
 		}
 		return rows
 	}
-	rows := make([][]int, hi)
+	// One array holds the hi+1 row offsets and then every time, so the
+	// rows cost two allocations however many processors run.
+	buf := make([]int, hi+1+len(s.Slots))
+	off, times := buf[:hi+1], buf[hi+1:]
 	for _, a := range s.Slots {
-		rows[a.Proc] = append(rows[a.Proc], a.Time)
+		off[a.Proc+1]++
 	}
-	rows = slices.DeleteFunc(rows, func(ts []int) bool { return len(ts) == 0 })
-	for _, ts := range rows {
-		slices.Sort(ts)
+	busy := 0
+	for q := 1; q <= hi; q++ {
+		if off[q] > 0 {
+			busy++
+		}
+		off[q] += off[q-1]
+	}
+	// off[q] is where processor q's times start; placing them moves it
+	// to where they end.
+	for _, a := range s.Slots {
+		times[off[a.Proc]] = a.Time
+		off[a.Proc]++
+	}
+	rows := make([][]int, 0, busy)
+	start := 0
+	for _, end := range off[:hi] {
+		if end > start {
+			ts := times[start:end:end]
+			slices.Sort(ts)
+			rows = append(rows, ts)
+		}
+		start = end
 	}
 	return rows
 }

@@ -296,6 +296,13 @@ func (ss *Session) resolveOnline(sol Solution, in Instance) (Solution, error) {
 	sol.Schedule = run.Schedule
 	sol.CommittedJobs, sol.CommittedCost = run.CommittedJobs, run.CommittedCost
 	sol.CompetitiveRatio = 1
+	// The run is not assembled from the mirror's fragments, so its span
+	// count replaces the one fold summed: for gaps its cost, for power
+	// a count of its schedule.
+	sol.Spans = int(run.Cost)
+	if ss.rt.obj.Power {
+		sol.Spans = run.Schedule.Spans()
+	}
 	ss.rt.finish(&sol, run.Cost)
 	if sol.LowerBound > 0 {
 		sol.CompetitiveRatio = run.Cost / sol.LowerBound

@@ -38,7 +38,9 @@ func sessionCost(s Solver, sol Solution) float64 {
 // from-scratch Solve of the session's snapshot instance, under every
 // configuration of the matrix: cost, schedule validity, and every
 // per-fragment aggregate (state counters, lower bound, backend split,
-// fragment count, mode). The from-scratch reference uses the same
+// fragment count, mode), and Spans equal to its schedule's count, which
+// the session sums from reused and re-solved fragment records alike.
+// The from-scratch reference uses the same
 // Solver (same cache), which is exactly the claim the subsystem makes.
 func TestSessionMatchesScratchUnderChurn(t *testing.T) {
 	type aggregates struct {
@@ -95,6 +97,9 @@ func TestSessionMatchesScratchUnderChurn(t *testing.T) {
 			}
 			if err := got.Schedule.Validate(snapshot); err != nil {
 				t.Fatalf("step %d: session schedule invalid: %v", step, err)
+			}
+			if n := got.Schedule.Spans(); got.Spans != n {
+				t.Fatalf("step %d: session Spans %d, its schedule has %d", step, got.Spans, n)
 			}
 			if got.ResolvedFragments+got.ReusedFragments != got.Subinstances {
 				t.Fatalf("step %d: counters %d+%d do not cover %d fragments",

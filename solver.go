@@ -2,7 +2,6 @@ package gapsched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fragcache"
-	"repro/internal/heur"
 	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/sched"
@@ -300,14 +298,17 @@ func (fc *FragmentCache) Len() int { return fc.c.Len() }
 // fragment span is recorded from it, so they cannot disagree.
 // lb is the fragment's certified lower bound — the optimal cost itself
 // on the exact backend, the internal/heur certificate on the heuristic
-// one. err is typically ErrInfeasible (infeasible fragments are cached
-// too, so repeated infeasible duplicates do not re-run the feasibility
+// one — and spans the span count of its schedule: the cost itself for
+// gaps, counted once where the schedule is produced for power. err is
+// typically ErrInfeasible (infeasible fragments are cached too, so
+// repeated infeasible duplicates do not re-run the feasibility
 // machinery). dur is the wall-clock the call spent obtaining the record
 // — the backend solve for a miss, the lookup (and possible singleflight
 // wait) for a cache hit.
 type fragResult struct {
 	cost     float64
 	schedule sched.Schedule
+	spans    int
 	states   int
 	pruned   int
 	expanded int
@@ -361,43 +362,38 @@ func (rt *objectiveRuntime) tier(fr sched.Instance) obs.Backend {
 	return obs.BackendDP
 }
 
-// solve solves one fragment on backend b. The exact engine's optimum
-// is its own lower bound; the greedy's schedule is priced under the
-// objective and certified by the internal/heur bound, and its
-// infeasibility maps onto the facade's ErrInfeasible, so callers see
-// one error identity regardless of tier.
+// solve solves one fragment on backend b: core.Solve on the exact
+// engine, core.Greedy on the heuristic tier. Both validate the
+// fragment's schedule against the fragment and return one record, with
+// the optimum or the heuristic certificate as its lower bound and
+// core.ErrInfeasible — the facade's ErrInfeasible — whichever tier
+// found the fragment infeasible.
 func (rt *objectiveRuntime) solve(b obs.Backend, fr sched.Instance) fragResult {
+	var res core.Result
+	var err error
 	if b == obs.BackendDP {
-		res, err := core.Solve(fr, rt.obj, core.Options{})
-		return fragResult{cost: res.Cost, schedule: res.Schedule,
-			states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates,
-			lb: res.Cost, err: err}
-	}
-	greedy, err := heur.Greedy(fr)
-	if errors.Is(err, heur.ErrInfeasible) {
-		err = ErrInfeasible
+		res, err = core.Solve(fr, rt.obj, core.Options{})
+	} else {
+		res, err = core.Greedy(fr, rt.obj)
 	}
 	if err != nil {
 		return fragResult{err: err}
 	}
-	r := fragResult{cost: rt.obj.Price(greedy), schedule: greedy}
+	spans := int(res.Cost)
 	if rt.obj.Power {
-		r.lb = heur.FragmentPowerLB(fr, rt.obj.Alpha)
-	} else {
-		r.lb = float64(heur.FragmentSpanLB(fr))
+		spans = res.Schedule.Spans()
 	}
-	return r
+	return fragResult{cost: res.Cost, schedule: res.Schedule, spans: spans,
+		states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates, lb: res.LowerBound}
 }
 
-// finish names the fragment costs' sum in sol's objective fields: the
-// span count for gaps; for power the power, plus the spans of the
-// returned schedule, which need not be span-minimal.
+// finish names the fragment costs' sum in sol's objective fields, once
+// sol.Spans holds the span count of sol's schedule: for gaps the cost
+// itself, for power the spans of the returned schedule, which need not
+// be span-minimal.
 func (rt *objectiveRuntime) finish(sol *Solution, cost float64) {
 	if rt.obj.Power {
 		sol.Power = cost
-		sol.Spans = sol.Schedule.Spans()
-	} else {
-		sol.Spans = int(cost)
 	}
 	sol.Gaps = max(sol.Spans-1, 0)
 }
@@ -438,14 +434,18 @@ const (
 )
 
 // fold adds one fragment's record to the solution; it is the only
-// place per-fragment outcomes reach a Solution. The state counters,
-// lower bound and backend split describe the fragment whoever solved
-// it, so a reused record adds them too; CacheHits and the cache and
-// solve Timings measure this call's work, so a reused record adds
-// none. Costs are not folded: callers sum them in fragment order and
-// hand the total to objectiveRuntime.finish.
+// place per-fragment outcomes reach a Solution. The span and state
+// counters, lower bound and backend split describe the fragment
+// whoever solved it, so a reused record adds them too; CacheHits and
+// the cache and solve Timings measure this call's work, so a reused
+// record adds none. Spans add up across fragments because the
+// fragments' windows are separated by idle runs at least one unit
+// wide, so no span of the assembled schedule joins two fragments.
+// Costs are not folded: callers sum them in fragment order and hand
+// the total to objectiveRuntime.finish.
 func (sol *Solution) fold(r *fragResult, use fragUse) {
 	sol.Subinstances++
+	sol.Spans += r.spans
 	sol.States += r.states
 	sol.PrunedStates += r.pruned
 	sol.ExpandedStates += r.expanded
@@ -529,8 +529,11 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 // canonical form of the fragment (jobs sorted in compressed
 // coordinates) and the stored schedule is mapped back through the
 // canonicalization permutation, so a hit returns a schedule of the
-// fragment as given; the heuristic's entries carry a distinct key tag
-// bit, so backends never serve each other's solutions. Every call is
+// fragment as given, validated against it: a solve validates what it
+// produces, and a hit validates what it serves, which also catches an
+// entry stored under a colliding key. The heuristic's entries carry a
+// distinct key tag bit, so backends never serve each other's
+// solutions. Every call is
 // timed: the elapsed wall-clock lands in the result's dur and, when tr
 // is non-nil, in a per-fragment span — a backend-tagged StageSolve
 // span for a real solve, a StageCache span for a hit (singleflight
@@ -560,6 +563,11 @@ func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Tr
 				slots[perm[i]] = a
 			}
 			res.schedule = sched.Schedule{Procs: res.schedule.Procs, Slots: slots}
+			if hit {
+				if err := res.schedule.Validate(fr); err != nil {
+					res = fragResult{hit: true, err: fmt.Errorf("gapsched: cached fragment schedule: %w", err)}
+				}
+			}
 		}
 	}
 	res.backend = b
@@ -581,6 +589,13 @@ func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Tr
 // first error in fragment order wins, matching a sequential solve
 // exactly. The reassembly is timed into Timings.Assemble (and a
 // StageAssemble span when tr is non-nil).
+//
+// Every fragment schedule was validated against its fragment where it
+// was produced or served (see solveFragment), so the assembled one
+// needs only Schedule.CheckSlots, one pass without a map: slot count,
+// processor range, and each time inside its job's window. Two jobs of
+// different fragments cannot share a slot, because Decompose separates
+// the fragments' windows by idle runs at least one unit wide.
 func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs.Trace) (Solution, error) {
 	if p.err != nil {
 		return Solution{}, p.err
@@ -603,7 +618,7 @@ func (s Solver) finishInstance(p *preparedInstance, rt objectiveRuntime, tr *obs
 		start := time.Now()
 		schedule, err := p.plan.Assemble(parts)
 		if err == nil {
-			err = schedule.Validate(p.in)
+			err = schedule.CheckSlots(p.in)
 		}
 		sol.Timings.Assemble = time.Since(start)
 		tr.Span(obs.StageAssemble, "", start, sol.Timings.Assemble)

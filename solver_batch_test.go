@@ -11,8 +11,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/prep"
 	"repro/internal/workload"
 )
 
@@ -341,6 +344,72 @@ func TestSolveUsesCacheAcrossIdenticalFragments(t *testing.T) {
 	}
 	if err := withCache.Schedule.Validate(in); err != nil {
 		t.Fatalf("cached schedule invalid: %v", err)
+	}
+}
+
+// TestCorruptedCacheEntryFailsHit: a cache hit validates the schedule
+// it serves against the fragment it answers, so an entry whose stored
+// schedule was damaged inside the shared cache makes the next hit fail
+// instead of assembling an invalid schedule, on both tiers. The damage
+// puts two jobs in one slot inside their windows, which only the
+// fragment's own check can see: the assembly pass checks windows and
+// processors, not pairs.
+func TestCorruptedCacheEntryFailsHit(t *testing.T) {
+	in := NewInstance([]Job{{Release: 0, Deadline: 5}, {Release: 0, Deadline: 5}, {Release: 0, Deadline: 5}})
+	for _, mode := range []Mode{ModeExact, ModeHeuristic} {
+		s := Solver{Mode: mode, Cache: NewFragmentCache(64)}
+		if _, err := s.Solve(in); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		rt, err := s.runtime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, _ := prep.Canonicalize(prep.Decompose(in, rt.splitWidth).Subs[0].Instance)
+		tag := rt.tag
+		if rt.tier(canon) == obs.BackendHeur {
+			tag |= heurTag
+		}
+		stored, hit := s.Cache.c.Do(prep.CanonicalKey(canon, tag, rt.obj.Alpha), func() fragResult {
+			t.Fatalf("%v: the first solve stored no entry", mode)
+			return fragResult{}
+		})
+		if !hit || stored.err != nil {
+			t.Fatalf("%v: stored entry hit %v err %v", mode, hit, stored.err)
+		}
+		stored.schedule.Slots[1] = stored.schedule.Slots[0] // the slice is the cache's own
+		_, err = s.Solve(in)
+		if err == nil || !strings.Contains(err.Error(), "cached fragment schedule") {
+			t.Fatalf("%v: solve over a corrupted entry returned %v, want the hit's validation error", mode, err)
+		}
+	}
+}
+
+// TestAssemblyRejectsSlotOutsideWindow: the assembly pass checks every
+// slot of the assembled schedule against its job's window, so a
+// fragment schedule that reaches finishInstance with a job moved out of
+// its window fails the solve.
+func TestAssemblyRejectsSlotOutsideWindow(t *testing.T) {
+	in := clusteredInstance(3, 100)
+	s := Solver{}
+	rt, err := s.runtime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() *preparedInstance {
+		p := s.prepare(in, rt, nil)
+		for i, fr := range p.frags {
+			p.results[i] = s.solveFragment(rt, fr, nil)
+		}
+		return p
+	}
+	if _, err := s.finishInstance(solve(), rt, nil); err != nil {
+		t.Fatalf("intact fragments: %v", err)
+	}
+	p := solve()
+	p.results[1].schedule.Slots[2].Time = p.frags[1].Jobs[2].Deadline + 1
+	if _, err := s.finishInstance(p, rt, nil); err == nil || !strings.Contains(err.Error(), "outside window") {
+		t.Fatalf("finishInstance over a slot past its deadline returned %v, want a window error", err)
 	}
 }
 
