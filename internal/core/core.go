@@ -127,7 +127,7 @@ func (b *base) reset(in sched.Instance, fullGrid bool) {
 			}
 		}
 	} else {
-		b.grid = prep.AppendGrid(b.grid[:0], in, &b.anchors)
+		b.grid, b.anchors = prep.AppendGrid(b.grid[:0], b.anchors, in)
 	}
 	g := len(b.grid)
 	b.t1val, b.t2val = resize(b.t1val, g+1), resize(b.t2val, g+1)

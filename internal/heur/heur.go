@@ -97,7 +97,6 @@ type Scratch struct {
 	byRel  []int       // job indices in (release, index) order
 	dls    []int       // the distinct deadlines, ascending, in the instance's times
 	dlRank []int       // dlRank[j] is the index in dls of job j's deadline
-	at     []int       // countIndex's counts and ranks per zero-based time
 
 	f, remaining []int
 	heap         []int // the pending queue's storage
@@ -106,40 +105,19 @@ type Scratch struct {
 	slots        []sched.Assignment
 }
 
-// countWidth bounds, in times per job, the zero-based horizon that
-// index sorts by counting; a wider one is sorted by comparison. Both
-// give the same index.
-const countWidth = 8
-
-// index builds s's index of in. When every window is non-empty and
-// the horizon holds fewer than countWidth times per job it counts: one
-// pass over the times orders the releases and another lists the
-// distinct deadlines with their ranks, with no comparison sort.
-// Otherwise it sorts, comparing the instance's own times, which never
-// wrap. The zero-based copies serve the greedy's arithmetic and
-// differences of times, which the shift leaves alone.
+// index builds s's index of in, sorting by the instance's own times,
+// which never wrap. The zero-based copies serve the greedy's arithmetic
+// and differences of times, which the shift leaves alone.
 func (s *Scratch) index(in sched.Instance) {
 	n := len(in.Jobs)
-	lo, hi := in.TimeHorizon()
-	s.lo = lo
+	s.lo, _ = in.TimeHorizon()
 	s.jobs = resize(s.jobs, n)
-	valid := true
-	for i, j := range in.Jobs {
-		s.jobs[i] = sched.Job{Release: j.Release - lo, Deadline: j.Deadline - lo}
-		valid = valid && j.Valid()
-	}
 	s.byRel, s.dlRank = resize(s.byRel, n), resize(s.dlRank, n)
-	if span := uint(hi) - uint(lo); valid && span < countWidth*uint(n) {
-		s.countIndex(int(span) + 1)
-	} else {
-		s.sortIndex(in)
-	}
-}
-
-// sortIndex builds the index by sorting the instance's times.
-func (s *Scratch) sortIndex(in sched.Instance) {
-	for i := range s.byRel {
+	dls := resize(s.dls, n)
+	for i, j := range in.Jobs {
+		s.jobs[i] = sched.Job{Release: j.Release - s.lo, Deadline: j.Deadline - s.lo}
 		s.byRel[i] = i
+		dls[i] = j.Deadline
 	}
 	slices.SortFunc(s.byRel, func(x, y int) int {
 		if a, b := in.Jobs[x].Release, in.Jobs[y].Release; a != b {
@@ -147,49 +125,10 @@ func (s *Scratch) sortIndex(in sched.Instance) {
 		}
 		return cmp.Compare(x, y)
 	})
-	dls := resize(s.dls, len(in.Jobs))
-	for i, j := range in.Jobs {
-		dls[i] = j.Deadline
-	}
 	slices.Sort(dls)
 	s.dls = dedupe(dls)
 	for i, j := range in.Jobs {
 		s.dlRank[i] = sort.SearchInts(s.dls, j.Deadline)
-	}
-}
-
-// countIndex builds the index by counting over the width zero-based
-// times of s.jobs: the release order is a counting sort, stable in the
-// job index, and the deadline axis is the marked times in order, each
-// mark then replaced by its rank.
-func (s *Scratch) countIndex(width int) {
-	at := resize(s.at, width+1)
-	s.at = at
-	clear(at)
-	for _, j := range s.jobs {
-		at[j.Release+1]++
-	}
-	for t := 1; t <= width; t++ {
-		at[t] += at[t-1]
-	}
-	for i, j := range s.jobs {
-		s.byRel[at[j.Release]] = i
-		at[j.Release]++
-	}
-	clear(at)
-	for _, j := range s.jobs {
-		at[j.Deadline] = 1
-	}
-	dls := resize(s.dls, len(s.jobs))[:0]
-	for t, marked := range at[:width] {
-		if marked != 0 {
-			at[t] = len(dls)
-			dls = append(dls, t+s.lo)
-		}
-	}
-	s.dls = dls
-	for i, j := range s.jobs {
-		s.dlRank[i] = at[j.Deadline]
 	}
 }
 
@@ -317,7 +256,7 @@ func (s *Scratch) Greedy(in sched.Instance) (sched.Schedule, error) {
 // Bytes reports the memory s's arrays hold, so that a caller keeping
 // a Scratch between runs can drop one that an oversized run grew.
 func (s *Scratch) Bytes() int {
-	return bytesOf(s.jobs) + bytesOf(s.byRel) + bytesOf(s.dls) + bytesOf(s.dlRank) + bytesOf(s.at) + bytesOf(s.f) + bytesOf(s.remaining) +
+	return bytesOf(s.jobs) + bytesOf(s.byRel) + bytesOf(s.dls) + bytesOf(s.dlRank) + bytesOf(s.f) + bytesOf(s.remaining) +
 		bytesOf(s.heap) + bytesOf(s.tree.mn) + bytesOf(s.tree.lazy) + bytesOf(s.fen) + bytesOf(s.slots)
 }
 

@@ -70,23 +70,15 @@ func gridSize(in sched.Instance) int {
 // AppendGrid appends the exact engine's candidate execution grid to
 // grid, in ascending order, and returns the extended slice: every time
 // within distance n of a release or a deadline, clipped to the horizon
-// (the span-anchoring argument of internal/core). Passing the previous
-// grid's storage reuses it. When anchors is non-nil, the 2n anchors are
-// sorted in its storage, which is kept there for the next call, so a
-// warm caller allocates nothing.
-func AppendGrid(grid []int, in sched.Instance, anchors *[]int) []int {
-	var buf []int
-	if anchors != nil {
-		buf = *anchors
-	}
-	buf = sortedAnchors(buf, in)
-	if anchors != nil {
-		*anchors = buf
-	}
+// (the span-anchoring argument of internal/core). It sorts the 2n
+// anchors in anchors' storage and returns them too, so a caller that
+// passes back the previous call's grid and anchors allocates nothing.
+func AppendGrid(grid, anchors []int, in sched.Instance) ([]int, []int) {
+	anchors = sortedAnchors(anchors, in)
 	size := 0
-	gridRuns(buf, in, func(from, to int) { size += to - from + 1 })
+	gridRuns(anchors, in, func(from, to int) { size += to - from + 1 })
 	grid = slices.Grow(grid, size)
-	gridRuns(buf, in, func(from, to int) {
+	gridRuns(anchors, in, func(from, to int) {
 		// Stop at to before incrementing: t <= to holds for every t
 		// when to is MaxInt.
 		for t := from; ; t++ {
@@ -96,7 +88,7 @@ func AppendGrid(grid []int, in sched.Instance, anchors *[]int) []int {
 			}
 		}
 	})
-	return grid
+	return grid, anchors
 }
 
 // sortedAnchors returns in's 2n anchors, every release and deadline, in

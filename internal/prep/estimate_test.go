@@ -128,26 +128,32 @@ func TestGridSizeHandValues(t *testing.T) {
 	}
 	// A run that ends at MaxInt: AppendGrid's loop must stop there.
 	top := sched.NewInstance([]sched.Job{{Release: math.MaxInt - 3, Deadline: math.MaxInt - 1}, {Release: math.MaxInt - 2, Deadline: math.MaxInt}})
-	if got, want := AppendGrid(nil, top, nil), []int{math.MaxInt - 3, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) || gridSize(top) != len(want) {
+	if got, want := listGrid(top), []int{math.MaxInt - 3, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) || gridSize(top) != len(want) {
 		t.Fatalf("grid ending at MaxInt: %v (size %d), want %v", got, gridSize(top), want)
 	}
 	// Anchors within n of MinInt or MaxInt: their neighbourhoods clip
 	// to the horizon instead of wrapping, so every release is listed.
 	low := sched.NewInstance([]sched.Job{{Release: math.MinInt, Deadline: math.MinInt}, {Release: math.MinInt + 5, Deadline: math.MinInt + 5}})
-	if got, want := AppendGrid(nil, low, nil), []int{math.MinInt, math.MinInt + 1, math.MinInt + 2, math.MinInt + 3, math.MinInt + 4, math.MinInt + 5}; !slices.Equal(got, want) || gridSize(low) != len(want) {
+	if got, want := listGrid(low), []int{math.MinInt, math.MinInt + 1, math.MinInt + 2, math.MinInt + 3, math.MinInt + 4, math.MinInt + 5}; !slices.Equal(got, want) || gridSize(low) != len(want) {
 		t.Fatalf("grid starting at MinInt: %v (size %d), want %v", got, gridSize(low), want)
 	}
 	high := sched.NewInstance([]sched.Job{{Release: math.MaxInt - 5, Deadline: math.MaxInt - 5}, {Release: math.MaxInt, Deadline: math.MaxInt}})
-	if got, want := AppendGrid(nil, high, nil), []int{math.MaxInt - 5, math.MaxInt - 4, math.MaxInt - 3, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) || gridSize(high) != len(want) {
+	if got, want := listGrid(high), []int{math.MaxInt - 5, math.MaxInt - 4, math.MaxInt - 3, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) || gridSize(high) != len(want) {
 		t.Fatalf("grid ending at MaxInt: %v (size %d), want %v", got, gridSize(high), want)
 	}
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 400; trial++ {
 		in := workload.Multiproc(rng, 1+rng.Intn(8), 1+rng.Intn(3), 1+rng.Intn(80), 1+rng.Intn(15))
-		if got, want := gridSize(in), len(AppendGrid(nil, in, nil)); got != want {
+		if got, want := gridSize(in), len(listGrid(in)); got != want {
 			t.Fatalf("gridSize %d, AppendGrid lists %d points (jobs %v)", got, want, in.Jobs)
 		}
 	}
+}
+
+// listGrid is AppendGrid's grid of in, from fresh storage.
+func listGrid(in sched.Instance) []int {
+	grid, _ := AppendGrid(nil, nil, in)
+	return grid
 }
 
 // TestStateEstimateDeterministic: the estimate must not depend on job

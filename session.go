@@ -297,12 +297,8 @@ func (ss *Session) resolveOnline(sol Solution, in Instance) (Solution, error) {
 	sol.CommittedJobs, sol.CommittedCost = run.CommittedJobs, run.CommittedCost
 	sol.CompetitiveRatio = 1
 	// The run is not assembled from the mirror's fragments, so its span
-	// count replaces the one fold summed: for gaps its cost, for power
-	// a count of its schedule.
-	sol.Spans = int(run.Cost)
-	if ss.rt.obj.Power {
-		sol.Spans = run.Schedule.Spans()
-	}
+	// count replaces the one fold summed.
+	sol.Spans = ss.rt.spans(run.Cost, run.Schedule)
 	ss.rt.finish(&sol, run.Cost)
 	if sol.LowerBound > 0 {
 		sol.CompetitiveRatio = run.Cost / sol.LowerBound

@@ -379,18 +379,22 @@ func (rt *objectiveRuntime) solve(b obs.Backend, fr sched.Instance) fragResult {
 	if err != nil {
 		return fragResult{err: err}
 	}
-	spans := int(res.Cost)
-	if rt.obj.Power {
-		spans = res.Schedule.Spans()
-	}
-	return fragResult{cost: res.Cost, schedule: res.Schedule, spans: spans,
+	return fragResult{cost: res.Cost, schedule: res.Schedule, spans: rt.spans(res.Cost, res.Schedule),
 		states: res.States, pruned: res.PrunedStates, expanded: res.ExpandedStates, lb: res.LowerBound}
 }
 
-// finish names the fragment costs' sum in sol's objective fields, once
-// sol.Spans holds the span count of sol's schedule: for gaps the cost
-// itself, for power the spans of the returned schedule, which need not
+// spans is the span count of a schedule of the given cost: for gaps
+// the cost itself, for power a count of the schedule, which need not
 // be span-minimal.
+func (rt *objectiveRuntime) spans(cost float64, s sched.Schedule) int {
+	if rt.obj.Power {
+		return s.Spans()
+	}
+	return int(cost)
+}
+
+// finish names the fragment costs' sum in sol's objective fields, once
+// sol.Spans holds the span count of sol's schedule (see spans).
 func (rt *objectiveRuntime) finish(sol *Solution, cost float64) {
 	if rt.obj.Power {
 		sol.Power = cost
@@ -530,14 +534,15 @@ func (s Solver) prepare(in Instance, rt objectiveRuntime, tr *obs.Trace) *prepar
 // coordinates) and the stored schedule is mapped back through the
 // canonicalization permutation, so a hit returns a schedule of the
 // fragment as given, validated against it: a solve validates what it
-// produces, and a hit validates what it serves, which also catches an
-// entry stored under a colliding key. The heuristic's entries carry a
-// distinct key tag bit, so backends never serve each other's
-// solutions. Every call is
-// timed: the elapsed wall-clock lands in the result's dur and, when tr
-// is non-nil, in a per-fragment span — a backend-tagged StageSolve
-// span for a real solve, a StageCache span for a hit (singleflight
-// waits on another worker's solve included).
+// produces, and a hit validates what it serves, so a schedule damaged
+// inside the shared cache fails the hit instead of reaching assembly,
+// whose pass does not compare jobs with each other. The heuristic's
+// entries carry a distinct key tag bit, so backends never serve each
+// other's solutions. Every call is timed: the elapsed wall-clock lands
+// in the result's dur and, when tr is non-nil, in a per-fragment span
+// — a backend-tagged StageSolve span for a real solve, a StageCache
+// span for a hit (singleflight waits on another worker's solve
+// included).
 func (s Solver) solveFragment(rt objectiveRuntime, fr sched.Instance, tr *obs.Trace) fragResult {
 	start := time.Now()
 	b := rt.tier(fr)
